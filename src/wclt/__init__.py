@@ -21,7 +21,6 @@ from .errors import (
 from .graph_stats import (
     HostSample,
     SampleBatch,
-    StatisticSample,
     asymptotic_variance,
     combined_weight,
     exact_mean,

@@ -111,14 +111,6 @@ class Kernel:
     # -- structural flags ------------------------------------------------
 
     @property
-    def is_symmetric(self) -> bool:
-        return True
-
-    @property
-    def vanishes_off_diagonal(self) -> bool:
-        return True
-
-    @property
     def is_block_centered(self) -> bool:
         cached = self._centered
         if cached is None:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
 from . import rng
 from .errors import DegenerateConfigError, ResourceLimitError
 from .patterns import (
+    MAX_HOST_VERTICES,
     PatternGraph,
     _check_np,
     complete_graph_edges,
@@ -27,9 +27,6 @@ from .patterns import (
     enumerate_copies,
 )
 from .weights import WeightModel
-
-PAIR_CENSUS_CAP = 100_000_000
-MAX_HOST_N = 200
 
 Edge = tuple[int, int]
 
@@ -75,13 +72,6 @@ class HostSample:
 
 
 @dataclass(frozen=True)
-class StatisticSample:
-    raw_w: float
-    normalized: float
-    replicate: int
-
-
-@dataclass(frozen=True)
 class SampleBatch:
     """Replicated draws of the combined weight, raw and normalized."""
 
@@ -99,15 +89,18 @@ class SampleBatch:
     def reps(self) -> int:
         return self.raw.size
 
-    def samples(self) -> Iterator[StatisticSample]:
-        for i in range(self.reps):
-            yield StatisticSample(float(self.raw[i]), float(self.normalized[i]), i)
+
+def _check_host_size(n: int) -> None:
+    """Copy enumeration caps the host; reject a larger n before any work."""
+    if n > MAX_HOST_VERTICES:
+        raise ResourceLimitError(f"host capped at {MAX_HOST_VERTICES} vertices, got n = {n}")
 
 
 def sample_host(n: int, p: float, model: WeightModel, seed: int, replicate: int) -> HostSample:
     """Deterministic host draw: uniforms are the (replicate)-th row of the seed's stream."""
-    if not (2 <= n <= MAX_HOST_N):
-        raise ValueError(f"host size must lie in [2, {MAX_HOST_N}], got {n}")
+    _check_host_size(n)
+    if n < 2:
+        raise ValueError(f"host size must be at least 2, got {n}")
     if not (0.0 < p < 1.0):
         raise ValueError(f"retention probability must lie in (0, 1), got {p}")
     n_edges = n * (n - 1) // 2
@@ -116,8 +109,8 @@ def sample_host(n: int, p: float, model: WeightModel, seed: int, replicate: int)
     return HostSample(n=n, p=p, model=model, seed=seed, replicate=replicate, uniforms=uniforms)
 
 
-def _weight_by_copy_search(pattern: PatternGraph, host: HostSample) -> float:
-    """Enumerate copies inside the present edge set and add their edge weights."""
+def combined_weight(pattern: PatternGraph, host: HostSample) -> float:
+    """Total weight of present copies: enumerate copies inside the present edge set."""
     present = host.present_edges()
     if len(present) < pattern.num_edges:
         return 0.0
@@ -127,28 +120,6 @@ def _weight_by_copy_search(pattern: PatternGraph, host: HostSample) -> float:
     for copy in enumerate_copies(pattern, present):
         total += sum(weights[index[e]] for e in copy)
     return total
-
-
-def _weight_by_edge_counts(pattern: PatternGraph, host: HostSample) -> float:
-    """Edge-centric rewrite: weight(e) times the number of present copies through e."""
-    copies = np.array(_copies_in_kn(pattern, host.n), dtype=np.int64)
-    if copies.size == 0:
-        return 0.0
-    present = host.present
-    present_copies = present[copies].all(axis=1)
-    counts = np.bincount(copies[present_copies].ravel(), minlength=present.size)
-    return float(np.dot(host.edge_weights(), counts))
-
-
-def combined_weight(pattern: PatternGraph, host: HostSample) -> float:
-    """Total weight of present copies; cross-checked by two independent algorithms."""
-    by_copy = _weight_by_copy_search(pattern, host)
-    by_edge = _weight_by_edge_counts(pattern, host)
-    if abs(by_copy - by_edge) > 1e-9 * (1.0 + abs(by_copy)):
-        raise AssertionError(
-            f"combined-weight algorithms disagree: {by_copy!r} vs {by_edge!r}"
-        )
-    return by_copy
 
 
 def exact_mean(pattern: PatternGraph, n: int, p: float, model: WeightModel) -> float:
@@ -165,36 +136,41 @@ def intersection_pair_census(pattern: PatternGraph, n: int) -> dict[int, int]:
     Includes the diagonal (every copy paired with itself, sharing all e_G
     edges).  Pairs sharing no edge are not reported; they do not contribute
     to the variance.
+
+    K_n is symmetric under vertex permutations, so every copy has the same
+    partners up to relabeling: census_n(h) = copies * sum_j C(n - v_G, j) * b_j(h),
+    where b_j(h) counts the partners of one fixed copy that share h edges with
+    it and use j given vertices outside it (see ``_fixed_copy_overlaps``).
     """
-    return dict(_pair_census_cached(pattern, n))
+    copies = copies_in_complete(pattern, n)
+    census: dict[int, int] = {}
+    if copies == 0:
+        return census
+    outside = n - pattern.num_vertices
+    for h, j, count in _fixed_copy_overlaps(pattern):
+        census[h] = census.get(h, 0) + math.comb(outside, j) * count
+    return {h: copies * c for h, c in sorted(census.items()) if c}
 
 
 @lru_cache(maxsize=None)
-def _pair_census_cached(pattern: PatternGraph, n: int) -> tuple[tuple[int, int], ...]:
-    copies = _copies_in_kn(pattern, n)
-    n_copies = len(copies)
-    if n_copies * n_copies > PAIR_CENSUS_CAP:
-        raise ResourceLimitError(
-            f"pair census needs {n_copies}^2 pairs, over the cap {PAIR_CENSUS_CAP}"
-        )
-    if n_copies == 0:
-        return ()
-    n_edges = n * (n - 1) // 2
-    words = (n_edges + 63) // 64
-    masks = np.zeros((n_copies, words), dtype=np.uint64)
-    for i, copy in enumerate(copies):
-        for e in copy:
-            masks[i, e // 64] |= np.uint64(1) << np.uint64(e % 64)
+def _fixed_copy_overlaps(pattern: PatternGraph) -> tuple[tuple[int, int, int], ...]:
+    """Triples (h, j, b_j(h)) for the pattern itself as the fixed copy on vertices 0..v_G-1.
 
-    census: dict[int, int] = {}
-    chunk = max(1, min(n_copies, 4_000_000 // max(1, n_copies * words)))
-    for lo in range(0, n_copies, chunk):
-        hi = min(lo + chunk, n_copies)
-        shared = np.bitwise_count(masks[lo:hi, None, :] & masks[None, :, :]).sum(axis=2)
-        values, counts = np.unique(shared[shared > 0], return_counts=True)
-        for h, c in zip(values.tolist(), counts.tolist()):
-            census[h] = census.get(h, 0) + int(c)
-    return tuple(sorted(census.items()))
+    A partner sharing an edge keeps at least two vertices inside the fixed
+    copy, so j <= v_G - 2 and every partner fits in K_m with m = 2 v_G - 2.
+    K_m holds C(m - v_G, j) sets of j outside vertices, each with the same
+    b_j(h) partners, so the tallies divide exactly.
+    """
+    v_g = pattern.num_vertices
+    m = 2 * v_g - 2
+    own = set(pattern.edges)
+    tally: dict[tuple[int, int], int] = {}
+    for copy in enumerate_copies(pattern, complete_graph_edges(m)):
+        h = len(own.intersection(copy))
+        if h:
+            j = len({w for e in copy for w in e if w >= v_g})
+            tally[h, j] = tally.get((h, j), 0) + 1
+    return tuple((h, j, c // math.comb(m - v_g, j)) for (h, j), c in sorted(tally.items()))
 
 
 def exact_variance(pattern: PatternGraph, n: int, p: float, model: WeightModel) -> float:
@@ -256,6 +232,8 @@ def _accumulate_weights(pattern: PatternGraph, n: int, p: float, model: WeightMo
 def normalized_samples(pattern: PatternGraph, n: int, p: float, model: WeightModel,
                        reps: int, seed: int) -> SampleBatch:
     """Independent replicates of the combined weight, centered and scaled exactly."""
+    _check_host_size(n)
+    _check_np(pattern, n, p)
     mean = exact_mean(pattern, n, p, model)
     var = exact_variance(pattern, n, p, model)
     if var <= 1e-12 * mean * mean:

@@ -49,8 +49,10 @@ def thread_count() -> int:
     try:
         value = int(raw)
     except ValueError:
-        return 1
-    return max(1, value)
+        value = 0
+    if value < 1:
+        raise ValueError(f"WCLT_THREADS must be a positive integer, got {raw!r}")
+    return value
 
 
 def chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:

@@ -83,11 +83,6 @@ class WeightModel:
         return self._tag()
 
 
-def sample(model: WeightModel, u: float) -> float:
-    """Inverse-transform sample: a pure function of the supplied uniform."""
-    return model.quantile(u)
-
-
 @dataclass(frozen=True)
 class Constant(WeightModel):
     value: float

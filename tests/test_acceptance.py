@@ -24,6 +24,7 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import weight_by_edge_counts
 from wclt.chaos import (
     GridSpec,
     Kernel,
@@ -45,9 +46,8 @@ from wclt.distance import wasserstein1_to_normal
 from wclt.graph_chaos import graph_weight_family, path_host_uniforms
 from wclt.graph_stats import (
     HostSample,
-    _weight_by_copy_search,
-    _weight_by_edge_counts,
     asymptotic_variance,
+    combined_weight,
     exact_variance,
     normalized_samples,
     sample_host,
@@ -155,8 +155,8 @@ def test_c02_pathwise_identities():
         n = rnd.randint(4, 10)
         pattern = patterns[trial % 3]
         host = sample_host(n, rnd.uniform(0.2, 0.9), Uniform(1.0), seed=20_000 + trial, replicate=0)
-        a = _weight_by_copy_search(pattern, host)
-        b = _weight_by_edge_counts(pattern, host)
+        a = combined_weight(pattern, host)
+        b = weight_by_edge_counts(pattern, host)
         worst = max(worst, abs(a - b) / (1.0 + abs(a)))
 
     # graph-kernel identity for aligned models, triangle hosts up to n = 4
@@ -167,7 +167,7 @@ def test_c02_pathwise_identities():
         blocks = n * (n - 1) // 2
         paths = random_paths(seed, 1000, blocks)
         w = np.array([
-            _weight_by_edge_counts(TRIANGLE, HostSample(
+            weight_by_edge_counts(TRIANGLE, HostSample(
                 n=n, p=0.5, model=model, seed=0, replicate=0,
                 uniforms=path_host_uniforms(row)))
             for row in paths

@@ -113,6 +113,38 @@ class TestSimulateCommand:
                       "--reps", "10", "--seed", "0")
         assert res.returncode == 3
 
+    @pytest.mark.parametrize("p", ["nan", "1.5"])
+    def test_p_outside_unit_interval_usage_error(self, p):
+        res = run_cli("simulate", "--pattern", "triangle", "--n", "6", "--p", p,
+                      "--weights", "unif:1", "--reps", "10", "--seed", "0")
+        assert res.returncode == 2
+        assert "p must lie in (0, 1)" in res.stderr
+
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_malformed_thread_count_usage_error(self, threads):
+        res = run_cli("simulate", "--pattern", "triangle", "--n", "6", "--p", "0.5",
+                      "--weights", "unif:1", "--reps", "10", "--seed", "0",
+                      env_extra={"WCLT_THREADS": threads})
+        assert res.returncode == 2
+        assert f"WCLT_THREADS must be a positive integer, got {threads!r}" in res.stderr
+
+    def test_host_past_census_size_runs(self, tmp_path):
+        # n = 41 holds 10660 triangles, more than a quadratic pair census could take
+        meta = tmp_path / "m.json"
+        res = run_cli("simulate", "--pattern", "triangle", "--n", "41", "--p", "0.1",
+                      "--weights", "unif:1", "--reps", "20", "--seed", "0",
+                      "--out", str(tmp_path / "s.csv"), "--meta", str(meta))
+        assert res.returncode == 0
+        assert json.loads(meta.read_text())["census"] == {"1": 1215240, "3": 10660}
+
+    def test_host_cap_resource_error(self, tmp_path):
+        out = tmp_path / "s.csv"
+        res = run_cli("simulate", "--pattern", "triangle", "--n", "65", "--p", "0.1",
+                      "--weights", "unif:1", "--reps", "20", "--seed", "0", "--out", str(out))
+        assert res.returncode == 4
+        assert "host capped at 64 vertices" in res.stderr
+        assert not out.exists()
+
 
 class TestDistanceCommand:
     def test_single_row(self, tmp_path):

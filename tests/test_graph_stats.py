@@ -6,12 +6,11 @@ import random
 import numpy as np
 import pytest
 
+from oracles import direct_pair_census, weight_by_edge_counts
 from wclt import rng
-from wclt.errors import DegenerateConfigError
+from wclt.errors import DegenerateConfigError, ResourceLimitError
 from wclt.graph_stats import (
     HostSample,
-    _weight_by_copy_search,
-    _weight_by_edge_counts,
     asymptotic_variance,
     combined_weight,
     exact_mean,
@@ -21,7 +20,7 @@ from wclt.graph_stats import (
     sample_host,
 )
 from wclt.patterns import complete_graph_edges, edge_subgraph_profiles, max_variance_term, named_pattern
-from wclt.weights import Constant, Exponential, TwoPoint, Uniform
+from wclt.weights import Constant, Exponential, Uniform
 
 TRIANGLE = named_pattern("triangle")
 EDGE = named_pattern("path:2")
@@ -46,6 +45,8 @@ class TestSampleHost:
             sample_host(6, 1.0, Uniform(1.0), 0, 0)
         with pytest.raises(ValueError):
             sample_host(1, 0.5, Uniform(1.0), 0, 0)
+        with pytest.raises(ResourceLimitError):
+            sample_host(65, 0.5, Uniform(1.0), 0, 0)
 
     def test_high_p_all_present(self):
         host = sample_host(3, 0.999999, Constant(1.0), seed=1, replicate=0)
@@ -90,8 +91,8 @@ class TestCombinedWeight:
                 continue
             p = rnd.uniform(0.2, 0.9)
             host = sample_host(n, p, Uniform(1.0), seed=trial, replicate=0)
-            a = _weight_by_copy_search(pattern, host)
-            b = _weight_by_edge_counts(pattern, host)
+            a = combined_weight(pattern, host)
+            b = weight_by_edge_counts(pattern, host)
             assert abs(a - b) <= 1e-9 * (1 + abs(a))
 
     def test_constant_weight_is_scaled_count(self):
@@ -149,12 +150,21 @@ class TestExactMoments:
         assert exact_mean(TRIANGLE, 4, p, Constant(c)) == pytest.approx(mean_bf)
         assert exact_variance(TRIANGLE, 4, p, Constant(c)) == pytest.approx(second_bf - mean_bf**2)
 
-    def test_census_resource_cap(self):
-        # 10660 triangle copies in K_41: the ordered-pair count crosses the cap
-        from wclt.errors import ResourceLimitError
+    def test_census_triangle_n41(self):
+        # 10660 triangles in K_41; each of their 3 edges lies in 38 other
+        # triangles, so 10660 * 3 * 38 = 1215240 ordered pairs share one edge
+        assert intersection_pair_census(TRIANGLE, 41) == {1: 1215240, 3: 10660}
 
-        with pytest.raises(ResourceLimitError):
-            intersection_pair_census(TRIANGLE, 41)
+    @pytest.mark.parametrize("name", ["path:2", "path:3", "path:4", "path:5", "triangle",
+                                      "star:2", "star:3", "star:4", "cycle:4", "cycle:5",
+                                      "complete:4", "complete:5"])
+    def test_census_matches_direct_oracle(self, name):
+        pattern = named_pattern(name)
+        v_g = pattern.num_vertices
+        for n in range(v_g, min(2 * v_g + 2, 10) + 1):
+            census = intersection_pair_census(pattern, n)
+            assert census == direct_pair_census(pattern, n)
+            assert list(census) == sorted(census)
 
     def test_asymptotic_variance(self):
         # Single edge, n = 10, p = 0.5, constant weight 1: the weight factor is
@@ -229,10 +239,3 @@ class TestNormalizedSamples:
         assert np.array_equal(b1.raw, b2.raw)
         single = sample_host(6, 0.4, Exponential(1.0), seed=8, replicate=170)
         assert combined_weight(TRIANGLE, single) == pytest.approx(b1.raw[170], abs=1e-12)
-
-    def test_samples_iterator(self):
-        batch = normalized_samples(EDGE, 3, 0.5, TwoPoint(1.0, 3.0, 0.5), reps=5, seed=2)
-        items = list(batch.samples())
-        assert len(items) == 5
-        assert items[2].replicate == 2
-        assert items[2].raw_w == pytest.approx(float(batch.raw[2]))

@@ -7,7 +7,7 @@ import pytest
 
 from wclt import rng
 from wclt.errors import WeightModelError
-from wclt.weights import Constant, Exponential, TwoPoint, Uniform, moment_ratio, parse_weight_model, sample
+from wclt.weights import Constant, Exponential, TwoPoint, Uniform, moment_ratio, parse_weight_model
 
 ALL_MODELS = [
     Constant(1.0),
@@ -89,11 +89,6 @@ class TestQuantile:
         for model in ALL_MODELS:
             vals = model.quantile_array(grid)
             assert np.all(np.diff(vals) >= -1e-15)
-
-    def test_sample_is_quantile(self):
-        for model in ALL_MODELS:
-            for u in (0.0, 0.1, 0.5, 0.93):
-                assert sample(model, u) == model.quantile(u)
 
     def test_quantile_mean_matches_numeric(self):
         # closed-form partial averages against midpoint-rule integration
