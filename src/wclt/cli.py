@@ -32,7 +32,13 @@ from .errors import (
     UnsupportedPatternError,
     WeightModelError,
 )
-from .graph_stats import HostSample, combined_weight, intersection_pair_census, normalized_samples
+from .graph_stats import (
+    HostSample,
+    check_sample_config,
+    combined_weight,
+    intersection_pair_census,
+    normalized_samples,
+)
 from .patterns import PatternGraph, named_pattern, parse_pattern
 from .weights import parse_weight_model
 
@@ -236,6 +242,9 @@ def _cmd_rate_sweep(args) -> int:
     pattern = _load_pattern(args.pattern)
     model = parse_weight_model(args.weights)
     n_list = _parse_n_list(args.sweep_n)
+    p_list = [_p_for(n, args.p, args.p_rule) for n in n_list]
+    for n, p in zip(n_list, p_list):
+        check_sample_config(pattern, n, p)
     config = {
         "subcommand": "rate-sweep",
         "pattern": args.pattern,
@@ -250,8 +259,7 @@ def _cmd_rate_sweep(args) -> int:
     buf.write(_config_comment(config))
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "p", "d_w", "rate_term", "ratio"])
-    for n in n_list:
-        p = _p_for(n, args.p, args.p_rule)
+    for n, p in zip(n_list, p_list):
         batch = normalized_samples(pattern, n, p, model, args.reps, args.seed)
         d_w = wasserstein1_to_normal(batch.normalized).w1
         rate = rate_term(pattern, n, p)

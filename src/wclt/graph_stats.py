@@ -36,9 +36,22 @@ def _edge_index(n: int) -> dict[Edge, int]:
     return {e: i for i, e in enumerate(complete_graph_edges(n))}
 
 
+# Copies of the pattern in K_n that one enumeration may hold in memory; the
+# sampler's per-chunk arrays and the copy set both grow linearly with it.
+MAX_COPIES = 100_000
+
+
+def _check_copies(pattern: PatternGraph, n: int) -> None:
+    copies = copies_in_complete(pattern, n)
+    if copies > MAX_COPIES:
+        raise ResourceLimitError(
+            f"copy enumeration capped at {MAX_COPIES} copies, K_{n} holds {copies}")
+
+
 @lru_cache(maxsize=None)
 def _copies_in_kn(pattern: PatternGraph, n: int) -> tuple[tuple[int, ...], ...]:
     """Copies of the pattern in the complete host, as tuples of edge indices."""
+    _check_copies(pattern, n)
     index = _edge_index(n)
     copies = enumerate_copies(pattern, complete_graph_edges(n))
     return tuple(tuple(index[e] for e in copy) for copy in copies)
@@ -96,6 +109,13 @@ def _check_host_size(n: int) -> None:
         raise ResourceLimitError(f"host capped at {MAX_HOST_VERTICES} vertices, got n = {n}")
 
 
+def check_sample_config(pattern: PatternGraph, n: int, p: float) -> None:
+    """Reject a configuration that ``normalized_samples`` cannot run, before any work."""
+    _check_host_size(n)
+    _check_np(pattern, n, p)
+    _check_copies(pattern, n)
+
+
 def sample_host(n: int, p: float, model: WeightModel, seed: int, replicate: int) -> HostSample:
     """Deterministic host draw: uniforms are the (replicate)-th row of the seed's stream."""
     _check_host_size(n)
@@ -146,29 +166,31 @@ def intersection_pair_census(pattern: PatternGraph, n: int) -> dict[int, int]:
     census: dict[int, int] = {}
     if copies == 0:
         return census
-    outside = n - pattern.num_vertices
-    for h, j, count in _fixed_copy_overlaps(pattern):
-        census[h] = census.get(h, 0) + math.comb(outside, j) * count
+    v_g = pattern.num_vertices
+    for h, j, count in _fixed_copy_overlaps(pattern, min(n, 2 * v_g - 2)):
+        census[h] = census.get(h, 0) + math.comb(n - v_g, j) * count
     return {h: copies * c for h, c in sorted(census.items()) if c}
 
 
 @lru_cache(maxsize=None)
-def _fixed_copy_overlaps(pattern: PatternGraph) -> tuple[tuple[int, int, int], ...]:
+def _fixed_copy_overlaps(pattern: PatternGraph, m: int) -> tuple[tuple[int, int, int], ...]:
     """Triples (h, j, b_j(h)) for the pattern itself as the fixed copy on vertices 0..v_G-1.
 
     A partner sharing an edge keeps at least two vertices inside the fixed
-    copy, so j <= v_G - 2 and every partner fits in K_m with m = 2 v_G - 2.
-    K_m holds C(m - v_G, j) sets of j outside vertices, each with the same
-    b_j(h) partners, so the tallies divide exactly.
+    copy, so j <= v_G - 2 and K_m with m = min(n, 2 v_G - 2) holds a partner
+    of every kind that K_n holds; it never holds more copies than K_n.  K_m
+    holds C(m - v_G, j) sets of j outside vertices, each with the same b_j(h)
+    partners, so the tallies divide exactly.
     """
     v_g = pattern.num_vertices
-    m = 2 * v_g - 2
-    own = set(pattern.edges)
+    edges = complete_graph_edges(m)
+    index = _edge_index(m)
+    own = {index[e] for e in pattern.edges}
     tally: dict[tuple[int, int], int] = {}
-    for copy in enumerate_copies(pattern, complete_graph_edges(m)):
+    for copy in _copies_in_kn(pattern, m):
         h = len(own.intersection(copy))
         if h:
-            j = len({w for e in copy for w in e if w >= v_g})
+            j = len({w for i in copy for w in edges[i] if w >= v_g})
             tally[h, j] = tally.get((h, j), 0) + 1
     return tuple((h, j, c // math.comb(m - v_g, j)) for (h, j), c in sorted(tally.items()))
 
@@ -232,8 +254,7 @@ def _accumulate_weights(pattern: PatternGraph, n: int, p: float, model: WeightMo
 def normalized_samples(pattern: PatternGraph, n: int, p: float, model: WeightModel,
                        reps: int, seed: int) -> SampleBatch:
     """Independent replicates of the combined weight, centered and scaled exactly."""
-    _check_host_size(n)
-    _check_np(pattern, n, p)
+    check_sample_config(pattern, n, p)
     mean = exact_mean(pattern, n, p, model)
     var = exact_variance(pattern, n, p, model)
     if var <= 1e-12 * mean * mean:

@@ -206,6 +206,22 @@ class TestRateSweepCommand:
             assert float(d_w) > 0 and float(rate) > 0
             assert float(ratio) == pytest.approx(float(d_w) / float(rate), rel=1e-12)
 
+    def test_host_cap_checked_before_sampling(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        res = run_cli("rate-sweep", "--pattern", "triangle", "--weights", "unif:1",
+                      "--sweep-n", "30,65", "--p", "0.1", "--reps", "2000", "--seed", "5",
+                      "--out", str(out))
+        assert res.returncode == 4
+        assert "host capped at 64 vertices" in res.stderr
+        assert not out.exists()
+        # n = 6 at this p is degenerate (exit 3) once sampled; the whole list is
+        # checked first, so the later n = 65 decides the exit code
+        res = run_cli("rate-sweep", "--pattern", "triangle", "--weights", "const:1",
+                      "--sweep-n", "6,65", "--p", "0.9999999999999999", "--reps", "10",
+                      "--out", str(out))
+        assert res.returncode == 4
+        assert not out.exists()
+
     def test_empty_n_list_usage_error(self):
         res = run_cli("rate-sweep", "--pattern", "triangle", "--weights", "unif:1",
                       "--sweep-n", "", "--p", "0.5", "--reps", "10")

@@ -166,6 +166,21 @@ class TestExactMoments:
             assert census == direct_pair_census(pattern, n)
             assert list(census) == sorted(census)
 
+    @pytest.mark.parametrize("name", ["cycle:8", "path:7"])
+    def test_census_large_pattern_small_host(self, name):
+        # at n = v_G the fixed-copy table is taken in K_n itself, never in the
+        # far larger K_{2 v_G - 2} (7,567,560 copies of cycle:8 in K_14)
+        pattern = named_pattern(name)
+        n = pattern.num_vertices
+        assert intersection_pair_census(pattern, n) == direct_pair_census(pattern, n)
+
+    def test_copy_cap(self):
+        # path:3 has 124992 copies in K_64: the closed-form variance needs none
+        # of them, the sampler would hold them all
+        assert exact_variance(P3, 64, 0.5, Uniform(1.0)) > 0
+        with pytest.raises(ResourceLimitError, match="capped at 100000 copies"):
+            normalized_samples(P3, 64, 0.5, Uniform(1.0), reps=10, seed=0)
+
     def test_asymptotic_variance(self):
         # Single edge, n = 10, p = 0.5, constant weight 1: the weight factor is
         # Var 0 + (1 - 0.5) * 1^2 = 0.5; the only profile is the edge itself
