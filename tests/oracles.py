@@ -4,9 +4,13 @@ The library computes each quantity with one algorithm; these take another
 code path on purpose and are only fast enough for small hosts.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
+from wclt import rng
 from wclt.graph_stats import HostSample, _copies_in_kn
+from wclt.patterns import complete_graph_edges, enumerate_copies
 
 
 def weight_by_edge_counts(pattern, host: HostSample) -> float:
@@ -18,6 +22,34 @@ def weight_by_edge_counts(pattern, host: HostSample) -> float:
     present_copies = present[copies].all(axis=1)
     counts = np.bincount(copies[present_copies].ravel(), minlength=present.size)
     return float(np.dot(host.edge_weights(), counts))
+
+
+@lru_cache(maxsize=None)
+def _complete_host_copies(pattern, n: int) -> np.ndarray:
+    """Copies of the pattern in K_n as rows of edge indices, without the library's copy cap."""
+    edges = complete_graph_edges(n)
+    index = {e: i for i, e in enumerate(edges)}
+    return np.array([[index[e] for e in copy] for copy in enumerate_copies(pattern, edges)],
+                    dtype=np.int64)
+
+
+def gathered_weights(pattern, n: int, p: float, model, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Combined weights of replicates lo..hi, summed over the copy list of K_n.
+
+    Per replicate and copy, the copy counts when all its edges are present,
+    and then adds its edge weights; the uniforms are the sampler's.
+    """
+    copies = _complete_host_copies(pattern, n)
+    u = rng.uniform_matrix(seed, hi - lo, n * (n - 1) // 2, first_row=lo)
+    present = u < p
+    weights = np.zeros_like(u)
+    weights[present] = model.quantile_array(u[present] / p)
+    all_present = np.ones((hi - lo, copies.shape[0]), dtype=bool)
+    weight_sums = np.zeros((hi - lo, copies.shape[0]))
+    for j in range(copies.shape[1]):
+        all_present &= present[:, copies[:, j]]
+        weight_sums += weights[:, copies[:, j]]
+    return (all_present * weight_sums).sum(axis=1)
 
 
 def direct_pair_census(pattern, n: int) -> dict[int, int]:

@@ -145,6 +145,15 @@ class TestSimulateCommand:
         assert "host capped at 64 vertices" in res.stderr
         assert not out.exists()
 
+    def test_copy_cap_resource_error(self, tmp_path):
+        # the census table of cycle:8 at n = 10 holds 113400 copies
+        out = tmp_path / "s.csv"
+        res = run_cli("simulate", "--pattern", "cycle:8", "--n", "10", "--p", "0.5",
+                      "--weights", "unif:1", "--reps", "20", "--seed", "0", "--out", str(out))
+        assert res.returncode == 4
+        assert "capped at 100000 copies, K_10 holds 113400" in res.stderr
+        assert not out.exists()
+
 
 class TestDistanceCommand:
     def test_single_row(self, tmp_path):
@@ -220,6 +229,13 @@ class TestRateSweepCommand:
                       "--sweep-n", "6,65", "--p", "0.9999999999999999", "--reps", "10",
                       "--out", str(out))
         assert res.returncode == 4
+        assert not out.exists()
+        # the copy cap of the census table is checked over the list too
+        res = run_cli("rate-sweep", "--pattern", "cycle:8", "--weights", "unif:1",
+                      "--sweep-n", "8,10", "--p", "0.5", "--reps", "2000", "--seed", "5",
+                      "--out", str(out))
+        assert res.returncode == 4
+        assert "K_10 holds 113400" in res.stderr
         assert not out.exists()
 
     def test_empty_n_list_usage_error(self):

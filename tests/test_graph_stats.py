@@ -6,11 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from oracles import direct_pair_census, weight_by_edge_counts
+from oracles import direct_pair_census, gathered_weights, weight_by_edge_counts
 from wclt import rng
 from wclt.errors import DegenerateConfigError, ResourceLimitError
 from wclt.graph_stats import (
     HostSample,
+    _accumulate_weights,
+    _weight_plan,
     asymptotic_variance,
     combined_weight,
     exact_mean,
@@ -20,7 +22,7 @@ from wclt.graph_stats import (
     sample_host,
 )
 from wclt.patterns import complete_graph_edges, edge_subgraph_profiles, max_variance_term, named_pattern
-from wclt.weights import Constant, Exponential, Uniform
+from wclt.weights import Constant, Exponential, TwoPoint, Uniform
 
 TRIANGLE = named_pattern("triangle")
 EDGE = named_pattern("path:2")
@@ -175,11 +177,21 @@ class TestExactMoments:
         assert intersection_pair_census(pattern, n) == direct_pair_census(pattern, n)
 
     def test_copy_cap(self):
-        # path:3 has 124992 copies in K_64: the closed-form variance needs none
-        # of them, the sampler would hold them all
-        assert exact_variance(P3, 64, 0.5, Uniform(1.0)) > 0
-        with pytest.raises(ResourceLimitError, match="capped at 100000 copies"):
-            normalized_samples(P3, 64, 0.5, Uniform(1.0), reps=10, seed=0)
+        # path:3 has 124992 copies in K_64, but neither the census table (in
+        # K_4) nor the sampler enumerates them
+        batch = normalized_samples(P3, 64, 0.5, Uniform(1.0), reps=3, seed=0)
+        oracle = gathered_weights(P3, 64, 0.5, Uniform(1.0), 0, 0, 3)
+        np.testing.assert_allclose(batch.raw, oracle, rtol=1e-12, atol=0)
+        # the census table of cycle:8 at n = 10 is K_10 itself: 113400 copies
+        with pytest.raises(ResourceLimitError, match="capped at 100000 copies, K_10 holds 113400"):
+            normalized_samples(named_pattern("cycle:8"), 10, 0.5, Uniform(1.0), reps=3, seed=0)
+
+    @pytest.mark.parametrize("p", [1.5, float("nan"), 0.0])
+    def test_moments_reject_bad_p(self, p):
+        with pytest.raises(ValueError, match="p must lie in"):
+            exact_mean(TRIANGLE, 10, p, Uniform(1.0))
+        with pytest.raises(ValueError, match="p must lie in"):
+            exact_variance(TRIANGLE, 10, p, Uniform(1.0))
 
     def test_asymptotic_variance(self):
         # Single edge, n = 10, p = 0.5, constant weight 1: the weight factor is
@@ -246,6 +258,38 @@ class TestNormalizedSamples:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateConfigError):
             normalized_samples(EDGE, 3, 1 - 1e-15, Constant(1.0), reps=10, seed=0)
+
+    @pytest.mark.parametrize("name", ["path:2", "path:3", "path:4", "path:5", "triangle",
+                                      "star:3", "star:4", "cycle:4", "cycle:5",
+                                      "complete:4", "complete:5"])
+    def test_matches_gather_oracle(self, name):
+        # every named pattern with v_G <= 5 (star:2 is path:3), against the
+        # per-copy gather on the same uniforms
+        pattern = named_pattern(name)
+        v_g = pattern.num_vertices
+        models = [Constant(1.5), Uniform(2.0), Exponential(1.0), TwoPoint(0.5, 2.0, 0.3)]
+        for n in (v_g, v_g + 1, 2 * v_g + 2):
+            for p in (0.2, 0.8):
+                for i, model in enumerate(models):
+                    seed = 1000 * n + 10 * i + int(10 * p)
+                    batch = normalized_samples(pattern, n, p, model, reps=40, seed=seed)
+                    oracle = gathered_weights(pattern, n, p, model, seed, 0, 40)
+                    np.testing.assert_allclose(batch.raw, oracle, rtol=1e-12, atol=0,
+                                               err_msg=f"{name} n={n} p={p} {model}")
+
+    @pytest.mark.parametrize("name", ["triangle", "cycle:4"])
+    def test_raw_bitwise_chunk_invariant(self, name):
+        # one chunk for all replicates or one chunk per replicate: same bits
+        pattern, n, p, model, reps = named_pattern(name), 9, 0.6, Exponential(1.0), 50
+        plan = _weight_plan(pattern)
+        whole = np.empty(reps)
+        _accumulate_weights(plan, n, p, model, 4, whole, 0, reps)
+        single = np.empty(reps)
+        for r in range(reps):
+            _accumulate_weights(plan, n, p, model, 4, single, r, r + 1)
+        assert whole.tobytes() == single.tobytes()
+        batch = normalized_samples(pattern, n, p, model, reps=reps, seed=4)
+        assert batch.raw.tobytes() == whole.tobytes()
 
     def test_chunking_invariance(self):
         # identical output whatever the internal chunk boundaries

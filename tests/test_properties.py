@@ -1,9 +1,10 @@
 """Property tests on random connected patterns against independent oracles.
 
 The direct pair census and the edge-count combined weight come from
-``oracles``; copy and automorphism counts are checked against networkx's
-VF2 matcher.  Examples are derandomized and bounded, so every run checks the
-same cases.
+``oracles``; the sampler's combined weights are checked against the copy
+search ``combined_weight`` on the same hosts; copy and automorphism counts
+are checked against networkx's VF2 matcher.  Examples are derandomized and
+bounded, so every run checks the same cases.
 """
 
 import networkx as nx
@@ -12,7 +13,12 @@ from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from oracles import direct_pair_census, weight_by_edge_counts
-from wclt.graph_stats import combined_weight, intersection_pair_census, sample_host
+from wclt.graph_stats import (
+    combined_weight,
+    intersection_pair_census,
+    normalized_samples,
+    sample_host,
+)
 from wclt.patterns import (
     PatternGraph,
     automorphism_count,
@@ -62,6 +68,20 @@ def test_combined_weight_matches_edge_counts(data):
     host = sample_host(n, p, Exponential(1.0), seed=data.draw(st.integers(0, 2**32)), replicate=0)
     a = combined_weight(pattern, host)
     assert abs(a - weight_by_edge_counts(pattern, host)) <= 1e-9 * (1 + abs(a))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_sampler_matches_copy_search(data):
+    pattern = data.draw(connected_patterns())
+    n = data.draw(st.integers(pattern.num_vertices, 8))
+    p = data.draw(st.floats(0.2, 0.9))
+    seed = data.draw(st.integers(0, 2**32))
+    model = Exponential(1.0)
+    batch = normalized_samples(pattern, n, p, model, reps=3, seed=seed)
+    for r, raw in enumerate(batch.raw):
+        oracle = combined_weight(pattern, sample_host(n, p, model, seed, r))
+        assert abs(raw - oracle) <= 1e-12 * abs(oracle)
 
 
 @PROPERTY
