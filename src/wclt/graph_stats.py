@@ -42,7 +42,9 @@ def _edge_index(n: int) -> dict[Edge, int]:
 
 # Copies of the pattern that one enumeration of a complete host may hold in
 # memory.  Only the census table enumerates, in K_m with m = min(n, 2 v_G - 2);
-# the sampler holds no copies.
+# the sampler holds no copies, but a plan term it cannot eliminate costs about
+# as much per replicate as a gather over the copies of K_n, so for such a
+# pattern the cap applies at n as well.
 MAX_COPIES = 100_000
 
 
@@ -119,6 +121,8 @@ def check_sample_config(pattern: PatternGraph, n: int, p: float) -> None:
     _check_host_size(n)
     _check_np(pattern, n, p)
     _check_copies(pattern, _census_host(pattern, n))
+    if any(term.order is None for term in _weight_plan(pattern).terms):
+        _check_copies(pattern, n)
 
 
 def _census_host(pattern: PatternGraph, n: int) -> int:
@@ -481,7 +485,8 @@ def _conditioned_count(term: _OpenTerm, adjacency: np.ndarray):
         for i, j in inner:
             scale = scale * adjacency[:, t[:, i], t[:, j]][:, :, None]
         rows = {i: adjacency[:, t[:, i], :] for i in set(at[a] + at[b])}
-        ends = {xs: reduce(np.multiply, (rows[i] for i in xs)) if xs else 1.0
+        # an end with no free neighbour (a disconnected pattern) is one column of ones
+        ends = {xs: reduce(np.multiply, (rows[i] for i in xs)) if xs else np.ones((c, len(t), 1))
                 for xs in (at[a], at[b])}
         total = total + (ends[at[a]] * scale).transpose(0, 2, 1) @ ends[at[b]]
     return total

@@ -145,13 +145,14 @@ class TestSimulateCommand:
         assert "host capped at 64 vertices" in res.stderr
         assert not out.exists()
 
-    def test_copy_cap_resource_error(self, tmp_path):
-        # the census table of cycle:8 at n = 10 holds 113400 copies
+    def test_uneliminable_pattern_copy_cap_resource_error(self, tmp_path):
+        # complete:8 has no elimination order; its census table (K_14) is small,
+        # but the sampler's work grows with the C(64, 8) copies of K_64
         out = tmp_path / "s.csv"
-        res = run_cli("simulate", "--pattern", "cycle:8", "--n", "10", "--p", "0.5",
+        res = run_cli("simulate", "--pattern", "complete:8", "--n", "64", "--p", "0.5",
                       "--weights", "unif:1", "--reps", "20", "--seed", "0", "--out", str(out))
         assert res.returncode == 4
-        assert "capped at 100000 copies, K_10 holds 113400" in res.stderr
+        assert "capped at 100000 copies, K_64 holds 4426165368" in res.stderr
         assert not out.exists()
 
 

@@ -14,6 +14,7 @@ from wclt.graph_stats import (
     _accumulate_weights,
     _weight_plan,
     asymptotic_variance,
+    check_sample_config,
     combined_weight,
     exact_mean,
     exact_variance,
@@ -21,7 +22,13 @@ from wclt.graph_stats import (
     normalized_samples,
     sample_host,
 )
-from wclt.patterns import complete_graph_edges, edge_subgraph_profiles, max_variance_term, named_pattern
+from wclt.patterns import (
+    PatternGraph,
+    complete_graph_edges,
+    edge_subgraph_profiles,
+    max_variance_term,
+    named_pattern,
+)
 from wclt.weights import Constant, Exponential, TwoPoint, Uniform
 
 TRIANGLE = named_pattern("triangle")
@@ -185,6 +192,11 @@ class TestExactMoments:
         # the census table of cycle:8 at n = 10 is K_10 itself: 113400 copies
         with pytest.raises(ResourceLimitError, match="capped at 100000 copies, K_10 holds 113400"):
             normalized_samples(named_pattern("cycle:8"), 10, 0.5, Uniform(1.0), reps=3, seed=0)
+        # complete:4 has no elimination order, so its copies in K_n are capped
+        # too: K_40 holds 91390, K_41 holds 101270
+        check_sample_config(named_pattern("complete:4"), 40, 0.5)
+        with pytest.raises(ResourceLimitError, match="capped at 100000 copies, K_41 holds 101270"):
+            normalized_samples(named_pattern("complete:4"), 41, 0.5, Uniform(1.0), reps=3, seed=0)
 
     @pytest.mark.parametrize("p", [1.5, float("nan"), 0.0])
     def test_moments_reject_bad_p(self, p):
@@ -276,6 +288,22 @@ class TestNormalizedSamples:
                     oracle = gathered_weights(pattern, n, p, model, seed, 0, 40)
                     np.testing.assert_allclose(batch.raw, oracle, rtol=1e-12, atol=0,
                                                err_msg=f"{name} n={n} p={p} {model}")
+
+    @pytest.mark.parametrize("v, edges", [
+        (4, ((0, 1), (2, 3))),  # two disjoint edges
+        (5, ((0, 1), (1, 2), (0, 2), (3, 4))),  # triangle and an edge
+        (6, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5))),  # K4 and an edge
+    ])
+    def test_disconnected_matches_gather_oracle(self, v, edges):
+        # an open edge whose ends have no neighbour among the vertices summed out
+        pattern = PatternGraph(v, edges)
+        for n in (v, v + 2):
+            for p in (0.5, 0.9):
+                seed = 10 * n + int(10 * p)
+                batch = normalized_samples(pattern, n, p, Exponential(1.0), reps=40, seed=seed)
+                oracle = gathered_weights(pattern, n, p, Exponential(1.0), seed, 0, 40)
+                np.testing.assert_allclose(batch.raw, oracle, rtol=1e-12, atol=0,
+                                           err_msg=f"{edges} n={n} p={p}")
 
     @pytest.mark.parametrize("name", ["triangle", "cycle:4"])
     def test_raw_bitwise_chunk_invariant(self, name):
