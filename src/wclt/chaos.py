@@ -285,30 +285,111 @@ def contraction_inequality_check(f: Kernel, g: Kernel, k: int, l: int) -> Contra
 
 # -- multiple-integral evaluation -------------------------------------------
 
+# Paths per evaluation chunk: small enough that a chunk's gathers stay in cache.
+EVAL_CHUNK_ROWS = 8192
 
-def path_cells(grid: GridSpec, u: np.ndarray) -> np.ndarray:
-    """Global cell index hit by each block coordinate 2k + 1 + u_k."""
+
+def _local_cells(grid: GridSpec, u: np.ndarray) -> np.ndarray:
+    """Cell index within its block (0 .. cells - 1) hit by each block coordinate."""
     u = np.asarray(u, dtype=float)
     if u.shape[-1] != grid.blocks:
         raise ChaosError(f"path needs one value per block ({grid.blocks}), got {u.shape[-1]}")
-    local = np.clip(((u + 1.0) * 0.5 * grid.cells).astype(np.int64), 0, grid.cells - 1)
-    return local + np.arange(grid.blocks, dtype=np.int64) * grid.cells
+    return np.clip(((u + 1.0) * 0.5 * grid.cells).astype(np.int64), 0, grid.cells - 1)
 
 
-def _distinct_block_sum(marg: np.ndarray, idx: np.ndarray, r: int) -> np.ndarray:
-    """Sum of a symmetric order-r array over ordered distinct block tuples."""
-    n_paths = idx.shape[0]
+def path_cells(grid: GridSpec, u: np.ndarray) -> np.ndarray:
+    """Global cell index hit by each block coordinate 2k + 1 + u_k."""
+    return _local_cells(grid, u) + np.arange(grid.blocks, dtype=np.int64) * grid.cells
+
+
+def _block_tables(values: np.ndarray, r: int, grid: GridSpec) -> list[np.ndarray]:
+    """Block tables of a symmetric array, one per r-combination of blocks.
+
+    For the combination (b_1, ..., b_r), in ``combinations`` order, the
+    leading r axes of values are cut to the cells of those blocks and
+    flattened: a small contiguous table of cells**r rows over the remaining
+    axes, row c_1 M^{r-1} + ... + c_r holding values[b_1 M + c_1, ..., b_r M + c_r].
+    """
+    m = grid.cells
+    shape = (m**r,) + values.shape[r:]
+    return [np.ascontiguousarray(values[tuple(slice(b * m, (b + 1) * m) for b in combo)])
+            .reshape(shape) for combo in combinations(range(grid.blocks), r)]
+
+
+def _combo_codes(loc: np.ndarray, r: int, cells: int):
+    """Per r-combination of blocks, in ``combinations`` order, every path's
+    local-cell code c_1 M^{r-1} + ... + c_r; ``loc`` is (blocks, paths)."""
+    blocks, n_paths = loc.shape
     if r == 0:
-        return np.full(n_paths, float(marg))
-    blocks = idx.shape[1]
-    out = np.zeros(n_paths)
-    if r == 1:
-        for b in range(blocks):
-            out += marg[idx[:, b]]
-        return out
-    for combo in combinations(range(blocks), r):
-        out += marg[tuple(idx[:, b] for b in combo)]
-    return out * math.factorial(r)
+        yield np.zeros(n_paths, dtype=np.int64)
+        return
+
+    def extend(start: int, depth: int, base):
+        for b in range(start, blocks - r + depth + 1):
+            code = loc[b] if base is None else base + loc[b]
+            if depth == r - 1:
+                yield code
+            else:
+                yield from extend(b + 1, depth + 1, code * cells)
+
+    yield from extend(0, 0, None)
+
+
+def _gather_sum(tables: list[np.ndarray], loc: np.ndarray, r: int, cells: int,
+                out: np.ndarray) -> np.ndarray:
+    """Sum over the r-combinations of blocks of the table row at each path's code.
+
+    For the tables of a symmetric order-r array this is its sum over distinct
+    block r-sets at the path cells; for an order-(r + 1) kernel it is, per
+    cell t, the sum over r-sets of kernel(t, path cells).  ``out`` has one row
+    per path and is overwritten.
+    """
+    buf = np.empty_like(out)
+    out.fill(0.0)
+    for table, code in zip(tables, _combo_codes(loc, r, cells)):
+        out += np.take(table, code, axis=0, out=buf)
+    return out
+
+
+def _integral_tables(kernels, grid: GridSpec) -> list[tuple[int, list[np.ndarray]]]:
+    """(r, block tables of A_r) such that the sum of the kernels' integrals is
+    the sum over r of r! times the distinct-block-set sum of A_r.
+
+    A_r adds (-1)^{n-r} 2^{r-n} C(n, r) times the (n - r)-fold marginal of each
+    order-n kernel; all-zero kernels are skipped.  The marginals are computed
+    here, so their caches are filled before any evaluation thread starts.
+    """
+    arrays: dict[int, np.ndarray] = {}
+    for kern in kernels:
+        n = kern.order
+        if not kern.values.any():
+            continue
+        for r in range(n + 1):
+            term = (-1.0) ** (n - r) / 2.0 ** (n - r) * math.comb(n, r) * kern.marginal(r)
+            arrays[r] = arrays[r] + term if r in arrays else term
+    return [(r, _block_tables(a, r, grid)) for r, a in sorted(arrays.items())]
+
+
+def _eval_block_sums(grid: GridSpec, terms, u: np.ndarray, constant: float = 0.0) -> np.ndarray:
+    """constant + sum over (r, tables) of r! times the gathered table sums, per path.
+
+    Runs over fixed chunks of EVAL_CHUNK_ROWS paths, possibly threaded; each
+    chunk writes only its own rows, so the result does not depend on the
+    thread count.
+    """
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    out = np.empty(u.shape[0])
+
+    def work(lo: int, hi: int) -> None:
+        loc = np.ascontiguousarray(_local_cells(grid, u[lo:hi]).T)
+        part = np.empty(hi - lo)
+        total = np.full(hi - lo, constant)
+        for r, tables in terms:
+            total += math.factorial(r) * _gather_sum(tables, loc, r, grid.cells, part)
+        out[lo:hi] = total
+
+    rng.map_chunks(work, rng.chunk_ranges(u.shape[0], EVAL_CHUNK_ROWS))
+    return out
 
 
 def integral_eval_many(kernel: Kernel, u: np.ndarray) -> np.ndarray:
@@ -318,14 +399,7 @@ def integral_eval_many(kernel: Kernel, u: np.ndarray) -> np.ndarray:
     over distinct block r-tuples, of the kernel with its remaining n - r
     coordinates integrated out.
     """
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    idx = path_cells(kernel.grid, u)
-    n = kernel.order
-    total = np.zeros(u.shape[0])
-    for r in range(n + 1):
-        coef = (-1.0) ** (n - r) / 2.0 ** (n - r) * math.comb(n, r)
-        total += coef * _distinct_block_sum(kernel.marginal(r), idx, r)
-    return total
+    return _eval_block_sums(kernel.grid, _integral_tables([kernel], kernel.grid), u)
 
 
 def integral_eval(kernel: Kernel, u) -> float:
@@ -334,9 +408,8 @@ def integral_eval(kernel: Kernel, u) -> float:
 
 def ustat_eval_many(kernel: Kernel, u: np.ndarray) -> np.ndarray:
     """Plain U-statistic: kernel summed at path points over distinct block tuples."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    idx = path_cells(kernel.grid, u)
-    return _distinct_block_sum(kernel.values, idx, kernel.order)
+    r = kernel.order
+    return _eval_block_sums(kernel.grid, [(r, _block_tables(kernel.values, r, kernel.grid))], u)
 
 
 def random_paths(seed: int, n_paths: int, blocks: int, first: int = 0) -> np.ndarray:
@@ -383,11 +456,9 @@ class KernelFamily:
         )
 
     def eval_many(self, u: np.ndarray) -> np.ndarray:
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        out = np.full(u.shape[0], self.constant)
-        for kern in self.kernels:
-            out += integral_eval_many(kern, u)
-        return out
+        """The constant plus the integral of every kernel, along each path (row of u)."""
+        terms = _integral_tables(self.kernels, self.grid)
+        return _eval_block_sums(self.grid, terms, u, self.constant)
 
 
 def family_from_kernels(kernels, constant: float = 0.0) -> KernelFamily:
@@ -466,6 +537,27 @@ def slice_kernel(kernel: Kernel, cell: int) -> Kernel:
     return Kernel(kernel.grid, kernel.order - 1, kernel.values[cell], validate=False)
 
 
+def _derivative_tables(family: KernelFamily) -> list[tuple[int, list[np.ndarray]]]:
+    """(j, block tables of the order-j kernel over its first j - 1 axes), nonzero kernels only."""
+    return [(k.order, _block_tables(k.values, k.order - 1, family.grid))
+            for k in family.kernels if k.values.any()]
+
+
+def _derivative_pieces(grid: GridSpec, tables, loc: np.ndarray):
+    """Yield (j, D_j) per order, where j * D_j is the order-j part of the derivative.
+
+    D_j(p, t) = (j-1)! times the sum, over (j-1)-sets of blocks, of kernel_j at
+    t and the path's cells in those blocks; a (paths, cells) matrix that is
+    overwritten by the next order, so use it before resuming.
+    """
+    piece = np.empty((loc.shape[1], grid.size))
+    for j, kernel_tables in tables:
+        _gather_sum(kernel_tables, loc, j - 1, grid.cells, piece)
+        if j > 2:
+            piece *= math.factorial(j - 1)
+        yield j, piece
+
+
 def derivative_values_many(family: KernelFamily, u: np.ndarray, *,
                            unit_weights: bool = False) -> np.ndarray:
     """Finite-difference derivative along each path, as a (paths, cells) matrix.
@@ -479,24 +571,10 @@ def derivative_values_many(family: KernelFamily, u: np.ndarray, *,
         raise ChaosError("derivative needs a block-centered family; apply block_center first")
     u = np.atleast_2d(np.asarray(u, dtype=float))
     grid = family.grid
-    idx = path_cells(grid, u)
-    n_paths = u.shape[0]
-    out = np.zeros((n_paths, grid.size))
-    for kern in family.kernels:
-        j = kern.order
-        coef = 1.0 if unit_weights else float(j)
-        if not kern.values.any():
-            continue
-        if j == 1:
-            out += coef * kern.values[None, :]
-        elif j == 2:
-            for b in range(grid.blocks):
-                out += coef * kern.values[:, idx[:, b]].T
-        elif j == 3:
-            for b1, b2 in combinations(range(grid.blocks), 2):
-                out += (2.0 * coef) * kern.values[:, idx[:, b1], idx[:, b2]].T
-        else:
-            raise ChaosError("derivative evaluation supports orders up to 3")
+    loc = np.ascontiguousarray(_local_cells(grid, u).T)
+    out = np.zeros((u.shape[0], grid.size))
+    for j, piece in _derivative_pieces(grid, _derivative_tables(family), loc):
+        out += piece if unit_weights else j * piece
     return out
 
 
@@ -540,10 +618,35 @@ class SteinBoundTerms:
     term3: float  # 2 sqrt(E[X^2] * integral of E[derivative^4]/2), Monte Carlo
     total: float
     n_paths: int
+    term2_se: float  # standard error of term2 (delta method for a sample SD)
+    term3_se: float  # standard error of term3 (delta method on the fourth-power mean)
 
     def to_dict(self) -> dict:
         return {"term1": self.term1, "term2": self.term2, "term3": self.term3,
-                "total": self.total, "n_paths": self.n_paths}
+                "total": self.total, "n_paths": self.n_paths,
+                "term2_se": self.term2_se, "term3_se": self.term3_se}
+
+
+# (paths x cells) entries per Stein chunk: keeps a chunk's derivative in cache.
+STEIN_CHUNK_ENTRIES = 200_000
+
+
+def _sd_with_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample standard deviation s and its delta-method standard error.
+
+    se = sqrt((m4 - s^4) / n) / (2 s), with m4 the fourth central sample
+    moment; both are 0 for fewer than two values or a constant sample.
+    """
+    n = x.size
+    if n < 2:
+        return 0.0, 0.0
+    dev = x - x.mean()
+    var = float((dev * dev).sum()) / (n - 1)
+    if var == 0.0:
+        return 0.0, 0.0
+    m4 = float(np.mean(dev**4))
+    sd = math.sqrt(var)
+    return sd, math.sqrt(max(m4 - var * var, 0.0) / n) / (2.0 * sd)
 
 
 def stein_bound_terms(family: KernelFamily, n_paths: int, seed: int) -> SteinBoundTerms:
@@ -551,8 +654,12 @@ def stein_bound_terms(family: KernelFamily, n_paths: int, seed: int) -> SteinBou
 
     The inner product <derivative, negated inverse-OU derivative> is computed
     exactly per path as a cell sum with the (dx/2) weight; only its variance
-    and the fourth-moment integral are Monte Carlo averages over paths.
+    and the fourth-moment integral are Monte Carlo averages over paths.  One
+    derivative pass per chunk gives both derivatives: d = sum_j j D_j and the
+    negated inverse-OU derivative sum_j D_j.
     """
+    if n_paths < 1:
+        raise ChaosError(f"bound needs at least one path, got {n_paths}")
     if family.constant != 0.0:
         raise ChaosError("bound needs a centered family (zero constant term)")
     if not family.is_block_centered:
@@ -561,29 +668,37 @@ def stein_bound_terms(family: KernelFamily, n_paths: int, seed: int) -> SteinBou
     half_w = grid.cell_width / 2.0
     ex2 = family.second_moment()
     term1 = abs(1.0 - ex2)
+    tables = _derivative_tables(family)
 
     inner = np.empty(n_paths)
-    ranges = rng.chunk_ranges(n_paths, max(1, 2_000_000 // max(1, grid.size)))
-    chunk_of = {lo: i for i, (lo, hi) in enumerate(ranges)}
-    fourth_partials: list = [None] * len(ranges)
+    fourth = np.empty(n_paths)  # per path, the cell sum of derivative^4
 
     def work(lo: int, hi: int) -> None:
         u = random_paths(seed, hi - lo, grid.blocks, first=lo)
-        d = derivative_values_many(family, u)
-        d_inv = derivative_values_many(family, u, unit_weights=True)
-        inner[lo:hi] = (d * d_inv).sum(axis=1) * half_w
-        fourth_partials[chunk_of[lo]] = (d**4).sum(axis=0)
+        loc = np.ascontiguousarray(_local_cells(grid, u).T)
+        d = np.zeros((hi - lo, grid.size))
+        d_inv = np.zeros_like(d)
+        for j, piece in _derivative_pieces(grid, tables, loc):
+            d_inv += piece
+            piece *= j
+            d += piece
+        inner[lo:hi] = np.einsum("ij,ij->i", d, d_inv) * half_w
+        d *= d
+        fourth[lo:hi] = np.einsum("ij,ij->i", d, d)
 
-    rng.map_chunks(work, ranges)
+    rng.map_chunks(work, rng.chunk_ranges(n_paths, max(1, STEIN_CHUNK_ENTRIES // grid.size)))
 
-    fourth_sum = np.zeros(grid.size)
-    for part in fourth_partials:
-        fourth_sum += part
-    term2 = math.sqrt(float(np.var(inner, ddof=1))) if n_paths > 1 else 0.0
-    fourth_integral = float(fourth_sum.sum()) / n_paths * half_w
+    term2, term2_se = _sd_with_se(inner)
+    fourth_integral = float(fourth.sum()) / n_paths * half_w
     term3 = 2.0 * math.sqrt(ex2 * fourth_integral)
+    term3_se = 0.0
+    if n_paths > 1 and fourth_integral > 0.0:
+        # d term3 / d F = sqrt(ex2 / F) at the fourth-moment integral F
+        fourth_se = float(np.std(fourth, ddof=1)) / math.sqrt(n_paths) * half_w
+        term3_se = math.sqrt(ex2 / fourth_integral) * fourth_se
     total = term1 + term2 + term3
-    return SteinBoundTerms(term1=term1, term2=term2, term3=term3, total=total, n_paths=n_paths)
+    return SteinBoundTerms(term1=term1, term2=term2, term3=term3, total=total, n_paths=n_paths,
+                           term2_se=term2_se, term3_se=term3_se)
 
 
 # -- product expansion and norm identities -----------------------------------

@@ -342,6 +342,9 @@ def _chaos_checks(seed: int, grid_spec: tuple[int, int], n_paths: int, corrupt: 
 
 
 def _cmd_chaos_verify(args) -> int:
+    if args.paths < 2:
+        # the Monte Carlo isometry check needs a sample standard deviation
+        raise ChaosError(f"--paths must be at least 2, got {args.paths}")
     blocks, cells = _parse_grid(args.grid)
     checks = _chaos_checks(args.seed, (blocks, cells), args.paths, args.corrupt)
     passed = all(c["passed"] for c in checks)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from .errors import PatternError, ResourceLimitError
@@ -240,8 +241,13 @@ def is_balanced(pattern: PatternGraph) -> bool:
     return max(ratios) == Fraction(pattern.num_edges - 1, pattern.num_vertices - 2)
 
 
+@lru_cache(maxsize=None)
 def automorphism_count(pattern: PatternGraph) -> int:
-    """Number of vertex permutations preserving the edge set, by brute force."""
+    """Number of vertex permutations preserving the edge set, by brute force.
+
+    Cached per pattern: the search is v! permutations, and copy counts, exact
+    moments, the census and the sampler plan all ask for it.
+    """
     v = pattern.num_vertices
     if v > MAX_AUTOMORPHISM_VERTICES:
         raise ResourceLimitError(f"automorphism search capped at {MAX_AUTOMORPHISM_VERTICES} vertices")

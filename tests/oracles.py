@@ -4,7 +4,9 @@ The library computes each quantity with one algorithm; these take another
 code path on purpose and are only fast enough for small hosts.
 """
 
+import math
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -74,3 +76,47 @@ def direct_pair_census(pattern, n: int) -> dict[int, int]:
             shared += np.bitwise_count(masks[lo:lo + chunk, w, None] & masks[None, :, w])
         counts += np.bincount(shared.ravel(), minlength=counts.size)
     return {h: int(c) for h, c in enumerate(counts) if h and c}
+
+
+def gathered_block_sum(values: np.ndarray, idx: np.ndarray, r: int) -> np.ndarray:
+    """Sum of a symmetric order-r array over ordered distinct block tuples.
+
+    ``idx`` holds the global path cells as a (paths, blocks) array; each block
+    combination indexes the full array with one index array per axis.
+    """
+    n_paths, blocks = idx.shape
+    if r == 0:
+        return np.full(n_paths, float(values))
+    out = np.zeros(n_paths)
+    for combo in combinations(range(blocks), r):
+        out += values[tuple(idx[:, b] for b in combo)]
+    return out * math.factorial(r)
+
+
+def gathered_integral(kernel, idx: np.ndarray) -> np.ndarray:
+    """Multiple integral as the alternating sum of gathered marginal block sums."""
+    n = kernel.order
+    total = np.zeros(idx.shape[0])
+    for r in range(n + 1):
+        coef = (-1.0) ** (n - r) / 2.0 ** (n - r) * math.comb(n, r)
+        total += coef * gathered_block_sum(kernel.marginal(r), idx, r)
+    return total
+
+
+def gathered_derivative(family, idx: np.ndarray, *, unit_weights: bool = False) -> np.ndarray:
+    """Derivative matrix by fancy indexing the full kernels, one gather per block combination.
+
+    Order j adds coef * (j-1)! * kernel_j[:, cells of the combination] for every
+    (j-1)-combination of blocks, with coef = j (or 1 under ``unit_weights``).
+    """
+    n_paths, blocks = idx.shape
+    out = np.zeros((n_paths, family.grid.size))
+    for kern in family.kernels:
+        j = kern.order
+        coef = (1.0 if unit_weights else float(j)) * math.factorial(j - 1)
+        if j == 1:
+            out += coef * kern.values[None, :]
+            continue
+        for combo in combinations(range(blocks), j - 1):
+            out += coef * kern.values[(slice(None),) + tuple(idx[:, b] for b in combo)].T
+    return out

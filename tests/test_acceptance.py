@@ -116,7 +116,7 @@ def test_c01_stein_bound_absolute():
         slack = margin - dist.w1
         if slack < worst[1]:
             worst = (name, slack)
-        assert dist.w1 <= margin, (name, dist.w1, bound.total)
+        assert dist.w1 <= margin, (name, dist.w1, bound.total, bound.term2_se, bound.term3_se)
         if name == "rademacher_k1":
             assert dist.w1 == pytest.approx(0.5353773215478799, abs=0.01)
             assert bound.total == pytest.approx(2.0, abs=1e-9)

@@ -1,13 +1,17 @@
 """Kernel algebra, integral evaluation, operators, and the explicit normal bound."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from oracles import gathered_block_sum, gathered_derivative, gathered_integral
 from wclt.chaos import (
+    EVAL_CHUNK_ROWS,
     EXACT_TOL,
     PATHWISE_TOL,
+    STEIN_CHUNK_ENTRIES,
     GridSpec,
     Kernel,
     KernelFamily,
@@ -309,6 +313,17 @@ class TestOperators:
             vals = slice_fam.eval_many(u)
             assert np.max(np.abs(vals - d[:, block * 2 + cell])) <= PATHWISE_TOL
 
+    def test_order4_derivative_matches_slice_integrals(self):
+        # against the definition, j * I_{j-1} of the slice, for every order up to 4
+        grid = GridSpec(4, 2)
+        fam = family_from_kernels([random_kernel(grid, j, seed=660 + j) for j in (1, 2, 3, 4)])
+        u = random_paths(34, 50, 4)
+        d = derivative_values_many(fam, u)
+        for block in range(4):
+            for cell in range(2):
+                vals = derivative_family(fam, block, cell).eval_many(u)
+                assert np.max(np.abs(vals - d[:, block * 2 + cell])) <= PATHWISE_TOL
+
     def test_derivative_needs_centered(self):
         grid = GridSpec(2, 2)
         k = Kernel(grid, 1, np.array([1.0, 2.0, 0.0, 0.0]))
@@ -398,6 +413,29 @@ class TestSteinBound:
         with pytest.raises(ChaosError):
             stein_bound_terms(fam, 10, seed=0)
 
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_rejects_nonpositive_path_count(self, n_paths):
+        fam = family_from_kernels([rademacher_kernel()])
+        with pytest.raises(ChaosError, match="at least one path"):
+            stein_bound_terms(fam, n_paths, seed=0)
+
+    def test_standard_errors_vanish_for_constant_inner_product(self):
+        terms = stein_bound_terms(family_from_kernels([rademacher_kernel()]), 500, seed=5)
+        assert terms.term2_se == 0.0 and terms.term3_se == 0.0
+        assert terms.to_dict()["term2_se"] == 0.0 and terms.to_dict()["term3_se"] == 0.0
+
+    def test_standard_errors_shrink_like_inverse_sqrt_paths(self):
+        grid = GridSpec(6, 2)
+        raw = random_kernel(grid, 2, seed=60)
+        scale = math.sqrt(2.0 * raw.half_norm_sq())
+        fam = family_from_kernels([Kernel(grid, 2, raw.values / scale, validate=False)])
+        small = stein_bound_terms(fam, 4_000, seed=63)
+        large = stein_bound_terms(fam, 16_000, seed=64)
+        assert small.term2_se > 0.0 and small.term3_se > 0.0
+        # four times the paths: half the standard error
+        assert 1.7 < small.term2_se / large.term2_se < 2.3
+        assert 1.7 < small.term3_se / large.term3_se < 2.3
+
     def test_order2_bound_dominates_distance(self):
         # quick version of the absolute acceptance check, with a genuinely
         # random inner product (term2 > 0)
@@ -412,6 +450,71 @@ class TestSteinBound:
         samples = fam.eval_many(random_paths(62, 20_000, 6))
         dist = wasserstein1_to_normal(samples)
         assert dist.w1 <= terms.total + 3.0 * dist.estimated_statistical_error
+
+
+def assert_matches_gather(new, old):
+    """Agreement with the fancy-index oracle at 1e-12, relative to the array's scale."""
+    scale = 1.0 + float(np.max(np.abs(old), initial=0.0))
+    np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-12 * scale)
+
+
+# blocks 1..6 and cells 1..4, single-block and single-cell grids included
+GATHER_GRIDS = [(1, 1), (1, 3), (2, 1), (2, 4), (3, 2), (4, 1), (5, 3), (6, 4)]
+
+
+class TestBlockTableGather:
+    @pytest.mark.parametrize("blocks,cells", GATHER_GRIDS)
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_block_sums_match_fancy_index(self, blocks, cells, order):
+        grid = GridSpec(blocks, cells)
+        kern = random_kernel(grid, order, seed=1500 + 10 * blocks + cells, centered=False)
+        u = random_paths(1600 + order, 200, blocks)
+        idx = path_cells(grid, u)
+        assert_matches_gather(ustat_eval_many(kern, u), gathered_block_sum(kern.values, idx, order))
+        assert_matches_gather(integral_eval_many(kern, u), gathered_integral(kern, idx))
+
+    @pytest.mark.parametrize("blocks,cells", GATHER_GRIDS)
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_derivative_matches_fancy_index(self, blocks, cells, order):
+        grid = GridSpec(blocks, cells)
+        fam = family_from_kernels([random_kernel(grid, j, seed=1700 + 10 * order + j)
+                                   for j in range(1, order + 1)])
+        u = random_paths(1800 + order, 200, blocks)
+        idx = path_cells(grid, u)
+        for unit in (False, True):
+            assert_matches_gather(derivative_values_many(fam, u, unit_weights=unit),
+                                  gathered_derivative(fam, idx, unit_weights=unit))
+
+    def test_family_eval_matches_kernel_sum(self):
+        grid = GridSpec(5, 3)
+        kernels = [random_kernel(grid, j, seed=1900 + j, centered=False) for j in (1, 2, 3)]
+        fam = KernelFamily(grid, 0.25, kernels)
+        u = random_paths(1901, 300, 5)
+        idx = path_cells(grid, u)
+        assert_matches_gather(fam.eval_many(u),
+                              0.25 + sum(gathered_integral(k, idx) for k in kernels))
+
+    def test_results_independent_of_thread_count(self, monkeypatch):
+        # at least 3 chunks each; 4 threads on fewer cores with a short switch
+        # interval, so a write outside a chunk's own rows would show
+        grid = GridSpec(10, 4)
+        fam = family_from_kernels([random_kernel(grid, j, seed=1950 + j) for j in (1, 2, 3)])
+        n_paths = 15_001
+        u = random_paths(1960, 3 * EVAL_CHUNK_ROWS + 1, grid.blocks)
+        assert n_paths > 3 * (STEIN_CHUNK_ENTRIES // grid.size)
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in ("1", "2", "4"):
+                monkeypatch.setenv("WCLT_THREADS", threads)
+                results[threads] = (stein_bound_terms(fam, n_paths, seed=1961).to_dict(),
+                                    fam.eval_many(u))
+        finally:
+            sys.setswitchinterval(interval)
+        for threads in ("2", "4"):
+            assert results[threads][0] == results["1"][0]
+            assert np.array_equal(results[threads][1], results["1"][1])
 
 
 class TestProductExpansion:

@@ -195,6 +195,13 @@ class TestChaosVerifyCommand:
         failed = [c for c in payload["checks"] if not c["passed"]]
         assert failed and failed[0]["max_deviation"] > failed[0]["tolerance"]
 
+    @pytest.mark.parametrize("paths", ["1", "0", "-3"])
+    def test_too_few_paths_usage_error(self, paths):
+        res = run_cli("chaos-verify", "--seed", "3", "--paths", paths)
+        assert res.returncode == 2
+        assert "--paths" in res.stderr
+        assert "Warning" not in res.stderr
+
     def test_reproducible(self):
         a = run_cli("chaos-verify", "--seed", "3", "--paths", "300").stdout
         b = run_cli("chaos-verify", "--seed", "3", "--paths", "300").stdout

@@ -160,6 +160,13 @@ class TestCopies:
         assert automorphism_count(P3) == 2
         assert automorphism_count(named_pattern("complete:4")) == 24
 
+    def test_automorphism_count_cached(self):
+        star = named_pattern("star:7")
+        first = automorphism_count(star)
+        hits = automorphism_count.cache_info().hits
+        assert automorphism_count(star) == first == 5040
+        assert automorphism_count.cache_info().hits == hits + 1
+
     def test_copies_in_complete(self):
         assert copies_in_complete(TRIANGLE, 3) == 1
         assert copies_in_complete(TRIANGLE, 4) == 4
