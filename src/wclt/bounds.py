@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateConfigError, PatternError, UnsupportedPatternError
-from .patterns import PatternGraph, is_balanced, log_min_subgraph_term
+from .patterns import PatternGraph, check_p, is_balanced, log_min_subgraph_term
 from .weights import WeightModel, moment_ratio
 
 DEFAULT_CUTOFF = 0.5
@@ -48,8 +48,6 @@ class BoundReport:
 
 def rate_term(pattern: PatternGraph, n: int, p: float) -> float:
     """((1 - p) * min subgraph term)^(-1/2), evaluated in log scale."""
-    if p >= 1.0:
-        raise DegenerateConfigError("p = 1 makes the bound vacuous (no edge randomness)")
     log_min = log_min_subgraph_term(pattern, n, p)
     return math.exp(-0.5 * (math.log1p(-p) + log_min))
 
@@ -136,8 +134,7 @@ def regime_bound(pattern: PatternGraph, n: int, p: float, model: WeightModel,
         raise ValueError("cutoff must lie in (0, 1)")
     if pattern.has_isolated_vertices:
         raise PatternError("bound requires a pattern without isolated vertices")
-    if not (0.0 < p < 1.0):
-        raise DegenerateConfigError(f"retention probability must lie in (0, 1), got {p}")
+    check_p(p)
     family, order, regime, threshold = _detect_regime(pattern, n, p, cutoff)
     if regime is None:
         raise UnsupportedPatternError(

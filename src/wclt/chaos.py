@@ -137,9 +137,6 @@ class Kernel:
         w = self.grid.cell_width / 2.0
         return float((self.values**2).sum() * w**self.order)
 
-    def lebesgue_norm_sq(self) -> float:
-        return float((self.values**2).sum() * self.grid.cell_width**self.order)
-
 
 def zero_kernel(grid: GridSpec, order: int) -> Kernel:
     return Kernel(grid, order, np.zeros((grid.size,) * order), validate=False)

@@ -160,8 +160,6 @@ def _cmd_bound(args) -> int:
         return EXIT_OK
     if args.n is None or args.p is None:
         raise PatternError("--n and --p are required without --sweep-n/--sweep-p")
-    if args.p >= 1.0 or args.p <= 0.0:
-        raise DegenerateConfigError(f"p must lie strictly in (0, 1), got {args.p}")
     if args.regime:
         report = regime_bound(pattern, args.n, args.p, model, cutoff=args.cutoff_c)
     else:
@@ -239,6 +237,8 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_rate_sweep(args) -> int:
+    if args.reps < 1:  # each host's distance needs a sample
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     pattern = _load_pattern(args.pattern)
     model = parse_weight_model(args.weights)
     n_list = _parse_n_list(args.sweep_n)
@@ -449,6 +449,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except OSError as exc:  # an unreadable input or unwritable output path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

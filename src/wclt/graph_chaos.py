@@ -14,14 +14,15 @@ holds pathwise to floating precision.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
 from .chaos import GridSpec, Kernel, KernelFamily, block_center
 from .errors import AlignmentError, ResourceLimitError
-from .graph_stats import _copies_in_kn, exact_mean
-from .patterns import PatternGraph
+from .graph_stats import exact_mean
+from .patterns import PatternGraph, complete_graph_edges, enumerate_copies
 from .weights import TwoPoint, WeightModel
 
 MAX_PATTERN_EDGES = 3
@@ -75,6 +76,14 @@ def local_weight_kernel(model: WeightModel, p: float, cells: int,
     out = np.zeros((cells,) * k)
     out[np.ix_(*([range(support)] * k))] = factor * bracket
     return out
+
+
+@lru_cache(maxsize=None)
+def _copies_in_kn(pattern: PatternGraph, n: int) -> tuple[tuple[int, ...], ...]:
+    """Copies of the pattern in the complete host, as tuples of edge indices."""
+    edges = complete_graph_edges(n)
+    index = {e: i for i, e in enumerate(edges)}
+    return tuple(tuple(index[e] for e in copy) for copy in enumerate_copies(pattern, edges))
 
 
 def _completion_counts(copies, n_blocks: int, e_g: int, k: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from .patterns import (
     _check_np,
     _normalize_edge,
     automorphism_count,
+    check_p,
     complete_graph_edges,
     copies_in_complete,
     edge_subgraph_profiles,
@@ -40,28 +41,11 @@ def _edge_index(n: int) -> dict[Edge, int]:
     return {e: i for i, e in enumerate(complete_graph_edges(n))}
 
 
-# Copies of the pattern that one enumeration of a complete host may hold in
-# memory.  Only the census table enumerates, in K_m with m = min(n, 2 v_G - 2);
-# the sampler holds no copies, but a plan term it cannot eliminate costs about
-# as much per replicate as a gather over the copies of K_n, so for such a
-# pattern the cap applies at n as well.
+# Copies of the pattern in K_n above which the sampler refuses a plan with a
+# term that has no elimination order: such a term sums rank-one products over
+# the value tuples of its free vertices, about as much work per replicate as a
+# gather over every copy of the pattern in K_n.
 MAX_COPIES = 100_000
-
-
-def _check_copies(pattern: PatternGraph, n: int) -> None:
-    copies = copies_in_complete(pattern, n)
-    if copies > MAX_COPIES:
-        raise ResourceLimitError(
-            f"copy enumeration capped at {MAX_COPIES} copies, K_{n} holds {copies}")
-
-
-@lru_cache(maxsize=None)
-def _copies_in_kn(pattern: PatternGraph, n: int) -> tuple[tuple[int, ...], ...]:
-    """Copies of the pattern in the complete host, as tuples of edge indices."""
-    _check_copies(pattern, n)
-    index = _edge_index(n)
-    copies = enumerate_copies(pattern, complete_graph_edges(n))
-    return tuple(tuple(index[e] for e in copy) for copy in copies)
 
 
 @dataclass(frozen=True)
@@ -120,14 +104,12 @@ def check_sample_config(pattern: PatternGraph, n: int, p: float) -> None:
     """Reject a configuration that ``normalized_samples`` cannot run, before any work."""
     _check_host_size(n)
     _check_np(pattern, n, p)
-    _check_copies(pattern, _census_host(pattern, n))
     if any(term.order is None for term in _weight_plan(pattern).terms):
-        _check_copies(pattern, n)
-
-
-def _census_host(pattern: PatternGraph, n: int) -> int:
-    """Host size m = min(n, 2 v_G - 2) of the fixed-copy census table."""
-    return min(n, 2 * pattern.num_vertices - 2)
+        copies = copies_in_complete(pattern, n)
+        if copies > MAX_COPIES:
+            raise ResourceLimitError(
+                f"pattern with no elimination order: sampler capped at {MAX_COPIES} "
+                f"copies, K_{n} holds {copies}")
 
 
 def sample_host(n: int, p: float, model: WeightModel, seed: int, replicate: int) -> HostSample:
@@ -135,8 +117,7 @@ def sample_host(n: int, p: float, model: WeightModel, seed: int, replicate: int)
     _check_host_size(n)
     if n < 2:
         raise ValueError(f"host size must be at least 2, got {n}")
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"retention probability must lie in (0, 1), got {p}")
+    check_p(p)
     n_edges = n * (n - 1) // 2
     uniforms = rng.uniform_matrix(seed, 1, n_edges, first_row=replicate)[0]
     uniforms.setflags(write=False)
@@ -171,41 +152,64 @@ def intersection_pair_census(pattern: PatternGraph, n: int) -> dict[int, int]:
     to the variance.
 
     K_n is symmetric under vertex permutations, so every copy has the same
-    partners up to relabeling: census_n(h) = copies * sum_j C(n - v_G, j) * b_j(h),
-    where b_j(h) counts the partners of one fixed copy that share h edges with
-    it and use j given vertices outside it (see ``_fixed_copy_overlaps``).
+    partners up to relabeling.  Take the pattern itself as the fixed copy; a
+    partner is phi(G) for an injective phi, reached by aut(G) maps.  The
+    restriction of phi to the vertices it sends into the fixed copy is a
+    partial self-map of size s, and the other v_G - s vertices go outside in
+    (n - v_G)_{v_G - s} ways, so census_n(h) = copies * sum_s N_s(h)
+    (n - v_G)_{v_G - s} / aut(G) with N_s(h) from ``_partial_self_maps``.
     """
     copies = copies_in_complete(pattern, n)
     census: dict[int, int] = {}
-    if copies == 0:
+    if copies == 0:  # n < v_G, where the falling factorial is undefined
         return census
     v_g = pattern.num_vertices
-    for h, j, count in _fixed_copy_overlaps(pattern, _census_host(pattern, n)):
-        census[h] = census.get(h, 0) + math.comb(n - v_g, j) * count
-    return {h: copies * c for h, c in sorted(census.items()) if c}
+    for s, h, count in _partial_self_maps(pattern):
+        census[h] = census.get(h, 0) + count * math.perm(n - v_g, v_g - s)
+    aut = automorphism_count(pattern)
+    return {h: copies * (c // aut) for h, c in sorted(census.items()) if c}
 
 
 @lru_cache(maxsize=None)
-def _fixed_copy_overlaps(pattern: PatternGraph, m: int) -> tuple[tuple[int, int, int], ...]:
-    """Triples (h, j, b_j(h)) for the pattern itself as the fixed copy on vertices 0..v_G-1.
+def _partial_self_maps(pattern: PatternGraph) -> tuple[tuple[int, int, int], ...]:
+    """Triples (s, h, N_s(h)): partial injections of V(G) into V(G) of size s
+    that carry exactly h >= 1 pattern edges onto pattern edges.
 
-    A partner sharing an edge keeps at least two vertices inside the fixed
-    copy, so j <= v_G - 2 and K_m with m = min(n, 2 v_G - 2) holds a partner
-    of every kind that K_n holds; it never holds more copies than K_n.  K_m
-    holds C(m - v_G, j) sets of j outside vertices, each with the same b_j(h)
-    partners, so the tallies divide exactly.
+    A level DP over the domain vertices w = 0..v_G-1, each left unmapped or
+    sent to an unused image x.  The state is the set of used images and, for
+    each later vertex, the images of its earlier neighbours already placed;
+    sending w to x carries popcount(nbrs(x) & mask_w) more edges.  A state's
+    value is its generating polynomial sum_h count_h X^h at X = 2^bits, with
+    bits enough for the count of all partial injections, so no coefficient
+    carries into the next.
     """
     v_g = pattern.num_vertices
-    edges = complete_graph_edges(m)
-    index = _edge_index(m)
-    own = {index[e] for e in pattern.edges}
-    tally: dict[tuple[int, int], int] = {}
-    for copy in _copies_in_kn(pattern, m):
-        h = len(own.intersection(copy))
-        if h:
-            j = len({w for i in copy for w in edges[i] if w >= v_g})
-            tally[h, j] = tally.get((h, j), 0) + 1
-    return tuple((h, j, c // math.comb(m - v_g, j)) for (h, j), c in sorted(tally.items()))
+    nbrs = _neighbours(v_g, pattern.edges)
+    image_nbrs = [sum(1 << y for y in nbrs[x]) for x in range(v_g)]
+    bits = sum(math.comb(v_g, s) ** 2 * math.factorial(s) for s in range(v_g + 1)).bit_length()
+    states = {(0, (0,) * v_g): 1}
+    for w in range(v_g):
+        later = [u for u in nbrs[w] if u > w]
+        step: dict[tuple, int] = {}
+        for (used, masks), poly in states.items():
+            rest = masks[:w] + (0,) + masks[w + 1:]
+            step[used, rest] = step.get((used, rest), 0) + poly
+            for x in range(v_g):
+                if used >> x & 1:
+                    continue
+                placed = list(rest)
+                for u in later:
+                    placed[u] |= 1 << x
+                key = (used | 1 << x, tuple(placed))
+                carried = (image_nbrs[x] & masks[w]).bit_count()
+                step[key] = step.get(key, 0) + (poly << (carried * bits))
+        states = step
+    by_size: dict[int, int] = {}
+    for (used, _), poly in states.items():
+        by_size[used.bit_count()] = by_size.get(used.bit_count(), 0) + poly
+    low = (1 << bits) - 1
+    return tuple((s, h, c) for s, poly in sorted(by_size.items())
+                 for h in range(1, pattern.num_edges + 1) if (c := (poly >> (h * bits)) & low))
 
 
 def exact_variance(pattern: PatternGraph, n: int, p: float, model: WeightModel) -> float:
@@ -533,6 +537,8 @@ def _accumulate_weights(plan: _WeightPlan, n: int, p: float, model: WeightModel,
 def normalized_samples(pattern: PatternGraph, n: int, p: float, model: WeightModel,
                        reps: int, seed: int) -> SampleBatch:
     """Independent replicates of the combined weight, centered and scaled exactly."""
+    if reps < 0:
+        raise ValueError(f"reps must be nonnegative, got {reps}")
     check_sample_config(pattern, n, p)
     mean = exact_mean(pattern, n, p, model)
     var = exact_variance(pattern, n, p, model)
@@ -540,8 +546,6 @@ def normalized_samples(pattern: PatternGraph, n: int, p: float, model: WeightMod
         raise DegenerateConfigError(
             "configuration has numerically zero variance; cannot normalize"
         )
-    if reps < 0:
-        raise ValueError("reps must be nonnegative")
     raw = np.empty(reps, dtype=float)
     plan = _weight_plan(pattern)
     rng.map_chunks(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .errors import PatternError, ResourceLimitError
+from .errors import DegenerateConfigError, PatternError, ResourceLimitError
 
 MAX_AUTOMORPHISM_VERTICES = 10
 MAX_PROFILE_EDGES = 20
@@ -188,11 +188,23 @@ def beta(pattern: PatternGraph) -> Fraction:
     return max(Fraction(prof.e_h, prof.v_h) for prof in edge_subgraph_profiles(pattern))
 
 
+def check_p(p: float) -> None:
+    """The one rule for the retention probability p.
+
+    p = 0 or p = 1 leaves no edge randomness, a degenerate configuration;
+    NaN or a value outside [0, 1] is not a probability.
+    """
+    if not (0.0 < p < 1.0):
+        message = f"p must lie in (0, 1), got {p}"
+        if p in (0.0, 1.0):
+            raise DegenerateConfigError(message)
+        raise ValueError(message)
+
+
 def _check_np(pattern: PatternGraph, n: int, p: float) -> None:
     if n < pattern.num_vertices:
         raise ValueError(f"need n >= {pattern.num_vertices}, got {n}")
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie in (0, 1), got {p}")
+    check_p(p)
 
 
 def log_min_subgraph_term(pattern: PatternGraph, n: int, p: float) -> float:

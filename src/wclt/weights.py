@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfigError, WeightModelError
+from .patterns import check_p
 
 
 @dataclass(frozen=True)
@@ -26,8 +27,6 @@ class Moments:
 
 class WeightModel:
     """Base class; concrete laws implement raw moments and the quantile."""
-
-    label = "abstract"
 
     @property
     def mean(self) -> float:
@@ -64,10 +63,7 @@ class WeightModel:
         """Generalized inverse of the CDF, left-continuous convention."""
         if not (0.0 <= u < 1.0):
             raise WeightModelError(f"quantile argument must lie in [0, 1), got {u}")
-        return self._quantile(u)
-
-    def _quantile(self, u: float) -> float:
-        raise NotImplementedError
+        return float(self.quantile_array(np.array(u)))
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -86,8 +82,6 @@ class WeightModel:
 @dataclass(frozen=True)
 class Constant(WeightModel):
     value: float
-
-    label = "const"
 
     def __post_init__(self) -> None:
         if self.value <= 0:
@@ -109,9 +103,6 @@ class Constant(WeightModel):
     def fourth_raw(self) -> float:
         return self.value**4
 
-    def _quantile(self, u: float) -> float:
-        return self.value
-
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(u, dtype=float), self.value)
 
@@ -127,8 +118,6 @@ class Uniform(WeightModel):
     """Uniform law on (0, high)."""
 
     high: float
-
-    label = "unif"
 
     def __post_init__(self) -> None:
         if self.high <= 0:
@@ -150,9 +139,6 @@ class Uniform(WeightModel):
     def fourth_raw(self) -> float:
         return self.high**4 / 5
 
-    def _quantile(self, u: float) -> float:
-        return self.high * u
-
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         return self.high * np.asarray(u, dtype=float)
 
@@ -166,8 +152,6 @@ class Uniform(WeightModel):
 @dataclass(frozen=True)
 class Exponential(WeightModel):
     rate: float
-
-    label = "exp"
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
@@ -188,9 +172,6 @@ class Exponential(WeightModel):
     @property
     def fourth_raw(self) -> float:
         return 24 / self.rate**4
-
-    def _quantile(self, u: float) -> float:
-        return -math.log1p(-u) / self.rate
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
@@ -215,8 +196,6 @@ class TwoPoint(WeightModel):
     low_value: float
     high_value: float
     prob_high: float
-
-    label = "twopoint"
 
     def __post_init__(self) -> None:
         if self.low_value < 0 or self.high_value < 0:
@@ -251,9 +230,6 @@ class TwoPoint(WeightModel):
     @property
     def fourth_raw(self) -> float:
         return self._prob_low * self.low_value**4 + self.prob_high * self.high_value**4
-
-    def _quantile(self, u: float) -> float:
-        return self.low_value if u <= self._prob_low else self.high_value
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -294,8 +270,7 @@ def moment_ratio(model: WeightModel, p: float) -> float:
     """Weight-law factor of the rate bound:
     (sqrt(fourth central moment) + (1-p) mean^2) / (variance + (1-p) mean^2).
     """
-    if not (0.0 < p < 1.0):
-        raise DegenerateConfigError(f"retention probability must lie in (0, 1), got {p}")
+    check_p(p)
     m = model.moments()
     denom = m.variance + (1.0 - p) * m.mean**2
     if denom <= 0.0:

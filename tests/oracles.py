@@ -11,13 +11,13 @@ from itertools import combinations
 import numpy as np
 
 from wclt import rng
-from wclt.graph_stats import HostSample, _copies_in_kn
+from wclt.graph_stats import HostSample
 from wclt.patterns import complete_graph_edges, enumerate_copies
 
 
 def weight_by_edge_counts(pattern, host: HostSample) -> float:
     """Edge-centric combined weight: weight(e) times the number of present copies through e."""
-    copies = np.array(_copies_in_kn(pattern, host.n), dtype=np.int64)
+    copies = _complete_host_copies(pattern, host.n)
     if copies.size == 0:
         return 0.0
     present = host.present
@@ -28,7 +28,7 @@ def weight_by_edge_counts(pattern, host: HostSample) -> float:
 
 @lru_cache(maxsize=None)
 def _complete_host_copies(pattern, n: int) -> np.ndarray:
-    """Copies of the pattern in K_n as rows of edge indices, without the library's copy cap."""
+    """Copies of the pattern in K_n as rows of edge indices."""
     edges = complete_graph_edges(n)
     index = {e: i for i, e in enumerate(edges)}
     return np.array([[index[e] for e in copy] for copy in enumerate_copies(pattern, edges)],
@@ -60,8 +60,8 @@ def direct_pair_census(pattern, n: int) -> dict[int, int]:
     Each copy is a bitmask over the host edges; the shared edge count of a
     pair is the popcount of the AND of their masks.
     """
-    copies = _copies_in_kn(pattern, n)
-    if not copies:
+    copies = _complete_host_copies(pattern, n)
+    if not copies.size:
         return {}
     words = (n * (n - 1) // 2 + 63) // 64
     masks = np.zeros((len(copies), words), dtype=np.uint64)

@@ -48,6 +48,19 @@ class TestBoundCommand:
         payload = json.loads(res.stdout)
         assert payload["report"]["regime"] == "dense"
 
+    @pytest.mark.parametrize("p, code", [("1.5", 2), ("nan", 2), ("1.0", 3), ("0", 3)])
+    @pytest.mark.parametrize("command", [
+        ("bound", "--n", "10", "--p", "{p}"),
+        ("bound", "--sweep-n", "10", "--sweep-p", "0.5,{p}"),
+        ("simulate", "--n", "6", "--p", "{p}", "--reps", "10"),
+    ])
+    def test_one_rule_for_p(self, command, p, code):
+        # p = 0 or 1 is degenerate (exit 3); NaN or outside [0, 1] is a usage error
+        res = run_cli(*(arg.format(p=p) for arg in command), "--pattern", "triangle",
+                      "--weights", "unif:1")
+        assert res.returncode == code
+        assert f"p must lie in (0, 1), got {float(p)}" in res.stderr
+
     def test_grid_sweep_csv(self, tmp_path):
         out = tmp_path / "grid.csv"
         res = run_cli("bound", "--pattern", "triangle", "--weights", "unif:1",
@@ -128,6 +141,14 @@ class TestSimulateCommand:
         assert res.returncode == 2
         assert f"WCLT_THREADS must be a positive integer, got {threads!r}" in res.stderr
 
+    def test_unwritable_output_usage_error(self, tmp_path):
+        out = tmp_path / "missing" / "s.csv"
+        res = run_cli("simulate", "--pattern", "triangle", "--n", "6", "--p", "0.5",
+                      "--weights", "unif:1", "--reps", "10", "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+
     def test_host_past_census_size_runs(self, tmp_path):
         # n = 41 holds 10660 triangles, more than a quadratic pair census could take
         meta = tmp_path / "m.json"
@@ -146,8 +167,8 @@ class TestSimulateCommand:
         assert not out.exists()
 
     def test_uneliminable_pattern_copy_cap_resource_error(self, tmp_path):
-        # complete:8 has no elimination order; its census table (K_14) is small,
-        # but the sampler's work grows with the C(64, 8) copies of K_64
+        # complete:8 has no elimination order; the sampler's work grows with
+        # the C(64, 8) copies of K_64
         out = tmp_path / "s.csv"
         res = run_cli("simulate", "--pattern", "complete:8", "--n", "64", "--p", "0.5",
                       "--weights", "unif:1", "--reps", "20", "--seed", "0", "--out", str(out))
@@ -170,6 +191,12 @@ class TestDistanceCommand:
         f.write_text("replicate,raw\n0,1.0\n")
         res = run_cli("distance", "--samples", str(f))
         assert res.returncode == 2
+
+    def test_missing_file_usage_error(self, tmp_path):
+        res = run_cli("distance", "--samples", str(tmp_path / "missing.csv"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "missing.csv" in res.stderr
 
     def test_empty_file_domain_error(self, tmp_path):
         f = tmp_path / "empty.csv"
@@ -238,12 +265,21 @@ class TestRateSweepCommand:
                       "--out", str(out))
         assert res.returncode == 4
         assert not out.exists()
-        # the copy cap of the census table is checked over the list too
+        # the copy cap of a plan with no elimination order is checked over the list too
         res = run_cli("rate-sweep", "--pattern", "cycle:8", "--weights", "unif:1",
                       "--sweep-n", "8,10", "--p", "0.5", "--reps", "2000", "--seed", "5",
                       "--out", str(out))
         assert res.returncode == 4
         assert "K_10 holds 113400" in res.stderr
+        assert not out.exists()
+
+    def test_zero_reps_usage_error(self, tmp_path):
+        # rejected before any host is sampled, not by the distance of an empty sample
+        out = tmp_path / "sweep.csv"
+        res = run_cli("rate-sweep", "--pattern", "triangle", "--weights", "unif:1",
+                      "--sweep-n", "6,8", "--p", "0.5", "--reps", "0", "--out", str(out))
+        assert res.returncode == 2
+        assert "--reps must be at least 1, got 0" in res.stderr
         assert not out.exists()
 
     def test_empty_n_list_usage_error(self):

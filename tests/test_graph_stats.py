@@ -25,6 +25,7 @@ from wclt.graph_stats import (
 from wclt.patterns import (
     PatternGraph,
     complete_graph_edges,
+    copies_in_complete,
     edge_subgraph_profiles,
     max_variance_term,
     named_pattern,
@@ -34,6 +35,11 @@ from wclt.weights import Constant, Exponential, TwoPoint, Uniform
 TRIANGLE = named_pattern("triangle")
 EDGE = named_pattern("path:2")
 P3 = named_pattern("path:3")
+DISJOINT_UNIONS = {
+    "2K2": PatternGraph(4, ((0, 1), (2, 3))),
+    "K3+K2": PatternGraph(5, ((0, 1), (1, 2), (0, 2), (3, 4))),
+    "K4+K2": PatternGraph(6, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5))),
+}
 
 
 def host_with_uniforms(n, p, model, uniforms) -> HostSample:
@@ -166,9 +172,9 @@ class TestExactMoments:
 
     @pytest.mark.parametrize("name", ["path:2", "path:3", "path:4", "path:5", "triangle",
                                       "star:2", "star:3", "star:4", "cycle:4", "cycle:5",
-                                      "complete:4", "complete:5"])
+                                      "complete:4", "complete:5", *DISJOINT_UNIONS])
     def test_census_matches_direct_oracle(self, name):
-        pattern = named_pattern(name)
+        pattern = DISJOINT_UNIONS.get(name) or named_pattern(name)
         v_g = pattern.num_vertices
         for n in range(v_g, min(2 * v_g + 2, 10) + 1):
             census = intersection_pair_census(pattern, n)
@@ -177,19 +183,18 @@ class TestExactMoments:
 
     @pytest.mark.parametrize("name", ["cycle:8", "path:7"])
     def test_census_large_pattern_small_host(self, name):
-        # at n = v_G the fixed-copy table is taken in K_n itself, never in the
-        # far larger K_{2 v_G - 2} (7,567,560 copies of cycle:8 in K_14)
+        # the census enumerates no copies of K_n; the oracle enumerates K_{v_G}
         pattern = named_pattern(name)
         n = pattern.num_vertices
         assert intersection_pair_census(pattern, n) == direct_pair_census(pattern, n)
 
     def test_copy_cap(self):
-        # path:3 has 124992 copies in K_64, but neither the census table (in
-        # K_4) nor the sampler enumerates them
+        # path:3 has 124992 copies in K_64, but neither the census nor the
+        # sampler enumerates them
         batch = normalized_samples(P3, 64, 0.5, Uniform(1.0), reps=3, seed=0)
         oracle = gathered_weights(P3, 64, 0.5, Uniform(1.0), 0, 0, 3)
         np.testing.assert_allclose(batch.raw, oracle, rtol=1e-12, atol=0)
-        # the census table of cycle:8 at n = 10 is K_10 itself: 113400 copies
+        # cycle:8 has a plan term with no elimination order: K_10 holds 113400 copies
         with pytest.raises(ResourceLimitError, match="capped at 100000 copies, K_10 holds 113400"):
             normalized_samples(named_pattern("cycle:8"), 10, 0.5, Uniform(1.0), reps=3, seed=0)
         # complete:4 has no elimination order, so its copies in K_n are capped
@@ -197,6 +202,19 @@ class TestExactMoments:
         check_sample_config(named_pattern("complete:4"), 40, 0.5)
         with pytest.raises(ResourceLimitError, match="capped at 100000 copies, K_41 holds 101270"):
             normalized_samples(named_pattern("complete:4"), 41, 0.5, Uniform(1.0), reps=3, seed=0)
+
+    @pytest.mark.parametrize("name, n", [("path:7", 10), ("star:8", 20), ("complete:8", 12)])
+    def test_census_enumerates_no_copies(self, name, n):
+        # K_10 holds 302400 copies of path:7 and K_20 holds 1511640 of star:8,
+        # and a copy search walks 40320 maps per copy of complete:8
+        pattern = named_pattern(name)
+        check_sample_config(pattern, n, 0.5)
+        census = intersection_pair_census(pattern, n)
+        copies, e_g = copies_in_complete(pattern, n), pattern.num_edges
+        assert census[e_g] == copies
+        # every host edge lies in copies * e_G / C(n, 2) copies
+        assert sum(h * c for h, c in census.items()) * math.comb(n, 2) == (copies * e_g) ** 2
+        assert exact_variance(pattern, n, 0.5, Uniform(1.0)) > 0
 
     @pytest.mark.parametrize("p", [1.5, float("nan"), 0.0])
     def test_moments_reject_bad_p(self, p):
@@ -266,6 +284,11 @@ class TestNormalizedSamples:
         assert abs(z.mean()) < 4 / math.sqrt(z.size)
         var_se = math.sqrt(max(float((z**4).mean()) - 1, 0.1) / z.size)
         assert abs(z.var() - 1.0) < 5 * var_se
+
+    def test_negative_reps_rejected_first(self):
+        # before the copy cap and the exact moments are looked at
+        with pytest.raises(ValueError, match="reps must be nonnegative, got -1"):
+            normalized_samples(named_pattern("cycle:8"), 10, 0.5, Uniform(1.0), reps=-1, seed=0)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateConfigError):
