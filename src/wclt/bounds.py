@@ -9,7 +9,7 @@ lives in :mod:`wclt.chaos` (stein_bound_terms).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DegenerateConfigError, PatternError, UnsupportedPatternError
 from .patterns import PatternGraph, check_p, is_balanced, log_min_subgraph_term
@@ -32,18 +32,7 @@ class BoundReport:
     rate_only: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "rate_term": self.rate_term,
-            "moment_ratio": self.moment_ratio,
-            "bound_value": self.bound_value,
-            "regime": self.regime,
-            "regime_threshold": self.regime_threshold,
-            "family": self.family,
-            "family_order": self.family_order,
-            "count_bound": self.count_bound,
-            "cutoff": self.cutoff,
-            "rate_only": self.rate_only,
-        }
+        return asdict(self)
 
 
 def rate_term(pattern: PatternGraph, n: int, p: float) -> float:

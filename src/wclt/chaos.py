@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import string
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -48,7 +48,7 @@ class GridSpec:
         if self.blocks < 1 or self.cells < 1:
             raise ChaosError("grid needs at least one block and one cell")
         if self.blocks * self.cells > MAX_GRID_SIZE:
-            raise ChaosError(f"grid size capped at {MAX_GRID_SIZE} cells")
+            raise ResourceLimitError(f"grid size capped at {MAX_GRID_SIZE} cells")
 
     @property
     def size(self) -> int:
@@ -619,9 +619,7 @@ class SteinBoundTerms:
     term3_se: float  # standard error of term3 (delta method on the fourth-power mean)
 
     def to_dict(self) -> dict:
-        return {"term1": self.term1, "term2": self.term2, "term3": self.term3,
-                "total": self.total, "n_paths": self.n_paths,
-                "term2_se": self.term2_se, "term3_se": self.term3_se}
+        return asdict(self)
 
 
 # (paths x cells) entries per Stein chunk: keeps a chunk's derivative in cache.

@@ -9,7 +9,7 @@ CDF accuracy itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import special
@@ -51,11 +51,7 @@ class DistanceResult:
     estimated_statistical_error: float
 
     def to_dict(self) -> dict:
-        return {
-            "w1": self.w1,
-            "sample_size": self.sample_size,
-            "estimated_statistical_error": self.estimated_statistical_error,
-        }
+        return asdict(self)
 
 
 def wasserstein1_to_normal(samples) -> DistanceResult:

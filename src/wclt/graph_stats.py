@@ -23,7 +23,9 @@ from .patterns import (
     MAX_HOST_VERTICES,
     PatternGraph,
     _check_np,
+    _neighbours,
     _normalize_edge,
+    _partial_self_maps,
     automorphism_count,
     check_p,
     complete_graph_edges,
@@ -157,7 +159,7 @@ def intersection_pair_census(pattern: PatternGraph, n: int) -> dict[int, int]:
     restriction of phi to the vertices it sends into the fixed copy is a
     partial self-map of size s, and the other v_G - s vertices go outside in
     (n - v_G)_{v_G - s} ways, so census_n(h) = copies * sum_s N_s(h)
-    (n - v_G)_{v_G - s} / aut(G) with N_s(h) from ``_partial_self_maps``.
+    (n - v_G)_{v_G - s} / aut(G) with N_s(h), h >= 1, from ``_partial_self_maps``.
     """
     copies = copies_in_complete(pattern, n)
     census: dict[int, int] = {}
@@ -165,51 +167,10 @@ def intersection_pair_census(pattern: PatternGraph, n: int) -> dict[int, int]:
         return census
     v_g = pattern.num_vertices
     for s, h, count in _partial_self_maps(pattern):
-        census[h] = census.get(h, 0) + count * math.perm(n - v_g, v_g - s)
+        if h:
+            census[h] = census.get(h, 0) + count * math.perm(n - v_g, v_g - s)
     aut = automorphism_count(pattern)
     return {h: copies * (c // aut) for h, c in sorted(census.items()) if c}
-
-
-@lru_cache(maxsize=None)
-def _partial_self_maps(pattern: PatternGraph) -> tuple[tuple[int, int, int], ...]:
-    """Triples (s, h, N_s(h)): partial injections of V(G) into V(G) of size s
-    that carry exactly h >= 1 pattern edges onto pattern edges.
-
-    A level DP over the domain vertices w = 0..v_G-1, each left unmapped or
-    sent to an unused image x.  The state is the set of used images and, for
-    each later vertex, the images of its earlier neighbours already placed;
-    sending w to x carries popcount(nbrs(x) & mask_w) more edges.  A state's
-    value is its generating polynomial sum_h count_h X^h at X = 2^bits, with
-    bits enough for the count of all partial injections, so no coefficient
-    carries into the next.
-    """
-    v_g = pattern.num_vertices
-    nbrs = _neighbours(v_g, pattern.edges)
-    image_nbrs = [sum(1 << y for y in nbrs[x]) for x in range(v_g)]
-    bits = sum(math.comb(v_g, s) ** 2 * math.factorial(s) for s in range(v_g + 1)).bit_length()
-    states = {(0, (0,) * v_g): 1}
-    for w in range(v_g):
-        later = [u for u in nbrs[w] if u > w]
-        step: dict[tuple, int] = {}
-        for (used, masks), poly in states.items():
-            rest = masks[:w] + (0,) + masks[w + 1:]
-            step[used, rest] = step.get((used, rest), 0) + poly
-            for x in range(v_g):
-                if used >> x & 1:
-                    continue
-                placed = list(rest)
-                for u in later:
-                    placed[u] |= 1 << x
-                key = (used | 1 << x, tuple(placed))
-                carried = (image_nbrs[x] & masks[w]).bit_count()
-                step[key] = step.get(key, 0) + (poly << (carried * bits))
-        states = step
-    by_size: dict[int, int] = {}
-    for (used, _), poly in states.items():
-        by_size[used.bit_count()] = by_size.get(used.bit_count(), 0) + poly
-    low = (1 << bits) - 1
-    return tuple((s, h, c) for s, poly in sorted(by_size.items())
-                 for h in range(1, pattern.num_edges + 1) if (c := (poly >> (h * bits)) & low))
 
 
 def exact_variance(pattern: PatternGraph, n: int, p: float, model: WeightModel) -> float:
@@ -280,14 +241,6 @@ class _OpenTerm(NamedTuple):
 class _WeightPlan(NamedTuple):
     automorphisms: int
     terms: tuple[_OpenTerm, ...]
-
-
-def _neighbours(k: int, edges) -> list[set[int]]:
-    nbrs: list[set[int]] = [set() for _ in range(k)]
-    for u, w in edges:
-        nbrs[u].add(w)
-        nbrs[w].add(u)
-    return nbrs
 
 
 def _independent_partitions(pattern: PatternGraph):
@@ -390,6 +343,7 @@ def _weight_plan(pattern: PatternGraph) -> _WeightPlan:
     and A o A = A, so the partition contributes mu(pi) m_f times the count of
     G/pi with f open and the other edges simple.  Isomorphic terms are merged.
     """
+    automorphisms = automorphism_count(pattern)  # checks the pattern-size cap before any walk
     coefficients: dict[tuple, int] = {}
     keys: dict[tuple, tuple] = {}  # many partitions share a labeled quotient
     for labels, sizes in _independent_partitions(pattern):
@@ -404,7 +358,7 @@ def _weight_plan(pattern: PatternGraph) -> _WeightPlan:
                 keys[term] = _canonical_term(*term)
             coefficients[keys[term]] = coefficients.get(keys[term], 0) + mu * m
     terms = tuple(_open_term(c, *key) for key, c in sorted(coefficients.items()) if c)
-    return _WeightPlan(automorphism_count(pattern), terms)
+    return _WeightPlan(automorphisms, terms)
 
 
 def _oriented(factor: tuple, first: int) -> np.ndarray:

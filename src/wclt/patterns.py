@@ -2,8 +2,9 @@
 
 A pattern is a fixed small graph.  The statistics exposed here (extremal
 subgraph terms, density ratio, balance test) drive the convergence-rate
-formulas, while automorphism/copy counting supports exact moments of the
-combined pattern weight in a random host graph.
+formulas, while the table of partial self-maps, which yields the
+automorphism and copy counts and the pair census, supports exact moments of
+the combined pattern weight in a random host graph.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import DegenerateConfigError, PatternError, ResourceLimitError
 
-MAX_AUTOMORPHISM_VERTICES = 10
+# Pattern vertices above which the self-map table, and with it automorphism
+# counts, copy counts, the pair census and the sampler plan, is refused.
+MAX_PATTERN_VERTICES = 10
 MAX_PROFILE_EDGES = 20
 MAX_HOST_VERTICES = 64
 
@@ -25,6 +28,14 @@ Edge = tuple[int, int]
 
 def _normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
+
+
+def _neighbours(k: int, edges) -> list[set[int]]:
+    nbrs: list[set[int]] = [set() for _ in range(k)]
+    for u, w in edges:
+        nbrs[u].add(w)
+        nbrs[w].add(u)
+    return nbrs
 
 
 @dataclass(frozen=True)
@@ -72,12 +83,7 @@ class PatternGraph:
 
     def is_connected(self) -> bool:
         """Connectivity over all vertices (an isolated vertex disconnects)."""
-        if self.num_vertices == 1:
-            return True
-        adj: dict[int, set[int]] = {v: set() for v in range(self.num_vertices)}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
+        adj = _neighbours(self.num_vertices, self.edges)
         seen = {0}
         stack = [0]
         while stack:
@@ -254,34 +260,68 @@ def is_balanced(pattern: PatternGraph) -> bool:
 
 
 @lru_cache(maxsize=None)
-def automorphism_count(pattern: PatternGraph) -> int:
-    """Number of vertex permutations preserving the edge set, by brute force.
+def _partial_self_maps(pattern: PatternGraph) -> tuple[tuple[int, int, int], ...]:
+    """Triples (s, h, N_s(h)): partial injections of V(G) into V(G) of size s
+    that carry exactly h pattern edges onto pattern edges; zero counts omitted.
 
-    Cached per pattern: the search is v! permutations, and copy counts, exact
-    moments, the census and the sampler plan all ask for it.
+    The row s = v_G, h = e_G counts the automorphisms.  A level DP over
+    the domain vertices w = 0..v_G-1, each left unmapped or sent to an unused
+    image x.  The state is the set of used images and, for each later vertex,
+    the images of its earlier neighbours already placed; sending w to x
+    carries popcount(nbrs(x) & mask_w) more edges.  A state's value is its
+    generating polynomial sum_h count_h X^h at X = 2^bits, with bits enough
+    for the count of all partial injections, so no coefficient carries into
+    the next.
     """
-    v = pattern.num_vertices
-    if v > MAX_AUTOMORPHISM_VERTICES:
-        raise ResourceLimitError(f"automorphism search capped at {MAX_AUTOMORPHISM_VERTICES} vertices")
-    edge_set = set(pattern.edges)
-    count = 0
-    for perm in permutations(range(v)):
-        if all(_normalize_edge(perm[u], perm[v_]) in edge_set for u, v_ in pattern.edges):
-            count += 1
-    return count
+    v_g = pattern.num_vertices
+    if v_g > MAX_PATTERN_VERTICES:
+        raise ResourceLimitError(f"pattern capped at {MAX_PATTERN_VERTICES} vertices, got {v_g}")
+    nbrs = _neighbours(v_g, pattern.edges)
+    image_nbrs = [sum(1 << y for y in nbrs[x]) for x in range(v_g)]
+    bits = sum(math.comb(v_g, s) ** 2 * math.factorial(s) for s in range(v_g + 1)).bit_length()
+    states = {(0, (0,) * v_g): 1}
+    for w in range(v_g):
+        later = [u for u in nbrs[w] if u > w]
+        step: dict[tuple, int] = {}
+        for (used, masks), poly in states.items():
+            rest = masks[:w] + (0,) + masks[w + 1:]
+            step[used, rest] = step.get((used, rest), 0) + poly
+            for x in range(v_g):
+                if used >> x & 1:
+                    continue
+                placed = list(rest)
+                for u in later:
+                    placed[u] |= 1 << x
+                key = (used | 1 << x, tuple(placed))
+                carried = (image_nbrs[x] & masks[w]).bit_count()
+                step[key] = step.get(key, 0) + (poly << (carried * bits))
+        states = step
+    by_size: dict[int, int] = {}
+    for (used, _), poly in states.items():
+        by_size[used.bit_count()] = by_size.get(used.bit_count(), 0) + poly
+    low = (1 << bits) - 1
+    return tuple((s, h, c) for s, poly in sorted(by_size.items())
+                 for h in range(pattern.num_edges + 1) if (c := (poly >> (h * bits)) & low))
+
+
+@lru_cache(maxsize=None)
+def automorphism_count(pattern: PatternGraph) -> int:
+    """Number of vertex permutations preserving the edge set.
+
+    A permutation that carries all e_G edges onto edges is an automorphism,
+    so this is the self-map table's count at s = v_G, h = e_G.
+    """
+    v_g, e_g = pattern.num_vertices, pattern.num_edges
+    return next(c for s, h, c in _partial_self_maps(pattern) if (s, h) == (v_g, e_g))
 
 
 def copies_in_complete(pattern: PatternGraph, n: int) -> int:
     """Number of copies (edge subsets isomorphic to the pattern) in a complete host."""
     if pattern.has_isolated_vertices:
         raise PatternError("copy counting requires a pattern without isolated vertices")
-    v = pattern.num_vertices
-    if n < v:
+    if n < pattern.num_vertices:
         return 0
-    falling = 1
-    for i in range(v):
-        falling *= n - i
-    return falling // automorphism_count(pattern)
+    return math.perm(n, pattern.num_vertices) // automorphism_count(pattern)
 
 
 def complete_graph_edges(n: int) -> list[Edge]:
@@ -301,16 +341,9 @@ def enumerate_copies(pattern: PatternGraph, host_edges) -> list[tuple[Edge, ...]
     host_vertices = sorted({w for e in hedges for w in e})
     if host_vertices and host_vertices[-1] + 1 > MAX_HOST_VERTICES:
         raise ResourceLimitError(f"host capped at {MAX_HOST_VERTICES} vertices")
-    adj: dict[int, set[int]] = {w: set() for w in host_vertices}
-    for u, v in hedges:
-        adj[u].add(v)
-        adj[v].add(u)
-
+    adj = _neighbours(host_vertices[-1] + 1 if host_vertices else 0, hedges)
     pdeg = pattern.degrees()
-    pattern_adj: dict[int, set[int]] = {w: set() for w in range(pattern.num_vertices)}
-    for u, v in pattern.edges:
-        pattern_adj[u].add(v)
-        pattern_adj[v].add(u)
+    pattern_adj = _neighbours(pattern.num_vertices, pattern.edges)
 
     # Placement order: greedy, always extending the already-placed set when possible.
     order: list[int] = []

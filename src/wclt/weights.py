@@ -26,23 +26,27 @@ class Moments:
 
 
 class WeightModel:
-    """Base class; concrete laws implement raw moments and the quantile."""
+    """Base class; concrete laws implement the raw moments and the quantile."""
+
+    def raw_moment(self, k: int) -> float:
+        """E[X^k] in closed form."""
+        raise NotImplementedError
 
     @property
     def mean(self) -> float:
-        raise NotImplementedError
+        return self.raw_moment(1)
 
     @property
     def second_raw(self) -> float:
-        raise NotImplementedError
+        return self.raw_moment(2)
 
     @property
     def third_raw(self) -> float:
-        raise NotImplementedError
+        return self.raw_moment(3)
 
     @property
     def fourth_raw(self) -> float:
-        raise NotImplementedError
+        return self.raw_moment(4)
 
     @property
     def variance(self) -> float:
@@ -72,12 +76,6 @@ class WeightModel:
         """Average of the quantile over u in (a, b), in closed form."""
         raise NotImplementedError
 
-    def _tag(self) -> str:
-        raise NotImplementedError
-
-    def __str__(self) -> str:
-        return self._tag()
-
 
 @dataclass(frozen=True)
 class Constant(WeightModel):
@@ -87,30 +85,14 @@ class Constant(WeightModel):
         if self.value <= 0:
             raise WeightModelError("constant weight must be positive (zero-mean laws are rejected)")
 
-    @property
-    def mean(self) -> float:
-        return self.value
-
-    @property
-    def second_raw(self) -> float:
-        return self.value**2
-
-    @property
-    def third_raw(self) -> float:
-        return self.value**3
-
-    @property
-    def fourth_raw(self) -> float:
-        return self.value**4
+    def raw_moment(self, k: int) -> float:
+        return self.value**k
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(u, dtype=float), self.value)
 
     def quantile_mean(self, a: float, b: float) -> float:
         return self.value
-
-    def _tag(self) -> str:
-        return f"const:{self.value!r}"
 
 
 @dataclass(frozen=True)
@@ -123,30 +105,14 @@ class Uniform(WeightModel):
         if self.high <= 0:
             raise WeightModelError("uniform upper endpoint must be positive")
 
-    @property
-    def mean(self) -> float:
-        return self.high / 2
-
-    @property
-    def second_raw(self) -> float:
-        return self.high**2 / 3
-
-    @property
-    def third_raw(self) -> float:
-        return self.high**3 / 4
-
-    @property
-    def fourth_raw(self) -> float:
-        return self.high**4 / 5
+    def raw_moment(self, k: int) -> float:
+        return self.high**k / (k + 1)
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         return self.high * np.asarray(u, dtype=float)
 
     def quantile_mean(self, a: float, b: float) -> float:
         return self.high * (a + b) / 2
-
-    def _tag(self) -> str:
-        return f"unif:{self.high!r}"
 
 
 @dataclass(frozen=True)
@@ -157,21 +123,8 @@ class Exponential(WeightModel):
         if self.rate <= 0:
             raise WeightModelError("exponential rate must be positive")
 
-    @property
-    def mean(self) -> float:
-        return 1 / self.rate
-
-    @property
-    def second_raw(self) -> float:
-        return 2 / self.rate**2
-
-    @property
-    def third_raw(self) -> float:
-        return 6 / self.rate**3
-
-    @property
-    def fourth_raw(self) -> float:
-        return 24 / self.rate**4
+    def raw_moment(self, k: int) -> float:
+        return math.factorial(k) / self.rate**k
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
@@ -184,9 +137,6 @@ class Exponential(WeightModel):
             return (1 - u) * math.log1p(-u) + u
 
         return (anti(b) - anti(a)) / ((b - a) * self.rate)
-
-    def _tag(self) -> str:
-        return f"exp:{self.rate!r}"
 
 
 @dataclass(frozen=True)
@@ -215,21 +165,8 @@ class TwoPoint(WeightModel):
     def _prob_low(self) -> float:
         return 1.0 - self.prob_high
 
-    @property
-    def mean(self) -> float:
-        return self._prob_low * self.low_value + self.prob_high * self.high_value
-
-    @property
-    def second_raw(self) -> float:
-        return self._prob_low * self.low_value**2 + self.prob_high * self.high_value**2
-
-    @property
-    def third_raw(self) -> float:
-        return self._prob_low * self.low_value**3 + self.prob_high * self.high_value**3
-
-    @property
-    def fourth_raw(self) -> float:
-        return self._prob_low * self.low_value**4 + self.prob_high * self.high_value**4
+    def raw_moment(self, k: int) -> float:
+        return self._prob_low * self.low_value**k + self.prob_high * self.high_value**k
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -240,9 +177,6 @@ class TwoPoint(WeightModel):
         low_len = max(0.0, min(b, split) - a)
         high_len = max(0.0, b - max(a, split))
         return (self.low_value * low_len + self.high_value * high_len) / (b - a)
-
-    def _tag(self) -> str:
-        return f"twopoint:{self.low_value!r},{self.high_value!r},{self.prob_high!r}"
 
 
 def parse_weight_model(spec: str) -> WeightModel:

@@ -229,6 +229,16 @@ class TestChaosVerifyCommand:
         assert "--paths" in res.stderr
         assert "Warning" not in res.stderr
 
+    @pytest.mark.parametrize("grid, code, message", [
+        ("300,1", 4, "grid size capped at 256 cells"),
+        ("0,2", 2, "grid needs at least one block and one cell"),
+    ])
+    def test_grid_exit_codes(self, grid, code, message):
+        # the size cap is a resource cap; an empty grid is a usage error
+        res = run_cli("chaos-verify", "--seed", "3", "--paths", "300", "--grid", grid)
+        assert res.returncode == code
+        assert message in res.stderr
+
     def test_reproducible(self):
         a = run_cli("chaos-verify", "--seed", "3", "--paths", "300").stdout
         b = run_cli("chaos-verify", "--seed", "3", "--paths", "300").stdout

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import direct_pair_census, gathered_weights, weight_by_edge_counts
-from wclt import rng
+from wclt import graph_stats, rng
 from wclt.errors import DegenerateConfigError, ResourceLimitError
 from wclt.graph_stats import (
     HostSample,
@@ -202,6 +202,15 @@ class TestExactMoments:
         check_sample_config(named_pattern("complete:4"), 40, 0.5)
         with pytest.raises(ResourceLimitError, match="capped at 100000 copies, K_41 holds 101270"):
             normalized_samples(named_pattern("complete:4"), 41, 0.5, Uniform(1.0), reps=3, seed=0)
+
+    @pytest.mark.parametrize("name", ["path:11", "cycle:11"])
+    def test_pattern_cap_before_partition_walk(self, name, monkeypatch):
+        def walk(pattern):
+            raise AssertionError("vertex partitions walked before the pattern-size cap")
+
+        monkeypatch.setattr(graph_stats, "_independent_partitions", walk)
+        with pytest.raises(ResourceLimitError, match="pattern capped at 10 vertices, got 11"):
+            check_sample_config(named_pattern(name), 20, 0.5)
 
     @pytest.mark.parametrize("name, n", [("path:7", 10), ("star:8", 20), ("complete:8", 12)])
     def test_census_enumerates_no_copies(self, name, n):

@@ -4,7 +4,9 @@ import math
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from wclt.errors import PatternError
 from wclt.patterns import (
@@ -159,6 +161,26 @@ class TestCopies:
         assert automorphism_count(TRIANGLE) == 6
         assert automorphism_count(P3) == 2
         assert automorphism_count(named_pattern("complete:4")) == 24
+
+    @pytest.mark.parametrize("v, edges", [
+        (1, ()),
+        (3, ()),
+        (4, ((0, 1), (1, 2), (0, 2))),                  # triangle and an isolated vertex
+        (4, ((0, 1), (2, 3))),                          # 2K2
+        (5, ((0, 1), (1, 2), (0, 2), (3, 4))),          # K3+K2
+        (6, ((0, 1), (1, 2), (3, 4))),                  # P3, K2 and an isolated vertex
+        (7, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3))),  # 2K3 and an isolated vertex
+    ])
+    def test_automorphisms_match_networkx(self, v, edges):
+        target = nx.Graph()
+        target.add_nodes_from(range(v))
+        target.add_edges_from(edges)
+        expected = sum(1 for _ in GraphMatcher(target, target).isomorphisms_iter())
+        assert automorphism_count(PatternGraph(v, edges)) == expected
+
+    def test_automorphisms_of_ten_vertex_patterns(self):
+        assert automorphism_count(named_pattern("complete:10")) == math.factorial(10)
+        assert automorphism_count(named_pattern("star:9")) == math.factorial(9)
 
     def test_automorphism_count_cached(self):
         star = named_pattern("star:7")
