@@ -56,27 +56,23 @@ def classify_family(pattern: PatternGraph) -> tuple[str, int | None]:
     return ("general", None)
 
 
-def _threshold_exponent(pattern: PatternGraph, family: str, order: int | None) -> float:
-    if family == "cycle":
-        return (order - 2) / (order - 1)
-    if family == "complete":
-        return 2.0 / (order + 1)
-    if family == "tree":
-        return 1.0
-    return (pattern.num_vertices - 2) / (pattern.num_edges - 1)
-
-
 def _detect_regime(pattern: PatternGraph, n: int, p: float, cutoff: float):
-    """(regime, threshold) for balanced patterns/special families; (None, None) otherwise."""
+    """(family, order, regime, threshold); regime and threshold are None when unbalanced.
+
+    A balanced pattern with e_G >= 2 splits at n^{-(v_G-2)/(e_G-1)} [BKR];
+    a single edge splits at 1/n.  The family only labels the report.
+    """
     family, order = classify_family(pattern)
+    v_g, e_g = pattern.num_vertices, pattern.num_edges
+    if e_g == 1:
+        exponent = 1.0
+    elif is_balanced(pattern):
+        exponent = (v_g - 2) / (e_g - 1)
+    else:
+        return family, order, None, None
     if family == "general":
-        try:
-            if not is_balanced(pattern):
-                return family, order, None, None
-        except PatternError:
-            return family, order, None, None
         family = "general-balanced"
-    threshold = n ** (-_threshold_exponent(pattern, family, order))
+    threshold = n ** -exponent
     if p > cutoff:
         regime = "dense"
     elif p > threshold:
@@ -112,12 +108,12 @@ def wasserstein_bound(pattern: PatternGraph, n: int, p: float, model: WeightMode
 
 def regime_bound(pattern: PatternGraph, n: int, p: float, model: WeightModel,
                  cutoff: float = DEFAULT_CUTOFF) -> BoundReport:
-    """Three-regime bound for balanced patterns and the cycle/complete/tree families.
+    """Three-regime bound for balanced patterns (cycles, complete graphs and trees among them).
 
     dense (p > cutoff):       sqrt(E[X^4]) / (n sqrt(1-p) Var[X])
     mid (threshold < p <= c): sqrt(E[X^4]) / (n sqrt(p) E[X^2])
     low (p <= threshold):     sqrt(E[X^4]) / (n^{v_G/2} p^{e_G/2} E[X^2])
-    with the threshold n^{-(v_G-2)/(e_G-1)} specialized per family.
+    with the threshold n^{-(v_G-2)/(e_G-1)} (1/n for a single edge).
     """
     if not (0.0 < cutoff < 1.0):
         raise ValueError("cutoff must lie in (0, 1)")
@@ -127,8 +123,7 @@ def regime_bound(pattern: PatternGraph, n: int, p: float, model: WeightModel,
     family, order, regime, threshold = _detect_regime(pattern, n, p, cutoff)
     if regime is None:
         raise UnsupportedPatternError(
-            "pattern is outside the balance class and no special family applies; "
-            "use wasserstein_bound instead"
+            "pattern is outside the balance class; use wasserstein_bound instead"
         )
     sqrt_m4 = math.sqrt(model.fourth_raw)
     if regime == "dense":

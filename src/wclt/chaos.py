@@ -582,30 +582,6 @@ def derivative_slice(family: KernelFamily, block: int, cell: int, u) -> float:
     return float(derivative_values_many(family, np.asarray(u, dtype=float)[None, :])[0, t])
 
 
-def derivative_family(family: KernelFamily, block: int, cell: int) -> KernelFamily:
-    """The derivative at a fixed cell as a kernel family of its own.
-
-    Order j contributes j times the slice of kernel_j at the cell; the order-1
-    kernel contributes a constant.  Evaluating the returned family along a
-    path equals the (block, cell) entry of the derivative matrix.
-    """
-    if not family.is_block_centered:
-        raise ChaosError("derivative needs a block-centered family; apply block_center first")
-    t = block * family.grid.cells + cell
-    constant = 0.0
-    slices = []
-    for kern in family.kernels:
-        j = kern.order
-        sliced = Kernel(kern.grid, j - 1, kern.values[t] * float(j), validate=False)
-        if j == 1:
-            constant += float(sliced.values)
-        else:
-            slices.append(sliced)
-    if not slices:
-        return KernelFamily(family.grid, constant, [])
-    return family_from_kernels(slices, constant=constant)
-
-
 @dataclass(frozen=True)
 class SteinBoundTerms:
     """Explicit, absolutely comparable upper bound on the Wasserstein distance to normal."""

@@ -23,15 +23,7 @@ import numpy as np
 from . import chaos, graph_chaos
 from .bounds import regime_bound, wasserstein_bound, rate_term
 from .distance import wasserstein1_to_normal
-from .errors import (
-    AlignmentError,
-    ChaosError,
-    DegenerateConfigError,
-    PatternError,
-    ResourceLimitError,
-    UnsupportedPatternError,
-    WeightModelError,
-)
+from .errors import ChaosError, DegenerateConfigError, PatternError, ResourceLimitError
 from .graph_stats import (
     HostSample,
     check_sample_config,
@@ -100,18 +92,15 @@ def _parse_n_list(spec: str) -> list[int]:
 
 
 def _p_for(n: int, p: float | None, p_rule: str | None) -> float:
+    """--p, or p = c * n^-alpha under --p-rule pow:c,alpha (argparse allows one of them)."""
     if p_rule is None:
-        if p is None:
-            raise PatternError("either --p or --p-rule is required")
         return p
     kind, _, arg = p_rule.partition(":")
     try:
         params = [float(x) for x in arg.split(",")] if arg else []
     except ValueError:
         raise PatternError(f"bad --p-rule {p_rule!r}") from None
-    if kind == "const" and len(params) == 1:
-        return params[0]
-    if kind == "pow" and len(params) == 2:  # pow:c,alpha -> c * n^(-alpha)
+    if kind == "pow" and len(params) == 2:
         return params[0] * n ** (-params[1])
     raise PatternError(f"unknown --p-rule {p_rule!r}")
 
@@ -243,8 +232,10 @@ def _cmd_rate_sweep(args) -> int:
     model = parse_weight_model(args.weights)
     n_list = _parse_n_list(args.sweep_n)
     p_list = [_p_for(n, args.p, args.p_rule) for n in n_list]
-    for n, p in zip(n_list, p_list):
+    rates = []
+    for n, p in zip(n_list, p_list):  # every cap and rate term before the first sample
         check_sample_config(pattern, n, p)
+        rates.append(rate_term(pattern, n, p))
     config = {
         "subcommand": "rate-sweep",
         "pattern": args.pattern,
@@ -259,10 +250,9 @@ def _cmd_rate_sweep(args) -> int:
     buf.write(_config_comment(config))
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "p", "d_w", "rate_term", "ratio"])
-    for n, p in zip(n_list, p_list):
+    for n, p, rate in zip(n_list, p_list, rates):
         batch = normalized_samples(pattern, n, p, model, args.reps, args.seed)
         d_w = wasserstein1_to_normal(batch.normalized).w1
-        rate = rate_term(pattern, n, p)
         writer.writerow([n, repr(p), repr(d_w), repr(rate), repr(d_w / rate)])
     _emit(buf.getvalue(), args.out)
     return EXIT_OK
@@ -423,9 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_pattern_opts(p_sweep)
     p_sweep.add_argument("--sweep-n", required=True, dest="sweep_n",
                          help="comma-separated host sizes, e.g. 10,20,40")
-    p_sweep.add_argument("--p", type=float, default=None)
-    p_sweep.add_argument("--p-rule", default=None, dest="p_rule",
-                         help="const:p or pow:c,alpha for p = c * n^-alpha")
+    p_choice = p_sweep.add_mutually_exclusive_group(required=True)
+    p_choice.add_argument("--p", type=float, default=None, help="one p for every host")
+    p_choice.add_argument("--p-rule", default=None, dest="p_rule",
+                          help="pow:c,alpha for p = c * n^-alpha")
     p_sweep.add_argument("--reps", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", default=None)
@@ -439,17 +430,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PatternError, WeightModelError, AlignmentError, ChaosError,
-            UnsupportedPatternError, ValueError) as exc:
-        if isinstance(exc, DegenerateConfigError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DEGENERATE
+    except DegenerateConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ResourceLimitError as exc:
+        return EXIT_DEGENERATE
+    except (ResourceLimitError, MemoryError) as exc:  # a cap, or an allocation that failed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except OSError as exc:  # an unreadable input or unwritable output path
+    except (ValueError, OSError) as exc:  # also an unreadable input or unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

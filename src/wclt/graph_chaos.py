@@ -19,7 +19,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .chaos import GridSpec, Kernel, KernelFamily, block_center
+from .chaos import GridSpec, Kernel, KernelFamily
 from .errors import AlignmentError, ResourceLimitError
 from .graph_stats import exact_mean
 from .patterns import PatternGraph, complete_graph_edges, enumerate_copies
@@ -105,8 +105,10 @@ def graph_weight_family(pattern: PatternGraph, n: int, p: float, model: WeightMo
                         cells: int) -> KernelFamily:
     """Chaos family of the combined pattern weight on the host with n vertices.
 
-    The order-k kernel is the local factor times the completion count of the
-    blocks, centered per block; the constant term is the exact mean.
+    The order-k kernel is the completion count of the blocks times the
+    centered local factor: block-centering acts on the cell axes only, so
+    centering the factor centers the product.  The constant term is the
+    exact mean.
     """
     e_g = pattern.num_edges
     if e_g > MAX_PATTERN_EDGES:
@@ -120,7 +122,7 @@ def graph_weight_family(pattern: PatternGraph, n: int, p: float, model: WeightMo
     copies = _copies_in_kn(pattern, n)
     kernels = []
     for k in range(1, e_g + 1):
-        local = local_weight_kernel(model, p, cells, e_g, k)
+        local = center_local_kernel(local_weight_kernel(model, p, cells, e_g, k))
         counts = _completion_counts(copies, n_blocks, e_g, k)
         outer = np.multiply.outer(counts, local)
         # interleave (block, cell) axis pairs, then flatten to global cell indices
@@ -128,7 +130,7 @@ def graph_weight_family(pattern: PatternGraph, n: int, p: float, model: WeightMo
         for i in range(k):
             axes.extend([i, k + i])
         full = outer.transpose(axes).reshape((grid.size,) * k)
-        kernels.append(block_center(Kernel(grid, k, full)))
+        kernels.append(Kernel(grid, k, full))
     constant = exact_mean(pattern, n, p, model)
     return KernelFamily(grid, constant, kernels)
 

@@ -171,6 +171,12 @@ def edge_subgraph_profiles(pattern: PatternGraph) -> list[SubgraphProfile]:
     number of incident vertices, so no profile carries isolated vertices.
     Multiplicities over all profiles sum to 2^e - 1.
     """
+    return list(_profile_table(pattern))
+
+
+@lru_cache(maxsize=None)
+def _profile_table(pattern: PatternGraph) -> tuple[SubgraphProfile, ...]:
+    """The profiles, enumerated once per pattern over all 2^e - 1 edge subsets."""
     e = pattern.num_edges
     if e < 1:
         raise PatternError("pattern needs at least one edge")
@@ -186,7 +192,7 @@ def edge_subgraph_profiles(pattern: PatternGraph) -> list[SubgraphProfile]:
                 verts.add(v)
             key = (len(verts), size)
             counts[key] = counts.get(key, 0) + 1
-    return [SubgraphProfile(v_h, e_h, mult) for (v_h, e_h), mult in sorted(counts.items())]
+    return tuple(SubgraphProfile(v_h, e_h, mult) for (v_h, e_h), mult in sorted(counts.items()))
 
 
 def beta(pattern: PatternGraph) -> Fraction:
@@ -225,14 +231,13 @@ def min_subgraph_term(pattern: PatternGraph, n: int, p: float) -> float:
 
 
 def log_max_variance_term(pattern: PatternGraph, n: int, p: float) -> float:
-    """log of max over profiles of n^{2 v_G - v_H} p^{2 e_G - e_H}."""
-    _check_np(pattern, n, p)
-    ln_n, ln_p = math.log(n), math.log(p)
-    v_g, e_g = pattern.num_vertices, pattern.num_edges
-    return max(
-        (2 * v_g - prof.v_h) * ln_n + (2 * e_g - prof.e_h) * ln_p
-        for prof in edge_subgraph_profiles(pattern)
-    )
+    """log of max over profiles of n^{2 v_G - v_H} p^{2 e_G - e_H}.
+
+    The maximum is attained at the profile of the minimal subgraph term, so
+    this is 2 (v_G ln n + e_G ln p) - log_min_subgraph_term.
+    """
+    log_min = log_min_subgraph_term(pattern, n, p)
+    return 2 * (pattern.num_vertices * math.log(n) + pattern.num_edges * math.log(p)) - log_min
 
 
 def max_variance_term(pattern: PatternGraph, n: int, p: float) -> float:

@@ -11,6 +11,8 @@ from itertools import combinations
 import numpy as np
 
 from wclt import rng
+from wclt.chaos import Kernel, KernelFamily, family_from_kernels
+from wclt.errors import ChaosError
 from wclt.graph_stats import HostSample
 from wclt.patterns import complete_graph_edges, enumerate_copies
 
@@ -120,3 +122,27 @@ def gathered_derivative(family, idx: np.ndarray, *, unit_weights: bool = False) 
         for combo in combinations(range(blocks), j - 1):
             out += coef * kern.values[(slice(None),) + tuple(idx[:, b] for b in combo)].T
     return out
+
+
+def derivative_family(family, block: int, cell: int):
+    """The derivative at a fixed cell as a kernel family of its own.
+
+    Order j contributes j times the slice of kernel_j at the cell; the order-1
+    kernel contributes a constant.  Evaluating the returned family along a
+    path equals the (block, cell) entry of the derivative matrix.
+    """
+    if not family.is_block_centered:
+        raise ChaosError("derivative needs a block-centered family; apply block_center first")
+    t = block * family.grid.cells + cell
+    constant = 0.0
+    slices = []
+    for kern in family.kernels:
+        j = kern.order
+        sliced = Kernel(kern.grid, j - 1, kern.values[t] * float(j), validate=False)
+        if j == 1:
+            constant += float(sliced.values)
+        else:
+            slices.append(sliced)
+    if not slices:
+        return KernelFamily(family.grid, constant, [])
+    return family_from_kernels(slices, constant=constant)

@@ -1,9 +1,11 @@
 """Rate terms, family classification, and the regime-split bounds."""
 
 import math
+from itertools import combinations
 
 import pytest
 
+from wclt import patterns
 from wclt.bounds import classify_family, rate_term, regime_bound, wasserstein_bound
 from wclt.errors import DegenerateConfigError, PatternError, UnsupportedPatternError
 from wclt.patterns import PatternGraph, named_pattern
@@ -98,8 +100,36 @@ class TestRegimeBound:
         assert rep.bound_value == pytest.approx(math.sqrt(1 / 5) / (100 * math.sqrt(0.2) * (1 / 3)))
 
     def test_cycle_threshold(self):
-        rep = regime_bound(named_pattern("cycle:5"), 100, 0.05, Uniform(1.0))
-        assert rep.regime_threshold == pytest.approx(100 ** (-3 / 4))
+        # the balance formula n^{-(v_G-2)/(e_G-1)} gives each family's classical
+        # exponent exactly: cycles (r-2)/(r-1), complete graphs 2/(r+1), trees 1
+        exponents = {"triangle": 1 / 2}
+        exponents.update({f"cycle:{r}": (r - 2) / (r - 1) for r in range(3, 11)})
+        exponents.update({f"complete:{r}": 2 / (r + 1) for r in range(3, 7)})
+        exponents.update({f"path:{r}": 1.0 for r in range(2, 11)})
+        exponents.update({f"star:{r}": 1.0 for r in range(1, 10)})
+        for name, exponent in exponents.items():
+            pattern = named_pattern(name)
+            for n in (8, 10, 50, 200):
+                if n < pattern.num_vertices:
+                    continue
+                rep = regime_bound(pattern, n, 0.05, Uniform(1.0))
+                assert rep.regime_threshold == n ** -exponent, (name, n)
+
+    def test_profiles_enumerated_once(self, monkeypatch):
+        pattern = named_pattern("complete:5")
+        sizes = []
+
+        def counting(iterable, r):
+            sizes.append(r)
+            return combinations(iterable, r)
+
+        patterns._profile_table.cache_clear()
+        monkeypatch.setattr(patterns, "combinations", counting)
+        for i in range(32):
+            n, p = 8 + i, 0.05 + 0.025 * i
+            regime_bound(pattern, n, p, Uniform(1.0))
+            wasserstein_bound(pattern, n, p, Uniform(1.0))
+        assert sizes.count(pattern.num_edges) == 1  # one pass over the edge subsets
 
     def test_constant_dense_degenerate(self):
         with pytest.raises(DegenerateConfigError):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import gathered_block_sum, gathered_derivative, gathered_integral
+from oracles import derivative_family, gathered_block_sum, gathered_derivative, gathered_integral
 from wclt.chaos import (
     EVAL_CHUNK_ROWS,
     EXACT_TOL,
@@ -21,7 +21,6 @@ from wclt.chaos import (
     contraction_inequality_check,
     contraction_norm_bound,
     derivative_energy_identity,
-    derivative_family,
     derivative_slice,
     derivative_values_many,
     family_from_kernels,

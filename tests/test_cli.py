@@ -166,6 +166,15 @@ class TestSimulateCommand:
         assert "host capped at 64 vertices" in res.stderr
         assert not out.exists()
 
+    def test_failed_allocation_resource_error(self, tmp_path):
+        # 10^16 replicates ask for 71 PiB at once, refused on any machine
+        out = tmp_path / "s.csv"
+        res = run_cli("simulate", "--pattern", "triangle", "--n", "10", "--p", "0.5",
+                      "--weights", "unif:1", "--reps", "10000000000000000", "--out", str(out))
+        assert res.returncode == 4
+        assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+        assert not out.exists()
+
     def test_uneliminable_pattern_copy_cap_resource_error(self, tmp_path):
         # complete:8 has no elimination order; the sampler's work grows with
         # the C(64, 8) copies of K_64
@@ -282,6 +291,14 @@ class TestRateSweepCommand:
         assert res.returncode == 4
         assert "K_10 holds 113400" in res.stderr
         assert not out.exists()
+        # n = 7 samples fine, but the 21-edge profile cap of the rate term
+        # decides before it, not the degenerate p once n = 7 is sampled
+        res = run_cli("rate-sweep", "--pattern", "complete:7", "--weights", "const:1",
+                      "--sweep-n", "7,8", "--p", "0.9999999999999999", "--reps", "10",
+                      "--out", str(out))
+        assert res.returncode == 4
+        assert "profile enumeration capped at 20 edges" in res.stderr
+        assert not out.exists()
 
     def test_zero_reps_usage_error(self, tmp_path):
         # rejected before any host is sampled, not by the distance of an empty sample
@@ -307,3 +324,12 @@ class TestRateSweepCommand:
         p_values = [float(r.split(",")[1]) for r in rows]
         assert p_values[0] == pytest.approx(8**-0.5)
         assert p_values[1] == pytest.approx(12**-0.5)
+
+    @pytest.mark.parametrize("p_args", [("--p", "0.3", "--p-rule", "pow:1,0.5"),
+                                        ("--p-rule", "const:0.5")])
+    def test_one_way_to_set_p(self, tmp_path, p_args):
+        out = tmp_path / "sweep.csv"
+        res = run_cli("rate-sweep", "--pattern", "triangle", "--weights", "unif:1",
+                      "--sweep-n", "8,12", *p_args, "--reps", "20", "--out", str(out))
+        assert res.returncode == 2
+        assert not out.exists()

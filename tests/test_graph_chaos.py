@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from wclt.chaos import PATHWISE_TOL, random_paths
+from wclt.chaos import PATHWISE_TOL, Kernel, block_center, random_paths
 from wclt.errors import AlignmentError, ResourceLimitError
 from wclt.graph_chaos import (
+    _completion_counts,
+    _copies_in_kn,
     center_local_kernel,
     graph_weight_family,
     local_kernel_norms,
@@ -92,6 +94,24 @@ class TestGraphFamily:
     def test_kernels_block_centered(self):
         fam = graph_weight_family(TRIANGLE, 3, 0.5, Constant(1.0), cells=2)
         assert fam.is_block_centered
+
+    @pytest.mark.parametrize("name,n,model,p,cells", [
+        ("triangle", 4, TwoPoint(1.0, 3.0, 0.5), 0.5, 4),
+        ("path:3", 5, Constant(2.0), 0.25, 8),
+        ("path:4", 5, Uniform(1.0), 0.5, 2),
+    ])
+    def test_kernels_match_block_centered_product(self, name, n, model, p, cells):
+        # centering the local factor equals block-centering the dense product
+        pattern = named_pattern(name)
+        e_g = pattern.num_edges
+        fam = graph_weight_family(pattern, n, p, model, cells)
+        for k, kern in enumerate(fam.kernels, start=1):
+            counts = _completion_counts(_copies_in_kn(pattern, n), fam.grid.blocks, e_g, k)
+            local = local_weight_kernel(model, p, cells, e_g, k)
+            interleaved = [a for i in range(k) for a in (i, k + i)]
+            dense = np.multiply.outer(counts, local).transpose(interleaved)
+            centered = block_center(Kernel(fam.grid, k, dense.reshape((fam.grid.size,) * k)))
+            assert np.array_equal(kern.values, centered.values)
 
 
 class TestLocalKernels:
