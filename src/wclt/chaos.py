@@ -282,8 +282,9 @@ def contraction_inequality_check(f: Kernel, g: Kernel, k: int, l: int) -> Contra
 
 # -- multiple-integral evaluation -------------------------------------------
 
-# Paths per evaluation chunk: small enough that a chunk's gathers stay in cache.
-EVAL_CHUNK_ROWS = 8192
+# Paths per evaluation chunk: small enough that a chunk's gathers stay in cache,
+# large enough that two threads gain more than their lock handoffs cost.
+EVAL_CHUNK_ROWS = 16384
 
 
 def _local_cells(grid: GridSpec, u: np.ndarray) -> np.ndarray:
@@ -299,56 +300,68 @@ def path_cells(grid: GridSpec, u: np.ndarray) -> np.ndarray:
     return _local_cells(grid, u) + np.arange(grid.blocks, dtype=np.int64) * grid.cells
 
 
-def _block_tables(values: np.ndarray, r: int, grid: GridSpec) -> list[np.ndarray]:
-    """Block tables of a symmetric array, one per r-combination of blocks.
+_BlockTables = list[tuple[tuple[int, ...], list[tuple[slice, np.ndarray]]]]
+
+
+def _block_tables(values: np.ndarray, r: int, grid: GridSpec) -> _BlockTables:
+    """Nonzero block tables of a symmetric array, per r-combination of blocks.
 
     For the combination (b_1, ..., b_r), in ``combinations`` order, the
     leading r axes of values are cut to the cells of those blocks and
-    flattened: a small contiguous table of cells**r rows over the remaining
-    axes, row c_1 M^{r-1} + ... + c_r holding values[b_1 M + c_1, ..., b_r M + c_r].
+    flattened into a last axis of cells**r codes, code c_1 M^{r-1} + ... + c_r
+    holding values[b_1 M + c_1, ..., b_r M + c_r].  An array with one more
+    axis (the cell t of a derivative) puts t first and is cut along it into
+    column blocks of M cells, each a contiguous (M, cells**r) table.
+    All-zero tables are dropped: a combination keeps (columns, table) pairs
+    for its nonzero parts only, and one with none is left out.
     """
     m = grid.cells
-    shape = (m**r,) + values.shape[r:]
-    return [np.ascontiguousarray(values[tuple(slice(b * m, (b + 1) * m) for b in combo)])
-            .reshape(shape) for combo in combinations(range(grid.blocks), r)]
+    if values.ndim == r:
+        column_blocks = [slice(None)]
+    else:
+        column_blocks = [slice(b * m, (b + 1) * m) for b in range(grid.blocks)]
+    kept = []
+    for combo in combinations(range(grid.blocks), r):
+        codes = values[tuple(slice(b * m, (b + 1) * m) for b in combo)]
+        codes = codes.reshape((m**r,) + values.shape[r:]).T
+        parts = [(cols, np.ascontiguousarray(codes[cols]))
+                 for cols in column_blocks if codes[cols].any()]
+        if parts:
+            kept.append((combo, parts))
+    return kept
 
 
-def _combo_codes(loc: np.ndarray, r: int, cells: int):
-    """Per r-combination of blocks, in ``combinations`` order, every path's
-    local-cell code c_1 M^{r-1} + ... + c_r; ``loc`` is (blocks, paths)."""
-    blocks, n_paths = loc.shape
-    if r == 0:
-        yield np.zeros(n_paths, dtype=np.int64)
-        return
-
-    def extend(start: int, depth: int, base):
-        for b in range(start, blocks - r + depth + 1):
-            code = loc[b] if base is None else base + loc[b]
-            if depth == r - 1:
-                yield code
-            else:
-                yield from extend(b + 1, depth + 1, code * cells)
-
-    yield from extend(0, 0, None)
-
-
-def _gather_sum(tables: list[np.ndarray], loc: np.ndarray, r: int, cells: int,
+def _gather_sum(tables: _BlockTables, loc: np.ndarray, r: int, cells: int,
                 out: np.ndarray) -> np.ndarray:
-    """Sum over the r-combinations of blocks of the table row at each path's code.
+    """Sum over the r-combinations of blocks of the table entry at each path's code.
 
     For the tables of a symmetric order-r array this is its sum over distinct
-    block r-sets at the path cells; for an order-(r + 1) kernel it is, per
-    cell t, the sum over r-sets of kernel(t, path cells).  ``out`` has one row
-    per path and is overwritten.
+    block r-sets at the path cells, one value per path; for an order-(r + 1)
+    kernel it is, per cell t, the sum over r-sets of kernel(t, path cells),
+    with ``out`` laid out (cells, paths).  ``loc`` holds the local cells as
+    (blocks, paths); ``out`` is overwritten.  A code is formed only for kept
+    combinations, and each part adds into its own rows of ``out``; the
+    dropped tables hold only zeros, so every nonzero addend keeps its order.
     """
-    buf = np.empty_like(out)
     out.fill(0.0)
-    for table, code in zip(tables, _combo_codes(loc, r, cells)):
-        out += np.take(table, code, axis=0, out=buf)
+    if not tables:
+        return out
+    n_paths = loc.shape[1]
+    buf = np.empty(tables[0][1][0][1].shape[:-1] + (n_paths,))
+    digits = [loc * cells ** (r - 1 - i) for i in range(r)]
+    code = np.zeros(n_paths, dtype=np.int64)  # the one code of r = 0
+    for combo, parts in tables:
+        if r:
+            code = digits[0][combo[0]]
+            for i in range(1, r):
+                code = code + digits[i][combo[i]]
+        for cols, table in parts:
+            target = out[cols]
+            target += np.take(table, code, axis=-1, out=buf)
     return out
 
 
-def _integral_tables(kernels, grid: GridSpec) -> list[tuple[int, list[np.ndarray]]]:
+def _integral_tables(kernels, grid: GridSpec) -> list[tuple[int, _BlockTables]]:
     """(r, block tables of A_r) such that the sum of the kernels' integrals is
     the sum over r of r! times the distinct-block-set sum of A_r.
 
@@ -534,7 +547,7 @@ def slice_kernel(kernel: Kernel, cell: int) -> Kernel:
     return Kernel(kernel.grid, kernel.order - 1, kernel.values[cell], validate=False)
 
 
-def _derivative_tables(family: KernelFamily) -> list[tuple[int, list[np.ndarray]]]:
+def _derivative_tables(family: KernelFamily) -> list[tuple[int, _BlockTables]]:
     """(j, block tables of the order-j kernel over its first j - 1 axes), nonzero kernels only."""
     return [(k.order, _block_tables(k.values, k.order - 1, family.grid))
             for k in family.kernels if k.values.any()]
@@ -543,11 +556,12 @@ def _derivative_tables(family: KernelFamily) -> list[tuple[int, list[np.ndarray]
 def _derivative_pieces(grid: GridSpec, tables, loc: np.ndarray):
     """Yield (j, D_j) per order, where j * D_j is the order-j part of the derivative.
 
-    D_j(p, t) = (j-1)! times the sum, over (j-1)-sets of blocks, of kernel_j at
-    t and the path's cells in those blocks; a (paths, cells) matrix that is
-    overwritten by the next order, so use it before resuming.
+    D_j(t, p) = (j-1)! times the sum, over (j-1)-sets of blocks, of kernel_j at
+    t and the path's cells in those blocks; a (cells, paths) matrix, so each
+    column block of a table adds into contiguous rows.  It is overwritten by
+    the next order, so use it before resuming.
     """
-    piece = np.empty((loc.shape[1], grid.size))
+    piece = np.empty((grid.size, loc.shape[1]))
     for j, kernel_tables in tables:
         _gather_sum(kernel_tables, loc, j - 1, grid.cells, piece)
         if j > 2:
@@ -569,17 +583,10 @@ def derivative_values_many(family: KernelFamily, u: np.ndarray, *,
     u = np.atleast_2d(np.asarray(u, dtype=float))
     grid = family.grid
     loc = np.ascontiguousarray(_local_cells(grid, u).T)
-    out = np.zeros((u.shape[0], grid.size))
+    out = np.zeros((grid.size, u.shape[0]))
     for j, piece in _derivative_pieces(grid, _derivative_tables(family), loc):
         out += piece if unit_weights else j * piece
-    return out
-
-
-def derivative_slice(family: KernelFamily, block: int, cell: int, u) -> float:
-    """Derivative at one grid cell for a single path."""
-    grid = family.grid
-    t = block * grid.cells + cell
-    return float(derivative_values_many(family, np.asarray(u, dtype=float)[None, :])[0, t])
+    return np.ascontiguousarray(out.T)
 
 
 @dataclass(frozen=True)
@@ -647,13 +654,16 @@ def stein_bound_terms(family: KernelFamily, n_paths: int, seed: int) -> SteinBou
     def work(lo: int, hi: int) -> None:
         u = random_paths(seed, hi - lo, grid.blocks, first=lo)
         loc = np.ascontiguousarray(_local_cells(grid, u).T)
-        d = np.zeros((hi - lo, grid.size))
+        d = np.zeros((grid.size, hi - lo))
         d_inv = np.zeros_like(d)
         for j, piece in _derivative_pieces(grid, tables, loc):
             d_inv += piece
             piece *= j
             d += piece
-        inner[lo:hi] = np.einsum("ij,ij->i", d, d_inv) * half_w
+        # the cell sums run over contiguous (paths, cells) rows, as einsum
+        # orders them there, so they do not depend on the gather layout
+        d = np.ascontiguousarray(d.T)
+        inner[lo:hi] = np.einsum("ij,ij->i", d, np.ascontiguousarray(d_inv.T)) * half_w
         d *= d
         fourth[lo:hi] = np.einsum("ij,ij->i", d, d)
 

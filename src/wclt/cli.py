@@ -429,6 +429,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # simulate, chaos-verify, rate-sweep: before any work
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except DegenerateConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,6 @@ from wclt.chaos import (
     contraction_inequality_check,
     contraction_norm_bound,
     derivative_energy_identity,
-    derivative_slice,
     derivative_values_many,
     family_from_kernels,
     half_inner,
@@ -46,8 +45,12 @@ from wclt.chaos import (
     ustat_chaos_decomposition,
     ustat_eval_many,
     zero_kernel,
+    _block_tables,
 )
 from wclt.errors import ChaosError
+from wclt.graph_chaos import graph_weight_family
+from wclt.patterns import named_pattern
+from wclt.weights import parse_weight_model
 
 
 def rademacher_kernel(blocks: int = 1, cells: int = 2, scale: float = 1.0) -> Kernel:
@@ -298,8 +301,10 @@ class TestOperators:
         f = rademacher_kernel(blocks=2)
         fam = family_from_kernels([f])
         u = np.array([0.3, -0.4])
-        assert derivative_slice(fam, 0, 0, u) == pytest.approx(1.0)
-        assert derivative_slice(fam, 1, 1, u) == pytest.approx(-1.0)
+        d = derivative_values_many(fam, u)
+        assert d.shape == (1, 4)
+        assert d[0, 0] == pytest.approx(1.0)
+        assert d[0, 3] == pytest.approx(-1.0)
 
     def test_derivative_family_matches_matrix(self):
         grid = GridSpec(3, 2)
@@ -461,6 +466,33 @@ def assert_matches_gather(new, old):
 GATHER_GRIDS = [(1, 1), (1, 3), (2, 1), (2, 4), (3, 2), (4, 1), (5, 3), (6, 4)]
 
 
+def zeroed_block_tuples(kern: Kernel) -> Kernel:
+    """The kernel with every block tuple whose block sum is a multiple of 3 set to zero.
+
+    The mask is symmetric and acts on whole block tuples, so a block-centered
+    kernel stays block centered.
+    """
+    grid = kern.grid
+    block_of = np.arange(grid.size) // grid.cells
+    keep = sum(np.ix_(*[block_of] * kern.order)) % 3 != 0
+    return Kernel(grid, kern.order, kern.values * keep, validate=False)
+
+
+def graph_family(pattern: str, n: int, weights: str, p: float, cells: int) -> KernelFamily:
+    return graph_weight_family(named_pattern(pattern), n, p, parse_weight_model(weights), cells)
+
+
+SPARSE_FAMILIES = {
+    "triangle-n4": lambda: graph_family("triangle", 4, "twopoint:1,3,0.5", 0.5, 4),
+    "triangle-n5": lambda: graph_family("triangle", 5, "twopoint:1,3,0.5", 0.5, 4),
+    "path3-n5": lambda: graph_family("path:3", 5, "const:2", 0.25, 8),
+    "zeroed-tuples": lambda: family_from_kernels(
+        [zeroed_block_tuples(random_kernel(GridSpec(6, 3), j, seed=2100 + j)) for j in (1, 2, 3)]),
+    "all-zero": lambda: KernelFamily(GridSpec(4, 2), 0.5,
+                                     [zero_kernel(GridSpec(4, 2), j) for j in (1, 2, 3)]),
+}
+
+
 class TestBlockTableGather:
     @pytest.mark.parametrize("blocks,cells", GATHER_GRIDS)
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -493,27 +525,63 @@ class TestBlockTableGather:
         assert_matches_gather(fam.eval_many(u),
                               0.25 + sum(gathered_integral(k, idx) for k in kernels))
 
+    @pytest.mark.parametrize("name", sorted(SPARSE_FAMILIES))
+    def test_sparse_tables_match_fancy_index(self, name):
+        # families with all-zero block tables and zero column blocks; the
+        # plain block sums add the same values in the same order, so they agree
+        # exactly, while the oracle integrals and derivatives scale before summing
+        fam = SPARSE_FAMILIES[name]()
+        u = random_paths(2000, 300, fam.grid.blocks)
+        idx = path_cells(fam.grid, u)
+        for kern in fam.kernels:
+            assert np.array_equal(ustat_eval_many(kern, u),
+                                  gathered_block_sum(kern.values, idx, kern.order))
+            assert_matches_gather(integral_eval_many(kern, u), gathered_integral(kern, idx))
+        assert_matches_gather(fam.eval_many(u),
+                              fam.constant + sum(gathered_integral(k, idx) for k in fam.kernels))
+        for unit in (False, True):
+            assert_matches_gather(derivative_values_many(fam, u, unit_weights=unit),
+                                  gathered_derivative(fam, idx, unit_weights=unit))
+
+    def test_block_tables_drop_zero_parts(self):
+        # triangle at n = 5: a pair of host edges lies in a triangle only when
+        # the edges meet, and then with one third edge
+        fam = SPARSE_FAMILIES["triangle-n5"]()
+        top = fam.kernels[2].values
+        integral = _block_tables(top, 3, fam.grid)
+        derivative = _block_tables(top, 2, fam.grid)
+        assert len(integral) == 10
+        assert len(derivative) == 30
+        assert all(len(parts) == 1 for _, parts in derivative)
+        for _, parts in integral + derivative:
+            assert all(table.any() for _, table in parts)
+        assert _block_tables(np.zeros_like(top), 2, fam.grid) == []
+
     def test_results_independent_of_thread_count(self, monkeypatch):
         # at least 3 chunks each; 4 threads on fewer cores with a short switch
         # interval, so a write outside a chunk's own rows would show
         grid = GridSpec(10, 4)
-        fam = family_from_kernels([random_kernel(grid, j, seed=1950 + j) for j in (1, 2, 3)])
+        graph = SPARSE_FAMILIES["triangle-n5"]()
+        assert graph.grid == grid
+        families = [family_from_kernels([random_kernel(grid, j, seed=1950 + j) for j in (1, 2, 3)]),
+                    KernelFamily(grid, 0.0, graph.kernels)]
         n_paths = 15_001
         u = random_paths(1960, 3 * EVAL_CHUNK_ROWS + 1, grid.blocks)
         assert n_paths > 3 * (STEIN_CHUNK_ENTRIES // grid.size)
-        results = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for threads in ("1", "2", "4"):
-                monkeypatch.setenv("WCLT_THREADS", threads)
-                results[threads] = (stein_bound_terms(fam, n_paths, seed=1961).to_dict(),
-                                    fam.eval_many(u))
+            for fam in families:
+                results = {}
+                for threads in ("1", "2", "4"):
+                    monkeypatch.setenv("WCLT_THREADS", threads)
+                    results[threads] = (stein_bound_terms(fam, n_paths, seed=1961).to_dict(),
+                                        fam.eval_many(u))
+                for threads in ("2", "4"):
+                    assert results[threads][0] == results["1"][0]
+                    assert np.array_equal(results[threads][1], results["1"][1])
         finally:
             sys.setswitchinterval(interval)
-        for threads in ("2", "4"):
-            assert results[threads][0] == results["1"][0]
-            assert np.array_equal(results[threads][1], results["1"][1])
 
 
 class TestProductExpansion:

@@ -333,3 +333,20 @@ class TestRateSweepCommand:
                       "--sweep-n", "8,12", *p_args, "--reps", "20", "--out", str(out))
         assert res.returncode == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "--pattern", "nonagon", "--weights", "unif:1", "--n", "6", "--p", "0.5",
+     "--reps", "10", "--meta", "{meta}"),
+    ("rate-sweep", "--pattern", "triangle", "--weights", "unif:1", "--sweep-n", "6,65",
+     "--p", "0.5", "--reps", "10"),
+    ("chaos-verify", "--grid", "300,1"),
+])
+def test_negative_seed_rejected_at_entry(tmp_path, command):
+    # each command would otherwise fail later and differently (unknown pattern,
+    # host cap, grid cap), so the seed is checked before any of its work
+    out, meta = tmp_path / "out", tmp_path / "meta.json"
+    res = run_cli(*(arg.format(meta=meta) for arg in command), "--seed", "-1", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr == "error: --seed must be nonnegative, got -1\n"
+    assert not out.exists() and not meta.exists()
