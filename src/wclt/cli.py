@@ -206,8 +206,13 @@ def _read_normalized_column(path: str) -> list[float]:
         if reader.fieldnames is None or "normalized" not in reader.fieldnames:
             raise PatternError(f"samples file {path!r} has no 'normalized' column")
         values = []
-        for row in reader:
-            values.append(float(row["normalized"]))
+        for i, row in enumerate(reader, 1):
+            value = row["normalized"]  # None when the row is too short
+            try:
+                values.append(float(value))
+            except (TypeError, ValueError):
+                raise PatternError(f"samples file {path!r}, data row {i}: no number in "
+                                   f"the 'normalized' column ({value!r})") from None
     return values
 
 
@@ -438,7 +443,8 @@ def main(argv=None) -> int:
     except (ResourceLimitError, MemoryError) as exc:  # a cap, or an allocation that failed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, OSError) as exc:  # also an unreadable input or unwritable output path
+    except (ValueError, OverflowError, OSError) as exc:
+        # also an int too large for a float, an unreadable input or an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

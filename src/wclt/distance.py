@@ -3,25 +3,44 @@
 The distance equals the area between the empirical CDF and the normal CDF.
 Both curves are integrated in closed form piece by piece (the normal CDF has
 the antiderivative x*cdf(x) + pdf(x)), so the only numerical error is the
-CDF accuracy itself.
+CDF accuracy itself.  The CDF is 0.5 * erfc(-x * sqrt(1/2)) from ``math.erfc``
+and its inverse is ``statistics.NormalDist().inv_cdf``, both at double
+precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
+_SQRT_HALF = math.sqrt(0.5)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _U_FLOOR = 1e-300
 _U_CEIL = 1.0 - 1e-16
+_inv_cdf = NormalDist().inv_cdf
+
+
+def _map(fn, x: np.ndarray) -> np.ndarray:
+    """A scalar float function applied to every entry of a float array."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _cdf(x: np.ndarray) -> np.ndarray:
+    return 0.5 * _map(math.erfc, -_SQRT_HALF * x)
+
+
+def _cdf_antiderivative(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """A(x) = x * cdf(x) + pdf(x), from cdf(x); A' = cdf, A(-inf) = 0."""
+    return x * cdf + normal_pdf(x)
 
 
 def normal_cdf(x):
     """Standard normal CDF; accepts scalars or arrays."""
-    return special.ndtr(x)
+    out = _cdf(np.asarray(x, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 def normal_pdf(x):
@@ -33,14 +52,7 @@ def normal_pdf(x):
 def normal_quantile(u):
     """Inverse standard normal CDF with clamped tails; scalars or arrays."""
     u = np.clip(np.asarray(u, dtype=float), _U_FLOOR, _U_CEIL)
-    out = special.ndtri(u)
-    return float(out) if out.ndim == 0 else out
-
-
-def _cdf_antiderivative(x):
-    """A(x) = x * cdf(x) + pdf(x); A' = cdf, A(-inf) = 0."""
-    x = np.asarray(x, dtype=float)
-    out = x * special.ndtr(x) + _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    out = _map(_inv_cdf, u)
     return float(out) if out.ndim == 0 else out
 
 
@@ -54,13 +66,42 @@ class DistanceResult:
         return asdict(self)
 
 
+def _half_line(neg: np.ndarray, m: int) -> float:
+    """Integral over (-inf, 0] of |F - cdf|, F the empirical CDF of a sample of size m.
+
+    neg holds the sample's values <= 0, sorted.  Between consecutive values
+    a <= b (the last piece ends at 0) F is constant q = i/m.  The normal CDF
+    lies above q on the whole piece when cdf(a) >= q, below it when
+    cdf(b) <= q, and otherwise crosses it once, at the normal quantile x* of
+    q; each case integrates in closed form, so the quantile is needed on the
+    crossing pieces only.  Where cdf(a) rounds to q the crossing formula at
+    x* = a equals the first case, so a rounding tie cannot change the sum.
+    """
+    ends = np.append(neg, 0.0)
+    cdf = _cdf(ends)
+    anti = _cdf_antiderivative(ends, cdf)
+    a, b = ends[:-1], ends[1:]
+    aa, ab = anti[:-1], anti[1:]
+    q = np.arange(1, ends.size, dtype=float) / m
+    below = cdf[:-1] >= q    # cdf >= q on the whole piece
+    above = cdf[1:] <= q     # cdf <= q on the whole piece
+    piece = np.where(below, (ab - aa) - q * (b - a), q * (b - a) - (ab - aa))
+    cross = np.flatnonzero(~(below | above))
+    qc = q[cross]
+    x_star = _map(_inv_cdf, qc)
+    piece[cross] = (qc * (2.0 * x_star - a[cross] - b[cross]) + aa[cross] + ab[cross]
+                    - 2.0 * _cdf_antiderivative(x_star, _cdf(x_star)))
+    return float(anti[0]) + float(piece.sum())    # anti[0]: integral of cdf left of ends[0]
+
+
 def wasserstein1_to_normal(samples) -> DistanceResult:
     """Exact integral of |empirical CDF - normal CDF| over the real line.
 
-    Between consecutive order statistics the empirical CDF is constant i/m;
-    the integrand changes sign at most once there, at the normal quantile of
-    i/m, so each piece integrates in closed form.  Tails use the same
-    antiderivative, with no truncation.
+    By the normal's symmetry the integral over [0, inf) equals the integral
+    over (-inf, 0] for the mirrored sample -x, so both halves are computed
+    where the normal CDF is at most 1/2: there the CDF and its antiderivative
+    are small and carry small absolute rounding errors, which a CDF near 1
+    would not.  Tails use the same antiderivative, with no truncation.
     """
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size == 0:
@@ -70,22 +111,6 @@ def wasserstein1_to_normal(samples) -> DistanceResult:
 
     xs = np.sort(arr)
     m = xs.size
-    total = float(_cdf_antiderivative(xs[0]))          # left tail: integral of cdf
-    total += float(_cdf_antiderivative(xs[-1]) - xs[-1])  # right tail: integral of 1 - cdf
-
-    if m > 1:
-        a = xs[:-1]
-        b = xs[1:]
-        q = np.arange(1, m, dtype=float) / m
-        x_star = special.ndtri(q)
-        aa = _cdf_antiderivative(a)
-        ab = _cdf_antiderivative(b)
-        below = x_star <= a      # cdf >= q on the whole piece
-        above = x_star >= b      # cdf <= q on the whole piece
-        crossing = q * (2.0 * x_star - a - b) + aa + ab - 2.0 * _cdf_antiderivative(x_star)
-        piece = np.where(below, (ab - aa) - q * (b - a),
-                         np.where(above, q * (b - a) - (ab - aa), crossing))
-        total += float(piece.sum())
-
+    total = _half_line(xs[xs <= 0.0], m) + _half_line(-xs[xs >= 0.0][::-1], m)
     return DistanceResult(w1=total, sample_size=m,
                           estimated_statistical_error=1.0 / math.sqrt(m))

@@ -264,19 +264,39 @@ def is_balanced(pattern: PatternGraph) -> bool:
     return max(ratios) == Fraction(pattern.num_edges - 1, pattern.num_vertices - 2)
 
 
+def _dp_order(nbrs: list[set[int]]) -> list[int]:
+    """Vertex order for the self-map DP: few unplaced vertices next to the placed set.
+
+    Each such vertex keeps a mask in the DP state, so the state count grows
+    with their number.  Greedily take next the vertex that leaves the fewest
+    of them, then the one with the most placed neighbours, then the lowest
+    label.
+    """
+    order: list[int] = []
+    placed: set[int] = set()
+    frontier: set[int] = set()
+    while len(order) < len(nbrs):
+        w = min(set(range(len(nbrs))) - placed,
+                key=lambda v: (len((frontier | nbrs[v]) - placed - {v}), -len(nbrs[v] & placed), v))
+        order.append(w)
+        placed.add(w)
+        frontier = (frontier | nbrs[w]) - placed
+    return order
+
+
 @lru_cache(maxsize=None)
 def _partial_self_maps(pattern: PatternGraph) -> tuple[tuple[int, int, int], ...]:
     """Triples (s, h, N_s(h)): partial injections of V(G) into V(G) of size s
     that carry exactly h pattern edges onto pattern edges; zero counts omitted.
 
     The row s = v_G, h = e_G counts the automorphisms.  A level DP over
-    the domain vertices w = 0..v_G-1, each left unmapped or sent to an unused
-    image x.  The state is the set of used images and, for each later vertex,
-    the images of its earlier neighbours already placed; sending w to x
-    carries popcount(nbrs(x) & mask_w) more edges.  A state's value is its
-    generating polynomial sum_h count_h X^h at X = 2^bits, with bits enough
-    for the count of all partial injections, so no coefficient carries into
-    the next.
+    the domain vertices in ``_dp_order``, each left unmapped or sent to an
+    unused image x.  The state is the set of used images and, for each later
+    vertex, the images of its earlier neighbours already placed; sending w
+    to x carries popcount(nbrs(x) & mask_w) more edges.  A state's value is
+    its generating polynomial sum_h count_h X^h at X = 2^bits, with bits
+    enough for the count of all partial injections, so no coefficient
+    carries into the next.  The table does not depend on the order.
     """
     v_g = pattern.num_vertices
     if v_g > MAX_PATTERN_VERTICES:
@@ -285,8 +305,10 @@ def _partial_self_maps(pattern: PatternGraph) -> tuple[tuple[int, int, int], ...
     image_nbrs = [sum(1 << y for y in nbrs[x]) for x in range(v_g)]
     bits = sum(math.comb(v_g, s) ** 2 * math.factorial(s) for s in range(v_g + 1)).bit_length()
     states = {(0, (0,) * v_g): 1}
-    for w in range(v_g):
-        later = [u for u in nbrs[w] if u > w]
+    done: set[int] = set()
+    for w in _dp_order(nbrs):
+        done.add(w)
+        later = [u for u in nbrs[w] if u not in done]
         step: dict[tuple, int] = {}
         for (used, masks), poly in states.items():
             rest = masks[:w] + (0,) + masks[w + 1:]

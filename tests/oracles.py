@@ -9,6 +9,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
+from scipy import special
 
 from wclt import rng
 from wclt.chaos import Kernel, KernelFamily, family_from_kernels
@@ -78,6 +79,27 @@ def direct_pair_census(pattern, n: int) -> dict[int, int]:
             shared += np.bitwise_count(masks[lo:lo + chunk, w, None] & masks[None, :, w])
         counts += np.bincount(shared.ravel(), minlength=counts.size)
     return {h: int(c) for h, c in enumerate(counts) if h and c}
+
+
+def w1_quantile_space(samples) -> float:
+    """W1 to the standard normal as the integral over u of |F_m^-1(u) - ndtri(u)|.
+
+    On [(i-1)/m, i/m] the empirical quantile is the i-th order statistic x,
+    the integrand changes sign at u* = ndtr(x), and ndtri integrates to
+    -pdf(ndtri(u)), which vanishes at u = 0 and u = 1.
+    """
+    xs = np.sort(np.asarray(samples, dtype=float).ravel())
+    m = xs.size
+    lo = np.arange(m) / m
+    hi = np.arange(1, m + 1) / m
+
+    def antiderivative(u):
+        return -np.exp(-0.5 * special.ndtri(u) ** 2) / math.sqrt(2.0 * math.pi)
+
+    u_star = np.clip(special.ndtr(xs), lo, hi)
+    left = xs * (u_star - lo) - (antiderivative(u_star) - antiderivative(lo))
+    right = antiderivative(hi) - antiderivative(u_star) - xs * (hi - u_star)
+    return float((left + right).sum())
 
 
 def gathered_block_sum(values: np.ndarray, idx: np.ndarray, r: int) -> np.ndarray:

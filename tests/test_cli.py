@@ -61,6 +61,17 @@ class TestBoundCommand:
         assert res.returncode == code
         assert f"p must lie in (0, 1), got {float(p)}" in res.stderr
 
+    @pytest.mark.parametrize("form", [
+        ("--n", "{n}", "--p", "0.5"),
+        ("--n", "{n}", "--p", "0.5", "--regime"),
+        ("--sweep-n", "10,{n}", "--sweep-p", "0.5"),
+    ])
+    def test_host_size_beyond_float_usage_error(self, form):
+        res = run_cli("bound", "--pattern", "triangle", "--weights", "unif:1",
+                      *(arg.format(n=10**400) for arg in form))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
     def test_grid_sweep_csv(self, tmp_path):
         out = tmp_path / "grid.csv"
         res = run_cli("bound", "--pattern", "triangle", "--weights", "unif:1",
@@ -200,6 +211,14 @@ class TestDistanceCommand:
         f.write_text("replicate,raw\n0,1.0\n")
         res = run_cli("distance", "--samples", str(f))
         assert res.returncode == 2
+
+    def test_short_row_usage_error(self, tmp_path):
+        f = tmp_path / "short.csv"
+        f.write_text("replicate,raw_w,normalized\n0,1.0,0.5\n1,2.0\n")
+        res = run_cli("distance", "--samples", str(f))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "short.csv" in res.stderr and "data row 2" in res.stderr
 
     def test_missing_file_usage_error(self, tmp_path):
         res = run_cli("distance", "--samples", str(tmp_path / "missing.csv"))

@@ -11,6 +11,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from wclt.errors import PatternError
 from wclt.patterns import (
     PatternGraph,
+    _partial_self_maps,
     automorphism_count,
     beta,
     complete_graph_edges,
@@ -177,6 +178,26 @@ class TestCopies:
         target.add_edges_from(edges)
         expected = sum(1 for _ in GraphMatcher(target, target).isomorphisms_iter())
         assert automorphism_count(PatternGraph(v, edges)) == expected
+
+    @pytest.mark.parametrize("pattern", [
+        *(pytest.param(named_pattern(name), id=name) for name in (
+            "triangle", *(f"path:{r}" for r in range(2, 9)), *(f"cycle:{r}" for r in range(4, 9)),
+            *(f"complete:{r}" for r in range(4, 9)), *(f"star:{r}" for r in range(2, 8)))),
+        pytest.param(PatternGraph(4, ((0, 1), (1, 2), (0, 2))), id="K3+K1"),
+        pytest.param(PatternGraph(4, ((0, 1), (2, 3))), id="2K2"),
+        pytest.param(PatternGraph(5, ((0, 1), (1, 2), (0, 2), (3, 4))), id="K3+K2"),
+        pytest.param(PatternGraph(6, ((0, 1), (1, 2), (3, 4))), id="P3+K2+K1"),
+        pytest.param(PatternGraph(6, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5))),
+                     id="K4+K2"),
+        pytest.param(PatternGraph(7, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3))), id="2K3+K1"),
+    ])
+    def test_self_map_table_ignores_labels(self, pattern):
+        # the DP's vertex order depends on the labels; the table must not
+        labels = list(range(pattern.num_vertices))
+        random.Random(pattern.num_vertices * 100 + pattern.num_edges).shuffle(labels)
+        relabeled = PatternGraph(pattern.num_vertices,
+                                 tuple((labels[u], labels[v]) for u, v in pattern.edges))
+        assert _partial_self_maps(relabeled) == _partial_self_maps(pattern)
 
     def test_automorphisms_of_ten_vertex_patterns(self):
         assert automorphism_count(named_pattern("complete:10")) == math.factorial(10)
