@@ -167,8 +167,8 @@ def _samples_csv(batch, config: dict) -> str:
     buf.write(_config_comment(config))
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["replicate", "raw_w", "normalized"])
-    for i in range(batch.reps):
-        writer.writerow([i, repr(float(batch.raw[i])), repr(float(batch.normalized[i]))])
+    writer.writerows(zip(range(batch.reps), map(repr, batch.raw.tolist()),
+                         map(repr, batch.normalized.tolist())))
     return buf.getvalue()
 
 

@@ -50,6 +50,22 @@ def _edge_index(n: int) -> dict[Edge, int]:
 MAX_COPIES = 100_000
 
 
+def retained_weights(uniforms: np.ndarray, p: float,
+                     model: WeightModel) -> tuple[np.ndarray, np.ndarray]:
+    """The mask u < p and the weights quantile(u / p) where u < p, else 0.
+
+    Both come in the input's shape.  The quantile runs on the retained edges
+    only.  Their flat index comes from the bool mask, and ``take`` and
+    the indexed store move the values without the branch per element of a
+    boolean gather and scatter.
+    """
+    present = uniforms < p
+    index = np.flatnonzero(present)
+    weights = np.zeros(present.shape)
+    weights.reshape(-1)[index] = model.quantile_array(uniforms.take(index) / p)
+    return present, weights
+
+
 @dataclass(frozen=True)
 class HostSample:
     """One realization of the weighted random graph, determined by its uniforms."""
@@ -67,10 +83,7 @@ class HostSample:
 
     def edge_weights(self) -> np.ndarray:
         """Weight per edge index; zero on absent edges."""
-        out = np.zeros_like(self.uniforms)
-        mask = self.present
-        out[mask] = self.model.quantile_array(self.uniforms[mask] / self.p)
-        return out
+        return retained_weights(self.uniforms, self.p, self.model)[1]
 
     def present_edges(self) -> list[Edge]:
         edges = complete_graph_edges(self.n)
@@ -473,18 +486,16 @@ def _accumulate_weights(plan: _WeightPlan, n: int, p: float, model: WeightModel,
     """
     n_edges = n * (n - 1) // 2
     u = rng.uniform_matrix(seed, hi - lo, n_edges, first_row=lo)
-    present = u < p
-    weights = np.zeros_like(u)
-    weights[present] = model.quantile_array(u[present] / p)
+    present, weights = retained_weights(u, p, model)
     cell_edge, upper, lower = _host_cells(n)
     padded = np.zeros((hi - lo, n_edges + 1))
     padded[:, :n_edges] = present
-    adjacency = padded[:, cell_edge].reshape(hi - lo, n, n)
+    adjacency = padded.take(cell_edge, axis=1).reshape(hi - lo, n, n)
     counts = sum(term.coefficient * (_conditioned_count(term, adjacency) if term.order is None
                                      else _eliminated_count(term, adjacency))
                  for term in plan.terms)
     counts = np.broadcast_to(counts, adjacency.shape).reshape(hi - lo, n * n)
-    per_edge = (counts[:, upper] + counts[:, lower]) / plan.automorphisms
+    per_edge = (counts.take(upper, axis=1) + counts.take(lower, axis=1)) / plan.automorphisms
     out[lo:hi] = (weights * per_edge).sum(axis=1)
 
 

@@ -8,7 +8,7 @@ one coupling exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,11 +77,21 @@ class WeightModel:
         raise NotImplementedError
 
 
+def _check_finite(model: WeightModel) -> None:
+    """Reject a NaN or infinite law parameter, which would make every weight NaN."""
+    for field in fields(model):
+        value = getattr(model, field.name)
+        if not math.isfinite(value):
+            raise WeightModelError(f"{type(model).__name__} {field.name} must be finite, "
+                                   f"got {value}")
+
+
 @dataclass(frozen=True)
 class Constant(WeightModel):
     value: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.value <= 0:
             raise WeightModelError("constant weight must be positive (zero-mean laws are rejected)")
 
@@ -102,6 +112,7 @@ class Uniform(WeightModel):
     high: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.high <= 0:
             raise WeightModelError("uniform upper endpoint must be positive")
 
@@ -120,6 +131,7 @@ class Exponential(WeightModel):
     rate: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.rate <= 0:
             raise WeightModelError("exponential rate must be positive")
 
@@ -148,6 +160,7 @@ class TwoPoint(WeightModel):
     prob_high: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.low_value < 0 or self.high_value < 0:
             raise WeightModelError("two-point atoms must be nonnegative")
         if not (0.0 < self.prob_high < 1.0):

@@ -38,6 +38,14 @@ def _complete_host_copies(pattern, n: int) -> np.ndarray:
                     dtype=np.int64)
 
 
+def masked_weights(u: np.ndarray, p: float, model) -> np.ndarray:
+    """quantile(u / p) where u < p, else 0, by a boolean gather and scatter."""
+    present = u < p
+    weights = np.zeros_like(u)
+    weights[present] = model.quantile_array(u[present] / p)
+    return weights
+
+
 def gathered_weights(pattern, n: int, p: float, model, seed: int, lo: int, hi: int) -> np.ndarray:
     """Combined weights of replicates lo..hi, summed over the copy list of K_n.
 
@@ -47,8 +55,7 @@ def gathered_weights(pattern, n: int, p: float, model, seed: int, lo: int, hi: i
     copies = _complete_host_copies(pattern, n)
     u = rng.uniform_matrix(seed, hi - lo, n * (n - 1) // 2, first_row=lo)
     present = u < p
-    weights = np.zeros_like(u)
-    weights[present] = model.quantile_array(u[present] / p)
+    weights = masked_weights(u, p, model)
     all_present = np.ones((hi - lo, copies.shape[0]), dtype=bool)
     weight_sums = np.zeros((hi - lo, copies.shape[0]))
     for j in range(copies.shape[1]):

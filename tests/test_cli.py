@@ -197,6 +197,21 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("weights", ["unif:nan", "unif:inf", "exp:nan", "const:nan",
+                                     "twopoint:nan,1,0.5"])
+@pytest.mark.parametrize("command", [
+    ("simulate", "--n", "6", "--p", "0.5", "--reps", "10"),
+    ("bound", "--n", "10", "--p", "0.5"),
+])
+def test_non_finite_weight_parameter_usage_error(tmp_path, command, weights):
+    out = tmp_path / "out"
+    res = run_cli(*command, "--pattern", "triangle", "--weights", weights, "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "must be finite" in res.stderr
+    assert not out.exists()
+
+
 class TestDistanceCommand:
     def test_single_row(self, tmp_path):
         f = tmp_path / "one.csv"

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import direct_pair_census, gathered_weights, weight_by_edge_counts
+from oracles import direct_pair_census, gathered_weights, masked_weights, weight_by_edge_counts
 from wclt import graph_stats, rng
 from wclt.errors import DegenerateConfigError, ResourceLimitError
 from wclt.graph_stats import (
@@ -20,6 +20,7 @@ from wclt.graph_stats import (
     exact_variance,
     intersection_pair_census,
     normalized_samples,
+    retained_weights,
     sample_host,
 )
 from wclt.patterns import (
@@ -74,6 +75,20 @@ class TestSampleHost:
         counts = (u < 0.5).sum(axis=1)
         se = math.sqrt(3 * 0.25 / reps)
         assert abs(counts.mean() - 1.5) < 4 * se
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("model", [Constant(1.5), Uniform(2.0), Exponential(1.0),
+                                       TwoPoint(0.0, 1.0, 0.3)], ids=repr)
+    def test_retained_weights_match_masked_form(self, model, p):
+        # flat-index gather and the boolean-mask reference: same bits, sign included
+        u = rng.uniform_matrix(17, 12, 45)
+        u[0, :3] = (0.0, p, np.nextafter(p, 0.0))  # the edges of the retention cut
+        for uniforms in (u, u[3], u[:, 5:], u.T):
+            present, got = retained_weights(uniforms, p, model)
+            expected = masked_weights(uniforms, p, model)
+            assert np.array_equal(present, uniforms < p)
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
 
     def test_weight_conditional_law(self):
         # conditionally on presence, weights follow the model exactly
@@ -337,10 +352,19 @@ class TestNormalizedSamples:
                 np.testing.assert_allclose(batch.raw, oracle, rtol=1e-12, atol=0,
                                            err_msg=f"{edges} n={n} p={p}")
 
-    @pytest.mark.parametrize("name", ["triangle", "cycle:4"])
-    def test_raw_bitwise_chunk_invariant(self, name):
-        # one chunk for all replicates or one chunk per replicate: same bits
-        pattern, n, p, model, reps = named_pattern(name), 9, 0.6, Exponential(1.0), 50
+    @pytest.mark.parametrize("name, model", [
+        pytest.param("triangle", Exponential(1.0), id="triangle"),
+        pytest.param("cycle:4", Exponential(1.0), id="cycle:4"),
+        pytest.param("complete:4", Exponential(1.0), id="complete:4"),
+        pytest.param("triangle", TwoPoint(0.5, 2.0, 0.3), id="triangle-twopoint"),
+        pytest.param("cycle:4", TwoPoint(0.5, 2.0, 0.3), id="cycle:4-twopoint"),
+        pytest.param("complete:4", TwoPoint(0.5, 2.0, 0.3), id="complete:4-twopoint"),
+    ])
+    def test_raw_bitwise_chunk_invariant(self, name, model, monkeypatch):
+        # one chunk for all replicates or one chunk per replicate: same bits;
+        # and the sampler's three chunks on one thread or two: same bits
+        pattern, n, p, reps = named_pattern(name), 9, 0.6, 450
+        assert reps > 2 * (graph_stats._CHUNK_CELLS // (n * n))
         plan = _weight_plan(pattern)
         whole = np.empty(reps)
         _accumulate_weights(plan, n, p, model, 4, whole, 0, reps)
@@ -348,8 +372,10 @@ class TestNormalizedSamples:
         for r in range(reps):
             _accumulate_weights(plan, n, p, model, 4, single, r, r + 1)
         assert whole.tobytes() == single.tobytes()
-        batch = normalized_samples(pattern, n, p, model, reps=reps, seed=4)
-        assert batch.raw.tobytes() == whole.tobytes()
+        for threads in ("1", "2"):
+            monkeypatch.setenv("WCLT_THREADS", threads)
+            batch = normalized_samples(pattern, n, p, model, reps=reps, seed=4)
+            assert batch.raw.tobytes() == whole.tobytes(), f"WCLT_THREADS={threads}"
 
     def test_chunking_invariance(self):
         # identical output whatever the internal chunk boundaries

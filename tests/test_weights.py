@@ -140,6 +140,17 @@ class TestValidationAndParsing:
         with pytest.raises(WeightModelError):
             Uniform(-1.0)
 
+    @pytest.mark.parametrize("law, params", [
+        (Constant, (math.nan,)), (Constant, (math.inf,)),
+        (Uniform, (math.nan,)), (Uniform, (math.inf,)),
+        (Exponential, (math.nan,)), (Exponential, (math.inf,)),
+        (TwoPoint, (math.nan, 1.0, 0.5)), (TwoPoint, (0.0, math.inf, 0.5)),
+        (TwoPoint, (0.0, 1.0, math.nan)),
+    ])
+    def test_rejects_non_finite(self, law, params):
+        with pytest.raises(WeightModelError, match="must be finite"):
+            law(*params)
+
     def test_twopoint_normalizes_order(self):
         m = TwoPoint(3.0, 1.0, 0.25)  # 3 with prob 0.75
         assert (m.low_value, m.high_value) == (1.0, 3.0)
