@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import DegenerateConfigError, PatternError, UnsupportedPatternError
-from .patterns import PatternGraph, check_p, is_balanced, log_min_subgraph_term
+from .patterns import PatternGraph, _check_np, is_balanced, log_min_subgraph_term
 from .weights import WeightModel, moment_ratio
 
 DEFAULT_CUTOFF = 0.5
@@ -119,7 +119,7 @@ def regime_bound(pattern: PatternGraph, n: int, p: float, model: WeightModel,
         raise ValueError("cutoff must lie in (0, 1)")
     if pattern.has_isolated_vertices:
         raise PatternError("bound requires a pattern without isolated vertices")
-    check_p(p)
+    _check_np(pattern, n, p)
     family, order, regime, threshold = _detect_regime(pattern, n, p, cutoff)
     if regime is None:
         raise UnsupportedPatternError(

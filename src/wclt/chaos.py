@@ -8,7 +8,7 @@ and the only stochastic approximation anywhere is Monte Carlo over paths.
 
 Conventions:
   * half norms/inner products use the reference measure (dx/2) per coordinate;
-  * plain (Lebesgue) norms are used by the contraction-norm bounds;
+  * plain (Lebesgue) norms are used by the contraction inequalities;
   * multiple-integral evaluation follows the alternating sum over partially
     evaluated, partially integrated marginals;
   * a kernel is "block centered" when every per-block average vanishes in
@@ -18,7 +18,6 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 import math
 import string
 from dataclasses import asdict, dataclass
@@ -34,7 +33,6 @@ MAX_GRID_SIZE = 256
 MAX_DENSE_ELEMENTS = 1 << 24
 EXACT_TOL = 1e-12
 PATHWISE_TOL = 1e-9
-KERNEL_JSON_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -412,10 +410,6 @@ def integral_eval_many(kernel: Kernel, u: np.ndarray) -> np.ndarray:
     return _eval_block_sums(kernel.grid, _integral_tables([kernel], kernel.grid), u)
 
 
-def integral_eval(kernel: Kernel, u) -> float:
-    return float(integral_eval_many(kernel, np.asarray(u, dtype=float)[None, :])[0])
-
-
 def ustat_eval_many(kernel: Kernel, u: np.ndarray) -> np.ndarray:
     """Plain U-statistic: kernel summed at path points over distinct block tuples."""
     r = kernel.order
@@ -485,37 +479,6 @@ def family_from_kernels(kernels, constant: float = 0.0) -> KernelFamily:
             continue
         slots[k.order - 1] = k
     return KernelFamily(grid, constant, slots)
-
-
-def ou_inverse(family: KernelFamily) -> KernelFamily:
-    """Inverse Ornstein-Uhlenbeck operator: order n scales by -1/n; needs a centered family."""
-    if family.constant != 0.0:
-        raise ChaosError("inverse OU operator is defined on centered families only")
-    return _scale_orders(family, [-1.0 / n for n in range(1, family.max_order + 1)])
-
-
-def _scale_orders(family: KernelFamily, factors) -> KernelFamily:
-    # constants are annihilated by every Ornstein-Uhlenbeck scaling
-    kernels = [
-        Kernel(k.grid, k.order, k.values * factors[k.order - 1], validate=False)
-        for k in family.kernels
-    ]
-    return KernelFamily(family.grid, 0.0, kernels)
-
-
-def ou_negative(family: KernelFamily) -> KernelFamily:
-    """(-L): order n scales by n."""
-    return _scale_orders(family, [float(n) for n in range(1, family.max_order + 1)])
-
-
-def ou_apply(family: KernelFamily) -> KernelFamily:
-    """L itself: order n scales by -n, so L composed with its inverse is the identity."""
-    return _scale_orders(family, [-float(n) for n in range(1, family.max_order + 1)])
-
-
-def ou_sqrt(family: KernelFamily) -> KernelFamily:
-    """(-L)^{1/2}: order n scales by sqrt(n)."""
-    return _scale_orders(family, [math.sqrt(n) for n in range(1, family.max_order + 1)])
 
 
 def ustat_chaos_decomposition(kernel: Kernel) -> KernelFamily:
@@ -733,30 +696,6 @@ def second_moment_product_route(family: KernelFamily) -> float:
     return total
 
 
-def contraction_norm_bound(family: KernelFamily) -> tuple[float, float]:
-    """Rate-only distance bound from contraction norms (constant suppressed).
-
-    Returns (value, norm_sum) with
-    value = |1 - E[X^2]| + sqrt(norm_sum), where norm_sum adds the plain
-    L2 norms of f_i *_i^l f_i (l < i), f_i *_l^l f_i and f_l *_l^l f_i
-    (1 <= l < i).
-    """
-    grid = family.grid
-    norm_sum = 0.0
-    kernels = {k.order: k for k in family.kernels if k.values.any()}
-    orders = sorted(kernels)
-    for i in orders:
-        f_i = kernels[i]
-        for l in range(0, i):
-            norm_sum += _lebesgue_norm_sq(contract(f_i, f_i, i, l), grid)
-        for l in range(1, i):
-            norm_sum += _lebesgue_norm_sq(contract(f_i, f_i, l, l), grid)
-            if l in kernels:
-                norm_sum += _lebesgue_norm_sq(contract(kernels[l], f_i, l, l), grid)
-    value = abs(1.0 - family.second_moment()) + math.sqrt(norm_sum)
-    return value, norm_sum
-
-
 def derivative_energy_identity(family: KernelFamily) -> tuple[float, float, float]:
     """(lhs, rhs, inequality_rhs) of the derivative-energy identity.
 
@@ -780,33 +719,7 @@ def derivative_energy_identity(family: KernelFamily) -> tuple[float, float, floa
     return lhs, rhs, ineq
 
 
-# -- serialization and test fixtures -----------------------------------------
-
-
-def kernel_to_json(kernel: Kernel) -> str:
-    payload = {
-        "format_version": KERNEL_JSON_VERSION,
-        "order": kernel.order,
-        "blocks": kernel.grid.blocks,
-        "cells": kernel.grid.cells,
-        "flags": {
-            "is_symmetric": True,
-            "vanishes_off_diagonal": True,
-            "is_block_centered": kernel.is_block_centered,
-        },
-        "values": np.asarray(kernel.values).ravel().tolist(),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def kernel_from_json(text: str) -> Kernel:
-    payload = json.loads(text)
-    if payload.get("format_version") != KERNEL_JSON_VERSION:
-        raise ChaosError("unsupported kernel format version")
-    grid = GridSpec(payload["blocks"], payload["cells"])
-    order = payload["order"]
-    values = np.array(payload["values"], dtype=float).reshape((grid.size,) * order)
-    return Kernel(grid, order, values)
+# -- test fixtures -----------------------------------------------------------
 
 
 def random_kernel(grid: GridSpec, order: int, seed: int, *, centered: bool = True) -> Kernel:

@@ -32,7 +32,7 @@ from .graph_stats import (
     normalized_samples,
 )
 from .patterns import PatternGraph, named_pattern, parse_pattern
-from .weights import parse_weight_model
+from .weights import Constant, parse_weight_model
 
 FORMAT_VERSION = 1
 
@@ -267,6 +267,10 @@ def _chaos_checks(seed: int, grid_spec: tuple[int, int], n_paths: int, corrupt: 
     """The identity suite behind chaos-verify; one record per check."""
     blocks, cells = grid_spec
     grid = chaos.GridSpec(blocks, cells)
+    if grid.size**4 > chaos.MAX_DENSE_ELEMENTS:
+        # the order-2 kernel's square in second_moment_dual_route is an order-4 array
+        raise ResourceLimitError(f"chaos-verify grid of {grid.size} cells: its order-4 products "
+                                 f"exceed the dense-array cap of {chaos.MAX_DENSE_ELEMENTS} entries")
     checks = []
 
     def record(name: str, max_dev: float, tol: float) -> None:
@@ -311,9 +315,6 @@ def _chaos_checks(seed: int, grid_spec: tuple[int, int], n_paths: int, corrupt: 
     record("second_moment_dual_route", dev, chaos.EXACT_TOL * (1.0 + fam.second_moment()))
 
     # graph-weight identity (triangle in the smallest host, aligned constant weights)
-    from .patterns import named_pattern
-    from .weights import Constant
-
     tri = named_pattern("triangle")
     model = Constant(1.0)
     gfam = graph_chaos.graph_weight_family(tri, 3, 0.5, model, cells=2)

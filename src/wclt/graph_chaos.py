@@ -21,8 +21,8 @@ import numpy as np
 
 from .chaos import GridSpec, Kernel, KernelFamily
 from .errors import AlignmentError, ResourceLimitError
-from .graph_stats import exact_mean
-from .patterns import PatternGraph, complete_graph_edges, enumerate_copies
+from .graph_stats import _edge_index, exact_mean
+from .patterns import PatternGraph, enumerate_copies
 from .weights import TwoPoint, WeightModel
 
 MAX_PATTERN_EDGES = 3
@@ -81,9 +81,8 @@ def local_weight_kernel(model: WeightModel, p: float, cells: int,
 @lru_cache(maxsize=None)
 def _copies_in_kn(pattern: PatternGraph, n: int) -> tuple[tuple[int, ...], ...]:
     """Copies of the pattern in the complete host, as tuples of edge indices."""
-    edges = complete_graph_edges(n)
-    index = {e: i for i, e in enumerate(edges)}
-    return tuple(tuple(index[e] for e in copy) for copy in enumerate_copies(pattern, edges))
+    index = _edge_index(n)
+    return tuple(tuple(index[e] for e in copy) for copy in enumerate_copies(pattern, index))
 
 
 def _completion_counts(copies, n_blocks: int, e_g: int, k: int) -> np.ndarray:

@@ -135,6 +135,12 @@ class TestRegimeBound:
         with pytest.raises(DegenerateConfigError):
             regime_bound(TRIANGLE, 100, 0.9, Constant(1.0))
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_host_too_small_rejected(self, n):
+        # the n and p rule of wasserstein_bound, checked before the regime threshold
+        with pytest.raises(ValueError, match=f"need n >= 3, got {n}"):
+            regime_bound(TRIANGLE, n, 0.5, Uniform(1.0))
+
     def test_unbalanced_rejected(self):
         with pytest.raises(UnsupportedPatternError):
             regime_bound(TRIANGLE_PENDANT, 10, 0.5, Uniform(1.0))

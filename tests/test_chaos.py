@@ -19,20 +19,12 @@ from wclt.chaos import (
     contract,
     contract_symmetrized,
     contraction_inequality_check,
-    contraction_norm_bound,
     derivative_energy_identity,
     derivative_values_many,
     family_from_kernels,
     half_inner,
-    integral_eval,
     integral_eval_many,
     is_block_centered,
-    kernel_from_json,
-    kernel_to_json,
-    ou_inverse,
-    ou_apply,
-    ou_negative,
-    ou_sqrt,
     path_cells,
     product_check_many,
     product_expansion,
@@ -97,13 +89,6 @@ class TestKernelBasics:
         raw[0, 1] = raw[1, 0] = 1.0  # same block
         with pytest.raises(ChaosError):
             Kernel(grid, 2, raw)
-
-    def test_json_roundtrip(self):
-        k = random_kernel(GridSpec(3, 2), 2, seed=4)
-        back = kernel_from_json(kernel_to_json(k))
-        assert np.array_equal(k.values, back.values)
-        assert back.is_block_centered == k.is_block_centered
-
 
 class TestCentering:
     def test_zero_kernel_centered(self):
@@ -195,12 +180,12 @@ class TestIntegralEvaluation:
         grid = GridSpec(1, 2)
         k = Kernel(grid, 1, np.array([4.0, 4.0]))
         for u0 in (-0.9, -0.1, 0.3, 0.8):
-            assert integral_eval(k, [u0]) == pytest.approx(0.0)
+            assert integral_eval_many(k, np.array([[u0]]))[0] == pytest.approx(0.0)
 
     def test_split_kernel_sign(self):
         k = rademacher_kernel(scale=2.0)
-        assert integral_eval(k, [-0.5]) == pytest.approx(2.0)
-        assert integral_eval(k, [0.5]) == pytest.approx(-2.0)
+        assert integral_eval_many(k, np.array([[-0.5]]))[0] == pytest.approx(2.0)
+        assert integral_eval_many(k, np.array([[0.5]]))[0] == pytest.approx(-2.0)
 
     def test_order2_matches_ustat(self):
         # centered kernels: integral equals the distinct-block U-statistic
@@ -338,38 +323,6 @@ class TestOperators:
         grid = GridSpec(2, 2)
         fam = family_from_kernels([zero_kernel(grid, 1)])
         assert np.all(derivative_values_many(fam, np.zeros((3, 2))) == 0)
-
-    def test_ou_roundtrip(self):
-        grid = GridSpec(3, 2)
-        fam = family_from_kernels([random_kernel(grid, 1, seed=700),
-                                   random_kernel(grid, 2, seed=701)])
-        back = ou_apply(ou_inverse(fam))
-        for a, b in zip(fam.kernels, back.kernels):
-            assert np.allclose(a.values, b.values)
-
-    def test_ou_sqrt_squares(self):
-        grid = GridSpec(3, 2)
-        fam = family_from_kernels([random_kernel(grid, 2, seed=702)])
-        twice = ou_sqrt(ou_sqrt(fam))
-        target = ou_negative(fam)
-        for a, b in zip(twice.kernels, target.kernels):
-            assert np.allclose(a.values, b.values)
-
-    def test_ou_inverse_requires_centered_constant(self):
-        grid = GridSpec(2, 2)
-        fam = KernelFamily(grid, 1.0, [rademacher_kernel(2)])
-        with pytest.raises(ChaosError):
-            ou_inverse(fam)
-
-    def test_sqrt_ou_norm_identity(self):
-        # E[((-L)^{1/2} X)^2] equals sum of n * n! half-norms
-        grid = GridSpec(3, 2)
-        fam = family_from_kernels([random_kernel(grid, 1, seed=703),
-                                   random_kernel(grid, 2, seed=704)])
-        lhs = ou_sqrt(fam).second_moment()
-        rhs = sum(k.order * math.factorial(k.order) * k.half_norm_sq() for k in fam.kernels)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
 
 class TestEnergyIdentity:
     def test_order1_tight(self):
@@ -623,33 +576,6 @@ class TestProductExpansion:
         iso = fam.second_moment()
         via_products = second_moment_product_route(fam)
         assert via_products == pytest.approx(iso, rel=1e-12)
-
-
-class TestContractionNormBound:
-    def test_zero_family_is_one(self):
-        fam = family_from_kernels([zero_kernel(GridSpec(2, 2), 1)])
-        value, norm_sum = contraction_norm_bound(fam)
-        assert value == pytest.approx(1.0)
-        assert norm_sum == 0.0
-
-    def test_single_rademacher(self):
-        f = rademacher_kernel()
-        fam = family_from_kernels([f])
-        value, norm_sum = contraction_norm_bound(fam)
-        # only f *_1^0 f survives: the plain L2 norm of the pointwise square
-        expected = float((f.values**2) ** 2 @ np.full(2, f.grid.cell_width))
-        assert norm_sum == pytest.approx(expected)
-        assert value == pytest.approx(abs(1 - fam.second_moment()) + math.sqrt(norm_sum))
-
-    def test_block_scaling(self):
-        # spreading the kernel over K blocks scales the contraction sum like 1/K
-        sums = {}
-        for blocks in (2, 8):
-            grid = GridSpec(blocks, 2)
-            vals = np.tile([1.0, -1.0], blocks) / math.sqrt(blocks)
-            fam = family_from_kernels([Kernel(grid, 1, vals)])
-            sums[blocks] = contraction_norm_bound(fam)[1]
-        assert sums[2] / sums[8] == pytest.approx(4.0, rel=1e-9)
 
 
 class TestContractionInequalities:

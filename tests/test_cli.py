@@ -72,6 +72,19 @@ class TestBoundCommand:
         assert res.returncode == 2
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    @pytest.mark.parametrize("form", [
+        ("--n", "{n}", "--p", "0.5"),
+        ("--sweep-n", "{n}", "--sweep-p", "0.5"),
+    ])
+    def test_regime_host_too_small_usage_error(self, tmp_path, form, n):
+        out = tmp_path / "bound.out"
+        res = run_cli("bound", "--pattern", "triangle", "--weights", "unif:1", "--regime",
+                      *(arg.format(n=n) for arg in form), "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr == f"error: need n >= 3, got {n}\n"
+        assert not out.exists()
+
     def test_grid_sweep_csv(self, tmp_path):
         out = tmp_path / "grid.csv"
         res = run_cli("bound", "--pattern", "triangle", "--weights", "unif:1",
@@ -275,12 +288,25 @@ class TestChaosVerifyCommand:
     @pytest.mark.parametrize("grid, code, message", [
         ("300,1", 4, "grid size capped at 256 cells"),
         ("0,2", 2, "grid needs at least one block and one cell"),
+        # 66 cells: refused before any work, not when the order-4 product is built
+        ("33,2", 4, "order-4 products exceed the dense-array cap"),
     ])
-    def test_grid_exit_codes(self, grid, code, message):
-        # the size cap is a resource cap; an empty grid is a usage error
-        res = run_cli("chaos-verify", "--seed", "3", "--paths", "300", "--grid", grid)
+    def test_grid_exit_codes(self, tmp_path, grid, code, message):
+        # the size caps are resource caps; an empty grid is a usage error
+        out = tmp_path / "v.json"
+        res = run_cli("chaos-verify", "--seed", "3", "--paths", "300", "--grid", grid,
+                      "--out", str(out))
         assert res.returncode == code
         assert message in res.stderr
+        assert not out.exists()
+
+    def test_grid_at_dense_cap_passes(self, tmp_path):
+        # 64 cells: the order-4 products fill the dense-array cap exactly
+        out = tmp_path / "v.json"
+        res = run_cli("chaos-verify", "--seed", "3", "--paths", "300", "--grid", "32,2",
+                      "--out", str(out))
+        assert res.returncode == 0
+        assert json.loads(out.read_text())["passed"] is True
 
     def test_reproducible(self):
         a = run_cli("chaos-verify", "--seed", "3", "--paths", "300").stdout

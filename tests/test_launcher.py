@@ -1,0 +1,24 @@
+"""Smoke test of the traced benchmark launcher.
+
+The tracer looks up every traced library name with ``getattr``, so a renamed
+or deleted function breaks a traced benchmark run; this catches it here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+LAUNCH = os.path.join(os.path.dirname(__file__), "..", "perfbench", "launch.py")
+
+
+def test_traced_chaos_verify_runs(tmp_path):
+    probe = tmp_path / "probe.json"
+    res = subprocess.run(
+        [sys.executable, LAUNCH, str(probe), "trace", "cli", "chaos-verify",
+         "--seed", "1", "--paths", "50", "--out", str(tmp_path / "v.json")],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    spans = json.loads(probe.read_text())["spans"]
+    assert "cli.chaos_verify" in {span["name"] for span in spans}
