@@ -20,7 +20,7 @@ import tempfile
 
 import numpy as np
 
-from . import chaos, graph_chaos
+from . import chaos, graph_chaos, rng
 from .bounds import regime_bound, wasserstein_bound, rate_term
 from .distance import wasserstein1_to_normal
 from .errors import ChaosError, DegenerateConfigError, PatternError, ResourceLimitError
@@ -437,6 +437,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # simulate, chaos-verify, rate-sweep: before any work
             raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+        rng.thread_count()  # a malformed WCLT_THREADS, or one above rng.MAX_THREADS
         return args.func(args)
     except DegenerateConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

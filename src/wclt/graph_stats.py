@@ -228,7 +228,7 @@ def asymptotic_variance(pattern: PatternGraph, n: int, p: float, model: WeightMo
 # Host cells (chunk * n^2) in one dense adjacency batch; small enough that a
 # chunk's arrays stay in cache.  The chunk size depends on n alone, never on
 # the thread count.
-_CHUNK_CELLS = 1 << 14
+_CHUNK_CELLS = 1 << 15
 
 
 class _OpenTerm(NamedTuple):
@@ -475,28 +475,47 @@ def _host_cells(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _accumulate_weights(plan: _WeightPlan, n: int, p: float, model: WeightModel,
-                        seed: int, out: np.ndarray, lo: int, hi: int) -> None:
-    """Fill out[lo:hi] with combined weights for replicates lo..hi.
+                        seed: int, out: np.ndarray, lo: int, hi: int, chunk: int) -> None:
+    """Fill out[lo:hi] with combined weights for replicates lo..hi, ``chunk`` at a time.
 
     W = sum_e w_e N_e, where N_e counts the present copies through the
     present edge e.  N_e comes from the batched 0/1 adjacency through the
     pattern's ``_weight_plan``; every count is an integer below 2^53, so it
     is exact and the same whatever the chunk, and each replicate's row sum
-    is taken on its own.
+    is taken on its own.  The span reads its uniforms forward from one
+    stream and refills one set of chunk buffers in place: fresh arrays of
+    chunk * n^2 cells, freed after every chunk, are handed back to the
+    system by the allocator and page-faulted in again by the next chunk.
     """
     n_edges = n * (n - 1) // 2
-    u = rng.uniform_matrix(seed, hi - lo, n_edges, first_row=lo)
-    present, weights = retained_weights(u, p, model)
+    rows = min(chunk, hi - lo)
+    stream = rng.uniform_stream(seed, lo * n_edges)
     cell_edge, upper, lower = _host_cells(n)
-    padded = np.zeros((hi - lo, n_edges + 1))
-    padded[:, :n_edges] = present
-    adjacency = padded.take(cell_edge, axis=1).reshape(hi - lo, n, n)
-    counts = sum(term.coefficient * (_conditioned_count(term, adjacency) if term.order is None
-                                     else _eliminated_count(term, adjacency))
-                 for term in plan.terms)
-    counts = np.broadcast_to(counts, adjacency.shape).reshape(hi - lo, n * n)
-    per_edge = (counts.take(upper, axis=1) + counts.take(lower, axis=1)) / plan.automorphisms
-    out[lo:hi] = (weights * per_edge).sum(axis=1)
+    uniforms = np.empty((rows, n_edges))
+    padded = np.zeros((rows, n_edges + 1))  # the last column stays 0: the diagonal's "edge"
+    cells = np.empty((rows, n * n))
+    counts_cells = np.empty((rows, n * n))
+    term_cells = np.empty((rows, n, n))
+    per_edge_rows = np.empty((rows, n_edges))
+    lower_rows = np.empty((rows, n_edges))
+    for a in range(lo, hi, chunk):
+        c = min(chunk, hi - a)
+        u = rng.uniform_matrix(seed, c, n_edges, first_row=a, stream=stream, out=uniforms[:c])
+        present, weights = retained_weights(u, p, model)
+        padded[:c, :n_edges] = present
+        adjacency = padded[:c].take(cell_edge, axis=1, out=cells[:c]).reshape(c, n, n)
+        counts = counts_cells[:c]
+        cube = counts.reshape(c, n, n)  # a view: the same cells, indexed [replicate, i, j]
+        cube.fill(0.0)
+        for term in plan.terms:
+            count = (_conditioned_count(term, adjacency) if term.order is None
+                     else _eliminated_count(term, adjacency))
+            cube += np.multiply(count, term.coefficient, out=term_cells[:c])
+        per_edge = counts.take(upper, axis=1, out=per_edge_rows[:c])
+        per_edge += counts.take(lower, axis=1, out=lower_rows[:c])
+        per_edge /= plan.automorphisms
+        per_edge *= weights
+        out[a:a + c] = per_edge.sum(axis=1)
 
 
 def normalized_samples(pattern: PatternGraph, n: int, p: float, model: WeightModel,
@@ -513,9 +532,10 @@ def normalized_samples(pattern: PatternGraph, n: int, p: float, model: WeightMod
         )
     raw = np.empty(reps, dtype=float)
     plan = _weight_plan(pattern)
+    chunk = max(1, _CHUNK_CELLS // (n * n))
     rng.map_chunks(
-        lambda lo, hi: _accumulate_weights(plan, n, p, model, seed, raw, lo, hi),
-        rng.chunk_ranges(reps, max(1, _CHUNK_CELLS // (n * n))),
+        lambda lo, hi: _accumulate_weights(plan, n, p, model, seed, raw, lo, hi, chunk),
+        rng.chunk_spans(reps, chunk, rng.thread_count()),
     )
     normalized = (raw - mean) / math.sqrt(var)
     raw.setflags(write=False)

@@ -352,27 +352,29 @@ class TestNormalizedSamples:
                 np.testing.assert_allclose(batch.raw, oracle, rtol=1e-12, atol=0,
                                            err_msg=f"{edges} n={n} p={p}")
 
-    @pytest.mark.parametrize("name, model", [
-        pytest.param("triangle", Exponential(1.0), id="triangle"),
-        pytest.param("cycle:4", Exponential(1.0), id="cycle:4"),
-        pytest.param("complete:4", Exponential(1.0), id="complete:4"),
-        pytest.param("triangle", TwoPoint(0.5, 2.0, 0.3), id="triangle-twopoint"),
-        pytest.param("cycle:4", TwoPoint(0.5, 2.0, 0.3), id="cycle:4-twopoint"),
-        pytest.param("complete:4", TwoPoint(0.5, 2.0, 0.3), id="complete:4-twopoint"),
+    @pytest.mark.parametrize("name, model, n", [
+        pytest.param("triangle", Exponential(1.0), 9, id="triangle"),
+        pytest.param("cycle:4", Exponential(1.0), 9, id="cycle:4"),
+        pytest.param("complete:4", Exponential(1.0), 9, id="complete:4"),
+        pytest.param("triangle", TwoPoint(0.5, 2.0, 0.3), 9, id="triangle-twopoint"),
+        pytest.param("cycle:4", TwoPoint(0.5, 2.0, 0.3), 9, id="cycle:4-twopoint"),
+        pytest.param("complete:4", TwoPoint(0.5, 2.0, 0.3), 9, id="complete:4-twopoint"),
+        # 45 edges: span starts at 2 and 3 chunks fall inside a Philox block
+        pytest.param("cycle:4", Exponential(1.0), 10, id="cycle:4-n10"),
     ])
-    def test_raw_bitwise_chunk_invariant(self, name, model, monkeypatch):
+    def test_raw_bitwise_chunk_invariant(self, name, model, n, monkeypatch):
         # one chunk for all replicates or one chunk per replicate: same bits;
-        # and the sampler's three chunks on one thread or two: same bits
-        pattern, n, p, reps = named_pattern(name), 9, 0.6, 450
-        assert reps > 2 * (graph_stats._CHUNK_CELLS // (n * n))
+        # and the sampler's four chunks in one, two or three spans: same bits
+        pattern, p, reps = named_pattern(name), 0.6, 1250
+        chunk = graph_stats._CHUNK_CELLS // (n * n)
+        assert 3 * chunk < reps <= 4 * chunk
         plan = _weight_plan(pattern)
         whole = np.empty(reps)
-        _accumulate_weights(plan, n, p, model, 4, whole, 0, reps)
+        _accumulate_weights(plan, n, p, model, 4, whole, 0, reps, reps)
         single = np.empty(reps)
-        for r in range(reps):
-            _accumulate_weights(plan, n, p, model, 4, single, r, r + 1)
+        _accumulate_weights(plan, n, p, model, 4, single, 0, reps, 1)
         assert whole.tobytes() == single.tobytes()
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "3"):
             monkeypatch.setenv("WCLT_THREADS", threads)
             batch = normalized_samples(pattern, n, p, model, reps=reps, seed=4)
             assert batch.raw.tobytes() == whole.tobytes(), f"WCLT_THREADS={threads}"
