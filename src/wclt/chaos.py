@@ -680,19 +680,18 @@ def product_check_many(f: Kernel, g: Kernel, u: np.ndarray) -> tuple[np.ndarray,
 def second_moment_product_route(family: KernelFamily) -> float:
     """E[X^2] assembled from the order-0 terms of pairwise product expansions.
 
-    Independent route to the isometry value: expands every product
-    I(f_i) I(f_j) and keeps the constants.
+    Independent route to the isometry value: the one order-0 term of the
+    expansion of I(f_i) I(f_j) is n! f_i *_n^n f_j for kernels of equal order n.
     """
+    if not family.is_block_centered:
+        raise ChaosError("product expansion needs block-centered kernels")
     total = family.constant**2
     for f in family.kernels:
         if not f.values.any():
             continue
         for g in family.kernels:
-            if not g.values.any():
-                continue
-            for coef, kern in product_expansion(f, g):
-                if kern.order == 0:
-                    total += coef * float(kern.values)
+            if g.order == f.order and g.values.any():
+                total += math.factorial(f.order) * float(contract(f, g, f.order, f.order))
     return total
 
 

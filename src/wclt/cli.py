@@ -131,6 +131,8 @@ def _cmd_bound(args) -> int:
     if args.sweep_n or args.sweep_p:
         if not (args.sweep_n and args.sweep_p):
             raise PatternError("--sweep-n and --sweep-p must be given together")
+        if args.n is not None or args.p is not None:
+            raise PatternError("--n and --p cannot be given with --sweep-n/--sweep-p")
         n_list = _parse_n_list(args.sweep_n)
         p_list = [float(s) for s in args.sweep_p.split(",") if s.strip()]
         if not p_list:
@@ -267,10 +269,6 @@ def _chaos_checks(seed: int, grid_spec: tuple[int, int], n_paths: int, corrupt: 
     """The identity suite behind chaos-verify; one record per check."""
     blocks, cells = grid_spec
     grid = chaos.GridSpec(blocks, cells)
-    if grid.size**4 > chaos.MAX_DENSE_ELEMENTS:
-        # the order-2 kernel's square in second_moment_dual_route is an order-4 array
-        raise ResourceLimitError(f"chaos-verify grid of {grid.size} cells: its order-4 products "
-                                 f"exceed the dense-array cap of {chaos.MAX_DENSE_ELEMENTS} entries")
     checks = []
 
     def record(name: str, max_dev: float, tol: float) -> None:

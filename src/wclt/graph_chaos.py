@@ -19,15 +19,11 @@ from itertools import permutations
 
 import numpy as np
 
-from .chaos import GridSpec, Kernel, KernelFamily
+from .chaos import MAX_DENSE_ELEMENTS, GridSpec, Kernel, KernelFamily
 from .errors import AlignmentError, ResourceLimitError
 from .graph_stats import _edge_index, exact_mean
 from .patterns import PatternGraph, enumerate_copies
 from .weights import TwoPoint, WeightModel
-
-MAX_PATTERN_EDGES = 3
-MAX_HOST_N = 5
-MAX_CELLS = 8
 
 
 def _support_cells(model: WeightModel, p: float, cells: int) -> int:
@@ -110,14 +106,11 @@ def graph_weight_family(pattern: PatternGraph, n: int, p: float, model: WeightMo
     exact mean.
     """
     e_g = pattern.num_edges
-    if e_g > MAX_PATTERN_EDGES:
-        raise ResourceLimitError(f"graph kernels capped at {MAX_PATTERN_EDGES} pattern edges")
-    if n > MAX_HOST_N:
-        raise ResourceLimitError(f"graph kernels capped at host size {MAX_HOST_N}")
-    if cells > MAX_CELLS:
-        raise ResourceLimitError(f"graph kernels capped at {MAX_CELLS} cells per block")
     n_blocks = n * (n - 1) // 2
     grid = GridSpec(n_blocks, cells)
+    if grid.size**e_g > MAX_DENSE_ELEMENTS:  # the order-e_G kernel, before any array
+        raise ResourceLimitError(f"graph kernel of order {e_g} on {grid.size} cells exceeds "
+                                 f"the dense-array cap of {MAX_DENSE_ELEMENTS} entries")
     copies = _copies_in_kn(pattern, n)
     kernels = []
     for k in range(1, e_g + 1):

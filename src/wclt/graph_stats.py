@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache, reduce
 from itertools import combinations, islice, product
 from typing import NamedTuple
@@ -41,13 +42,6 @@ Edge = tuple[int, int]
 @lru_cache(maxsize=None)
 def _edge_index(n: int) -> dict[Edge, int]:
     return {e: i for i, e in enumerate(complete_graph_edges(n))}
-
-
-# Copies of the pattern in K_n above which the sampler refuses a plan with a
-# term that has no elimination order: such a term sums rank-one products over
-# the value tuples of its free vertices, about as much work per replicate as a
-# gather over every copy of the pattern in K_n.
-MAX_COPIES = 100_000
 
 
 def retained_weights(uniforms: np.ndarray, p: float,
@@ -109,27 +103,38 @@ class SampleBatch:
         return self.raw.size
 
 
-def _check_host_size(n: int) -> None:
-    """Copy enumeration caps the host; reject a larger n before any work."""
-    if n > MAX_HOST_VERTICES:
-        raise ResourceLimitError(f"host capped at {MAX_HOST_VERTICES} vertices, got n = {n}")
+# Work units per replicate above which the sampler refuses a configuration.
+# An eliminated plan term costs one n x n matmul, n^3, per vertex summed out;
+# a conditioned one costs n^2 per value tuple of its free vertices (C(n, k)
+# increasing tuples, else n^k).  Every term counts at least n^3, so one
+# replicate's n^2 cells stay small.  At the cap a replicate takes from about
+# 7 ms (the triangle at n = 464) to 0.13 s (complete:10 at n = 21), one thread
+# on a 2-vCPU VM.
+MAX_REPLICATE_WORK = 10**8
 
 
 def check_sample_config(pattern: PatternGraph, n: int, p: float) -> None:
     """Reject a configuration that ``normalized_samples`` cannot run, before any work."""
-    _check_host_size(n)
     _check_np(pattern, n, p)
-    if any(term.order is None for term in _weight_plan(pattern).terms):
-        copies = copies_in_complete(pattern, n)
-        if copies > MAX_COPIES:
-            raise ResourceLimitError(
-                f"pattern with no elimination order: sampler capped at {MAX_COPIES} "
-                f"copies, K_{n} holds {copies}")
+    work = 0
+    for term in _weight_plan(pattern).terms:
+        if term.order is None:
+            k = len(term.free)
+            tuples = math.comb(n, k) if term.increasing else n**k
+            work += max(tuples, n) * n * n
+        else:
+            work += max(1, len(term.order)) * n**3
+    if work > MAX_REPLICATE_WORK:
+        raise ResourceLimitError(
+            f"sampler plan at n = {n} for the pattern with v_G = {pattern.num_vertices}, "
+            f"e_G = {pattern.num_edges}: {Decimal(work):.3g} work units per replicate, "
+            f"capped at {Decimal(MAX_REPLICATE_WORK):.0e}")
 
 
 def sample_host(n: int, p: float, model: WeightModel, seed: int, replicate: int) -> HostSample:
     """Deterministic host draw: uniforms are the (replicate)-th row of the seed's stream."""
-    _check_host_size(n)
+    if n > MAX_HOST_VERTICES:  # its hosts are for the copy search, which has this cap
+        raise ResourceLimitError(f"host capped at {MAX_HOST_VERTICES} vertices, got n = {n}")
     if n < 2:
         raise ValueError(f"host size must be at least 2, got {n}")
     check_p(p)

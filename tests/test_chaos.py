@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import derivative_family, gathered_block_sum, gathered_derivative, gathered_integral
+from wclt import chaos
 from wclt.chaos import (
     EVAL_CHUNK_ROWS,
     EXACT_TOL,
@@ -576,6 +577,28 @@ class TestProductExpansion:
         iso = fam.second_moment()
         via_products = second_moment_product_route(fam)
         assert via_products == pytest.approx(iso, rel=1e-12)
+
+    def test_second_moment_route_builds_only_full_contractions(self, monkeypatch):
+        # the order-0 terms of the whole expansion, summed in the same order, give
+        # the same bits; no symmetrized (positive-order) term is built any more
+        grid = GridSpec(4, 2)
+        fam = family_from_kernels([random_kernel(grid, 1, seed=1210),
+                                   random_kernel(grid, 2, seed=1211)], constant=0.5)
+        expected = fam.constant**2
+        for f in fam.kernels:
+            for g in fam.kernels:
+                for coef, kern in product_expansion(f, g):
+                    if kern.order == 0:
+                        expected += coef * float(kern.values)
+
+        def no_symmetrize(*args):
+            raise AssertionError("a positive-order product term was built")
+
+        monkeypatch.setattr(chaos, "symmetrize", no_symmetrize)
+        assert second_moment_product_route(fam) == expected
+        uncentered = family_from_kernels([Kernel(grid, 1, np.arange(8.0))])
+        with pytest.raises(ChaosError, match="block-centered"):
+            second_moment_product_route(uncentered)
 
 
 class TestContractionInequalities:

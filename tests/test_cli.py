@@ -97,6 +97,16 @@ class TestBoundCommand:
         n, p, rate, ratio, value, regime, family = data[1].split(",")
         assert float(value) == pytest.approx(float(rate) * float(ratio), rel=1e-12)
 
+    @pytest.mark.parametrize("single", [("--n", "3"), ("--p", "0.2")])
+    def test_single_point_with_sweep_usage_error(self, tmp_path, single):
+        # the sweep would ignore --n and --p, yet record them in its config
+        out = tmp_path / "grid.csv"
+        res = run_cli("bound", "--pattern", "triangle", "--weights", "unif:1",
+                      "--sweep-n", "20", "--sweep-p", "0.5", *single, "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr == "error: --n and --p cannot be given with --sweep-n/--sweep-p\n"
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_deterministic_bytes(self, tmp_path):
@@ -183,11 +193,23 @@ class TestSimulateCommand:
         assert json.loads(meta.read_text())["census"] == {"1": 1215240, "3": 10660}
 
     def test_host_cap_resource_error(self, tmp_path):
+        # the triangle's plan costs n^3 per replicate: n = 464 fits the cap, 465 does not
         out = tmp_path / "s.csv"
-        res = run_cli("simulate", "--pattern", "triangle", "--n", "65", "--p", "0.1",
+        res = run_cli("simulate", "--pattern", "triangle", "--n", "465", "--p", "0.1",
                       "--weights", "unif:1", "--reps", "20", "--seed", "0", "--out", str(out))
         assert res.returncode == 4
-        assert "host capped at 64 vertices" in res.stderr
+        assert ("sampler plan at n = 465 for the pattern with v_G = 3, e_G = 3: 1.01e+8 work "
+                "units per replicate, capped at 1e+8") in res.stderr
+        assert not out.exists()
+
+    def test_huge_host_refused_before_allocation(self, tmp_path):
+        # one replicate's n x n adjacency would need 8e24 bytes; the work cap
+        # refuses it, not a failed allocation
+        out = tmp_path / "s.csv"
+        res = run_cli("simulate", "--pattern", "path:2", "--n", "1000000000000", "--p", "0.1",
+                      "--weights", "unif:1", "--reps", "1", "--out", str(out))
+        assert res.returncode == 4
+        assert "1.00e+36 work units per replicate, capped at 1e+8" in res.stderr
         assert not out.exists()
 
     def test_failed_allocation_resource_error(self, tmp_path):
@@ -200,13 +222,14 @@ class TestSimulateCommand:
         assert not out.exists()
 
     def test_uneliminable_pattern_copy_cap_resource_error(self, tmp_path):
-        # complete:8 has no elimination order; the sampler's work grows with
-        # the C(64, 8) copies of K_64
+        # complete:8 has no elimination order; its plan sums n^2 cells over the
+        # C(64, 6) increasing tuples of its six free vertices
         out = tmp_path / "s.csv"
         res = run_cli("simulate", "--pattern", "complete:8", "--n", "64", "--p", "0.5",
                       "--weights", "unif:1", "--reps", "20", "--seed", "0", "--out", str(out))
         assert res.returncode == 4
-        assert "capped at 100000 copies, K_64 holds 4426165368" in res.stderr
+        assert ("sampler plan at n = 64 for the pattern with v_G = 8, e_G = 28: 3.07e+11 work "
+                "units per replicate, capped at 1e+8") in res.stderr
         assert not out.exists()
 
 
@@ -288,8 +311,6 @@ class TestChaosVerifyCommand:
     @pytest.mark.parametrize("grid, code, message", [
         ("300,1", 4, "grid size capped at 256 cells"),
         ("0,2", 2, "grid needs at least one block and one cell"),
-        # 66 cells: refused before any work, not when the order-4 product is built
-        ("33,2", 4, "order-4 products exceed the dense-array cap"),
     ])
     def test_grid_exit_codes(self, tmp_path, grid, code, message):
         # the size caps are resource caps; an empty grid is a usage error
@@ -301,9 +322,18 @@ class TestChaosVerifyCommand:
         assert not out.exists()
 
     def test_grid_at_dense_cap_passes(self, tmp_path):
-        # 64 cells: the order-4 products fill the dense-array cap exactly
+        # 64 cells: the suite's largest arrays are order-3 contractions, 64^3 entries
         out = tmp_path / "v.json"
         res = run_cli("chaos-verify", "--seed", "3", "--paths", "300", "--grid", "32,2",
+                      "--out", str(out))
+        assert res.returncode == 0
+        assert json.loads(out.read_text())["passed"] is True
+
+    def test_grid_past_64_cells_passes(self, tmp_path):
+        # 66 cells: the second-moment route contracts to scalars, so only the
+        # GridSpec cap of 256 cells bounds the suite
+        out = tmp_path / "v.json"
+        res = run_cli("chaos-verify", "--seed", "3", "--paths", "300", "--grid", "33,2",
                       "--out", str(out))
         assert res.returncode == 0
         assert json.loads(out.read_text())["passed"] is True
@@ -332,24 +362,25 @@ class TestRateSweepCommand:
     def test_host_cap_checked_before_sampling(self, tmp_path):
         out = tmp_path / "sweep.csv"
         res = run_cli("rate-sweep", "--pattern", "triangle", "--weights", "unif:1",
-                      "--sweep-n", "30,65", "--p", "0.1", "--reps", "2000", "--seed", "5",
+                      "--sweep-n", "30,465", "--p", "0.1", "--reps", "2000", "--seed", "5",
                       "--out", str(out))
         assert res.returncode == 4
-        assert "host capped at 64 vertices" in res.stderr
+        assert "sampler plan at n = 465" in res.stderr
         assert not out.exists()
         # n = 6 at this p is degenerate (exit 3) once sampled; the whole list is
-        # checked first, so the later n = 65 decides the exit code
+        # checked first, so the later n = 465 decides the exit code
         res = run_cli("rate-sweep", "--pattern", "triangle", "--weights", "const:1",
-                      "--sweep-n", "6,65", "--p", "0.9999999999999999", "--reps", "10",
+                      "--sweep-n", "6,465", "--p", "0.9999999999999999", "--reps", "10",
                       "--out", str(out))
         assert res.returncode == 4
         assert not out.exists()
-        # the copy cap of a plan with no elimination order is checked over the list too
+        # cycle:8 has a plan term with no elimination order: n = 65 fits the
+        # work cap and n = 66 does not, checked over the list too
         res = run_cli("rate-sweep", "--pattern", "cycle:8", "--weights", "unif:1",
-                      "--sweep-n", "8,10", "--p", "0.5", "--reps", "2000", "--seed", "5",
+                      "--sweep-n", "8,66", "--p", "0.5", "--reps", "2000", "--seed", "5",
                       "--out", str(out))
         assert res.returncode == 4
-        assert "K_10 holds 113400" in res.stderr
+        assert "sampler plan at n = 66 for the pattern with v_G = 8, e_G = 8" in res.stderr
         assert not out.exists()
         # n = 7 samples fine, but the 21-edge profile cap of the rate term
         # decides before it, not the degenerate p once n = 7 is sampled
@@ -398,13 +429,13 @@ class TestRateSweepCommand:
 @pytest.mark.parametrize("command", [
     ("simulate", "--pattern", "nonagon", "--weights", "unif:1", "--n", "6", "--p", "0.5",
      "--reps", "10", "--meta", "{meta}"),
-    ("rate-sweep", "--pattern", "triangle", "--weights", "unif:1", "--sweep-n", "6,65",
+    ("rate-sweep", "--pattern", "triangle", "--weights", "unif:1", "--sweep-n", "6,465",
      "--p", "0.5", "--reps", "10"),
     ("chaos-verify", "--grid", "300,1"),
 ])
 def test_negative_seed_rejected_at_entry(tmp_path, command):
     # each command would otherwise fail later and differently (unknown pattern,
-    # host cap, grid cap), so the seed is checked before any of its work
+    # sampler work cap, grid cap), so the seed is checked before any of its work
     out, meta = tmp_path / "out", tmp_path / "meta.json"
     res = run_cli(*(arg.format(meta=meta) for arg in command), "--seed", "-1", "--out", str(out))
     assert res.returncode == 2

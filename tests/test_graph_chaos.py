@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wclt import graph_chaos
 from wclt.chaos import PATHWISE_TOL, Kernel, block_center, random_paths
 from wclt.errors import AlignmentError, ResourceLimitError
 from wclt.graph_chaos import (
@@ -85,11 +86,28 @@ class TestGraphFamily:
             # atom split at (1-q) p M = 0.3 * 2 not an integer
             graph_weight_family(TRIANGLE, 3, 0.5, TwoPoint(1.0, 3.0, 0.7), cells=4)
 
-    def test_caps(self):
-        with pytest.raises(ResourceLimitError):
-            graph_weight_family(named_pattern("cycle:4"), 5, 0.5, Constant(1.0), cells=2)
-        with pytest.raises(ResourceLimitError):
-            graph_weight_family(TRIANGLE, 6, 0.5, Constant(1.0), cells=2)
+    def test_caps(self, monkeypatch):
+        # the order-e_G kernel holds grid.size^e_G entries: cycle:4 on K_10 with
+        # 2 cells per block would need 90^4, past the 2^24 dense-array cap, and
+        # is refused before the copy list or any array is built
+        def copies(pattern, n):
+            raise AssertionError("copies listed before the dense-array cap")
+
+        monkeypatch.setattr(graph_chaos, "_copies_in_kn", copies)
+        with pytest.raises(ResourceLimitError, match="order 4 on 90 cells exceeds the dense"):
+            graph_weight_family(named_pattern("cycle:4"), 10, 0.5, Constant(1.0), cells=2)
+        # the triangle's 256^3 entries fit the cap exactly, so its grid cap decides
+        with pytest.raises(ResourceLimitError, match="grid size capped at 256 cells"):
+            graph_weight_family(TRIANGLE, 17, 0.5, Constant(1.0), cells=2)
+
+    def test_cycle4_constant_pathwise(self):
+        # four pattern edges on 10 blocks: an order-4 kernel on 20 cells
+        pattern, model = named_pattern("cycle:4"), Constant(1.0)
+        fam = graph_weight_family(pattern, 5, 0.5, model, cells=2)
+        u = random_paths(73, 300, 10)
+        w = np.array([combined_weight(pattern, host_from_path(row, 5, 0.5, model)) for row in u])
+        assert w.any()
+        assert np.max(np.abs(w - fam.eval_many(u))) <= PATHWISE_TOL
 
     def test_kernels_block_centered(self):
         fam = graph_weight_family(TRIANGLE, 3, 0.5, Constant(1.0), cells=2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import direct_pair_census, gathered_weights, masked_weights, weight_by_edge_counts
-from wclt import graph_stats, rng
+from wclt import graph_stats, patterns, rng
 from wclt.errors import DegenerateConfigError, ResourceLimitError
 from wclt.graph_stats import (
     HostSample,
@@ -209,14 +209,31 @@ class TestExactMoments:
         batch = normalized_samples(P3, 64, 0.5, Uniform(1.0), reps=3, seed=0)
         oracle = gathered_weights(P3, 64, 0.5, Uniform(1.0), 0, 0, 3)
         np.testing.assert_allclose(batch.raw, oracle, rtol=1e-12, atol=0)
-        # cycle:8 has a plan term with no elimination order: K_10 holds 113400 copies
-        with pytest.raises(ResourceLimitError, match="capped at 100000 copies, K_10 holds 113400"):
-            normalized_samples(named_pattern("cycle:8"), 10, 0.5, Uniform(1.0), reps=3, seed=0)
-        # complete:4 has no elimination order, so its copies in K_n are capped
-        # too: K_40 holds 91390, K_41 holds 101270
-        check_sample_config(named_pattern("complete:4"), 40, 0.5)
-        with pytest.raises(ResourceLimitError, match="capped at 100000 copies, K_41 holds 101270"):
-            normalized_samples(named_pattern("complete:4"), 41, 0.5, Uniform(1.0), reps=3, seed=0)
+        # the sampler caps the plan's work per replicate, not the copies of K_n:
+        # each pattern runs at its last host size N and is refused at N + 1
+        # (the triangle costs n^3; cycle:4 3 n^3; complete:4 C(n, 2) n^2 over
+        # increasing tuples; cycle:8 has one such term among 90 eliminated ones)
+        for name, last in (("triangle", 464), ("cycle:4", 292), ("complete:4", 119),
+                           ("cycle:8", 65)):
+            pattern = named_pattern(name)
+            check_sample_config(pattern, last, 0.5)
+            with pytest.raises(ResourceLimitError, match=rf"sampler plan at n = {last + 1} .* "
+                                                         r"work units per replicate, capped at 1e\+8"):
+                normalized_samples(pattern, last + 1, 0.5, Uniform(1.0), reps=3, seed=0)
+
+    @pytest.mark.parametrize("name, n, p", [("path:9", 10, 0.3), ("cycle:10", 10, 0.5),
+                                            ("cycle:8", 10, 0.3), ("triangle", 200, 0.05)])
+    def test_large_plans_match_copy_search(self, name, n, p, monkeypatch):
+        # plans with conditioned terms over 2-4 free vertices, and a host past
+        # the copy search's 64-vertex cap, which is lifted for this oracle only
+        # (sparse hosts keep the search fast)
+        monkeypatch.setattr(patterns, "MAX_HOST_VERTICES", n)
+        monkeypatch.setattr(graph_stats, "MAX_HOST_VERTICES", n)
+        pattern, model = named_pattern(name), Exponential(1.0)
+        batch = normalized_samples(pattern, n, p, model, reps=4, seed=3)
+        oracle = [combined_weight(pattern, sample_host(n, p, model, 3, r)) for r in range(4)]
+        np.testing.assert_allclose(batch.raw, oracle, rtol=1e-12, atol=0)
+        assert batch.raw.any()
 
     @pytest.mark.parametrize("name", ["path:11", "cycle:11"])
     def test_pattern_cap_before_partition_walk(self, name, monkeypatch):
@@ -310,9 +327,9 @@ class TestNormalizedSamples:
         assert abs(z.var() - 1.0) < 5 * var_se
 
     def test_negative_reps_rejected_first(self):
-        # before the copy cap and the exact moments are looked at
+        # before the work cap (cycle:8 is refused past n = 65) and the exact moments
         with pytest.raises(ValueError, match="reps must be nonnegative, got -1"):
-            normalized_samples(named_pattern("cycle:8"), 10, 0.5, Uniform(1.0), reps=-1, seed=0)
+            normalized_samples(named_pattern("cycle:8"), 66, 0.5, Uniform(1.0), reps=-1, seed=0)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateConfigError):
