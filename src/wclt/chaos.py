@@ -285,20 +285,38 @@ def contraction_inequality_check(f: Kernel, g: Kernel, k: int, l: int) -> Contra
 EVAL_CHUNK_ROWS = 16384
 
 
-def _local_cells(grid: GridSpec, u: np.ndarray) -> np.ndarray:
-    """Cell index within its block (0 .. cells - 1) hit by each block coordinate."""
-    u = np.asarray(u, dtype=float)
+def _path_matrix(grid: GridSpec, u) -> np.ndarray:
+    """Paths as rows of block uniforms, one value per block."""
+    u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.shape[-1] != grid.blocks:
         raise ChaosError(f"path needs one value per block ({grid.blocks}), got {u.shape[-1]}")
-    return np.clip(((u + 1.0) * 0.5 * grid.cells).astype(np.int64), 0, grid.cells - 1)
+    return u
+
+
+def _local_cells(grid: GridSpec, u: np.ndarray, scratch: np.ndarray, loc: np.ndarray) -> None:
+    """Fill loc, laid out (blocks, paths), with the cell index within its block
+    (0 .. cells - 1) hit by each block coordinate of the paths u; ``scratch``
+    is a float array of u's shape."""
+    np.add(u, 1.0, out=scratch)
+    scratch *= 0.5
+    scratch *= grid.cells
+    np.copyto(loc.T, scratch, casting="unsafe")  # truncates, as astype does
+    np.clip(loc, 0, grid.cells - 1, out=loc)
 
 
 def path_cells(grid: GridSpec, u: np.ndarray) -> np.ndarray:
     """Global cell index hit by each block coordinate 2k + 1 + u_k."""
-    return _local_cells(grid, u) + np.arange(grid.blocks, dtype=np.int64) * grid.cells
+    u = np.asarray(u, dtype=float)
+    rows = _path_matrix(grid, u).reshape(-1, grid.blocks)
+    loc = np.empty((grid.blocks, rows.shape[0]), dtype=np.int64)
+    _local_cells(grid, rows, np.empty_like(rows), loc)
+    return (loc.T + np.arange(grid.blocks, dtype=np.int64) * grid.cells).reshape(u.shape)
 
 
-_BlockTables = list[tuple[tuple[int, ...], list[tuple[slice, np.ndarray]]]]
+# (block combination, [(key, table)]): the key of a part is its target (a
+# column block, or None) in _block_tables and an index into the gather
+# output in the tables that _gather_sum reads.
+_BlockTables = list[tuple[tuple[int, ...], list[tuple[object, np.ndarray]]]]
 
 
 def _block_tables(values: np.ndarray, r: int, grid: GridSpec) -> _BlockTables:
@@ -309,63 +327,139 @@ def _block_tables(values: np.ndarray, r: int, grid: GridSpec) -> _BlockTables:
     flattened into a last axis of cells**r codes, code c_1 M^{r-1} + ... + c_r
     holding values[b_1 M + c_1, ..., b_r M + c_r].  An array with one more
     axis (the cell t of a derivative) puts t first and is cut along it into
-    column blocks of M cells, each a contiguous (M, cells**r) table.
-    All-zero tables are dropped: a combination keeps (columns, table) pairs
+    column blocks of M cells, each a contiguous (M, cells**r) table whose
+    target is its column block; an array without one has the target None.
+    All-zero tables are dropped: a combination keeps (target, table) pairs
     for its nonzero parts only, and one with none is left out.
     """
     m = grid.cells
     if values.ndim == r:
-        column_blocks = [slice(None)]
+        column_blocks = [(None, slice(None))]
     else:
-        column_blocks = [slice(b * m, (b + 1) * m) for b in range(grid.blocks)]
+        column_blocks = [(b, slice(b * m, (b + 1) * m)) for b in range(grid.blocks)]
     kept = []
     for combo in combinations(range(grid.blocks), r):
         codes = values[tuple(slice(b * m, (b + 1) * m) for b in combo)]
         codes = codes.reshape((m**r,) + values.shape[r:]).T
-        parts = [(cols, np.ascontiguousarray(codes[cols]))
-                 for cols in column_blocks if codes[cols].any()]
+        parts = [(target, np.ascontiguousarray(codes[cols]))
+                 for target, cols in column_blocks if codes[cols].any()]
         if parts:
             kept.append((combo, parts))
     return kept
 
 
-def _gather_sum(tables: _BlockTables, loc: np.ndarray, r: int, cells: int,
-                out: np.ndarray) -> np.ndarray:
-    """Sum over the r-combinations of blocks of the table entry at each path's code.
+def _broadcast(table: np.ndarray, combo: tuple[int, ...], home: tuple[int, ...],
+               cells: int) -> np.ndarray:
+    """A table over the codes of combo as a table over the codes of the wider
+    combination home, constant along home's extra blocks."""
+    lead = table.shape[:-1]
+    axes = tuple(cells if b in combo else 1 for b in home)
+    full = np.broadcast_to(table.reshape(lead + axes), lead + (cells,) * len(home))
+    return full.reshape(lead + (cells ** len(home),))
 
-    For the tables of a symmetric order-r array this is its sum over distinct
-    block r-sets at the path cells, one value per path; for an order-(r + 1)
-    kernel it is, per cell t, the sum over r-sets of kernel(t, path cells),
-    with ``out`` laid out (cells, paths).  ``loc`` holds the local cells as
-    (blocks, paths); ``out`` is overwritten.  A code is formed only for kept
-    combinations, and each part adds into its own rows of ``out``; the
-    dropped tables hold only zeros, so every nonzero addend keeps its order.
+
+def _cover(tables: _BlockTables, cells: int) -> list[tuple[tuple[int, ...], list]]:
+    """Fold each block table into the first wider kept table with its target
+    whose combination contains its own.
+
+    ``tables`` run widest combination first.  A folded table is broadcast over
+    its home's extra blocks and listed after the home's own table; a table
+    with no such home is kept, and is a home for narrower ones.  Returns the
+    kept combinations, each part a (target, tables) pair whose tables all
+    index the combination's codes, so a path reads every folded table with
+    the one code of its home.
+    """
+    kept = []
+    homes: dict = {}  # (target, combination) -> (home combination, its table list)
+    for combo, parts in tables:
+        own = []
+        for target, table in parts:
+            home = homes.get((target, combo))
+            if home is not None:
+                home[1].append(_broadcast(table, combo, home[0], cells))
+                continue
+            group = [table]
+            own.append((target, group))
+            for width in range(len(combo)):
+                for sub in combinations(combo, width):
+                    homes.setdefault((target, sub), (combo, group))
+        if own:
+            kept.append((combo, own))
+    return kept
+
+
+def _summed(group: list[np.ndarray]) -> np.ndarray:
+    """The tables of one covering part added up, its own table first."""
+    return sum(group[1:], start=group[0])
+
+
+class _SpanBuffers:
+    """One span's buffers for gathering the tables over chunks of up to ``rows`` paths.
+
+    ``scaled[e]`` holds the chunk's local cells times cells**e, laid out
+    (blocks, paths), for every e below the widest combination's width.
+    """
+
+    def __init__(self, grid: GridSpec, rows: int, tables: _BlockTables):
+        width = max((len(combo) for combo, _ in tables), default=0)
+        table_rows = max((table.size // table.shape[-1]
+                          for _, parts in tables for _, table in parts), default=0)
+        self.grid = grid
+        self.scratch = np.empty((rows, grid.blocks))
+        self.scaled = np.empty((max(width, 1), grid.blocks, rows), dtype=np.int64)
+        self.code = np.empty(rows, dtype=np.int64)
+        self.buf = np.empty(table_rows * rows)
+
+    def locate(self, u: np.ndarray) -> None:
+        """Take the paths u, rows of block uniforms, as the current chunk."""
+        c = u.shape[0]
+        loc = self.scaled[0, :, :c]
+        _local_cells(self.grid, u, self.scratch[:c], loc)
+        for e in range(1, len(self.scaled)):
+            np.multiply(loc, self.grid.cells**e, out=self.scaled[e, :, :c])
+
+
+def _gather_sum(tables: _BlockTables, span: _SpanBuffers, out: np.ndarray) -> np.ndarray:
+    """Sum, over the kept combinations, of the table entry at each path's code.
+
+    A part is (index, table): ``out[index]`` receives the table rows gathered
+    at the codes of the current chunk's paths, the last axis of ``out``.  The
+    combinations may differ in width; each forms its code once.  ``out`` is
+    overwritten.
     """
     out.fill(0.0)
-    if not tables:
-        return out
-    n_paths = loc.shape[1]
-    buf = np.empty(tables[0][1][0][1].shape[:-1] + (n_paths,))
-    digits = [loc * cells ** (r - 1 - i) for i in range(r)]
-    code = np.zeros(n_paths, dtype=np.int64)  # the one code of r = 0
+    c = out.shape[-1]
+    scaled = span.scaled[:, :, :c]
     for combo, parts in tables:
-        if r:
-            code = digits[0][combo[0]]
-            for i in range(1, r):
-                code = code + digits[i][combo[i]]
-        for cols, table in parts:
-            target = out[cols]
-            target += np.take(table, code, axis=-1, out=buf)
+        width = len(combo)
+        if width == 1:
+            code = scaled[0, combo[0]]
+        else:
+            code = span.code[:c]
+            if width == 0:
+                code.fill(0)
+            else:
+                np.add(scaled[width - 1, combo[0]], scaled[width - 2, combo[1]], out=code)
+                for i in range(2, width):
+                    code += scaled[width - 1 - i, combo[i]]
+        for index, table in parts:
+            buf = span.buf[:c * (table.size // table.shape[-1])].reshape(table.shape[:-1] + (c,))
+            target = out[index]
+            # the codes are in range by construction; "wrap" writes straight
+            # into buf, where the default "raise" fills a temporary first
+            target += table.take(code, axis=-1, out=buf, mode="wrap")
     return out
 
 
-def _integral_tables(kernels, grid: GridSpec) -> list[tuple[int, _BlockTables]]:
-    """(r, block tables of A_r) such that the sum of the kernels' integrals is
-    the sum over r of r! times the distinct-block-set sum of A_r.
+def _integral_tables(kernels, grid: GridSpec) -> _BlockTables:
+    """Covering tables whose gathered sum is the sum of the kernels' integrals.
 
-    A_r adds (-1)^{n-r} 2^{r-n} C(n, r) times the (n - r)-fold marginal of each
-    order-n kernel; all-zero kernels are skipped.  The marginals are computed
-    here, so their caches are filled before any evaluation thread starts.
+    The integrals add up to the sum over r of r! times the distinct-block-set
+    sum of A_r, where A_r adds (-1)^{n-r} 2^{r-n} C(n, r) times the
+    (n - r)-fold marginal of each order-n kernel; all-zero kernels are
+    skipped.  The tables hold r! A_r, folded into the widest combinations.
+    The marginals are computed here, so their caches are filled before any
+    evaluation thread starts.
     """
     arrays: dict[int, np.ndarray] = {}
     for kern in kernels:
@@ -375,28 +469,35 @@ def _integral_tables(kernels, grid: GridSpec) -> list[tuple[int, _BlockTables]]:
         for r in range(n + 1):
             term = (-1.0) ** (n - r) / 2.0 ** (n - r) * math.comb(n, r) * kern.marginal(r)
             arrays[r] = arrays[r] + term if r in arrays else term
-    return [(r, _block_tables(a, r, grid)) for r, a in sorted(arrays.items())]
+    scaled = [(combo, [(None, math.factorial(r) * table) for _, table in parts])
+              for r in sorted(arrays, reverse=True)
+              for combo, parts in _block_tables(arrays[r], r, grid)]
+    return [(combo, [((), _summed(group)) for _, group in parts])
+            for combo, parts in _cover(scaled, grid.cells)]
 
 
-def _eval_block_sums(grid: GridSpec, terms, u: np.ndarray, constant: float = 0.0) -> np.ndarray:
-    """constant + sum over (r, tables) of r! times the gathered table sums, per path.
+def _eval_block_sums(grid: GridSpec, tables: _BlockTables, u, constant: float = 0.0,
+                     factor: float = 1.0) -> np.ndarray:
+    """constant + factor times the gathered table sum, per path (row of u).
 
-    Runs over fixed chunks of EVAL_CHUNK_ROWS paths, possibly threaded; each
-    chunk writes only its own rows, so the result does not depend on the
-    thread count.
+    Runs over fixed chunks of EVAL_CHUNK_ROWS paths, cut into spans that each
+    hold one set of buffers, possibly threaded; each chunk writes only its own
+    rows, so the result does not depend on the thread count.
     """
-    u = np.atleast_2d(np.asarray(u, dtype=float))
+    u = _path_matrix(grid, u)
     out = np.empty(u.shape[0])
+    chunk = EVAL_CHUNK_ROWS
 
     def work(lo: int, hi: int) -> None:
-        loc = np.ascontiguousarray(_local_cells(grid, u[lo:hi]).T)
-        part = np.empty(hi - lo)
-        total = np.full(hi - lo, constant)
-        for r, tables in terms:
-            total += math.factorial(r) * _gather_sum(tables, loc, r, grid.cells, part)
-        out[lo:hi] = total
+        span = _SpanBuffers(grid, min(chunk, hi - lo), tables)
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
+            span.locate(u[a:b])
+            total = _gather_sum(tables, span, out[a:b])
+            total *= factor
+            total += constant
 
-    rng.map_chunks(work, rng.chunk_ranges(u.shape[0], EVAL_CHUNK_ROWS))
+    rng.map_chunks(work, rng.chunk_spans(u.shape[0], chunk, rng.thread_count()))
     return out
 
 
@@ -413,12 +514,21 @@ def integral_eval_many(kernel: Kernel, u: np.ndarray) -> np.ndarray:
 def ustat_eval_many(kernel: Kernel, u: np.ndarray) -> np.ndarray:
     """Plain U-statistic: kernel summed at path points over distinct block tuples."""
     r = kernel.order
-    return _eval_block_sums(kernel.grid, [(r, _block_tables(kernel.values, r, kernel.grid))], u)
+    tables = [(combo, [((), table) for _, table in parts])
+              for combo, parts in _block_tables(kernel.values, r, kernel.grid)]
+    return _eval_block_sums(kernel.grid, tables, u, factor=math.factorial(r))
+
+
+def _to_paths(u: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) mapped in place to path values 2u - 1."""
+    u *= 2.0
+    u -= 1.0
+    return u
 
 
 def random_paths(seed: int, n_paths: int, blocks: int, first: int = 0) -> np.ndarray:
     """Rows of path uniforms in (-1, 1), position-stable in the seed's stream."""
-    return 2.0 * rng.uniform_matrix(seed, n_paths, blocks, first_row=first) - 1.0
+    return _to_paths(rng.uniform_matrix(seed, n_paths, blocks, first_row=first))
 
 
 # -- kernel families ---------------------------------------------------------
@@ -461,8 +571,8 @@ class KernelFamily:
 
     def eval_many(self, u: np.ndarray) -> np.ndarray:
         """The constant plus the integral of every kernel, along each path (row of u)."""
-        terms = _integral_tables(self.kernels, self.grid)
-        return _eval_block_sums(self.grid, terms, u, self.constant)
+        return _eval_block_sums(self.grid, _integral_tables(self.kernels, self.grid), u,
+                                self.constant)
 
 
 def family_from_kernels(kernels, constant: float = 0.0) -> KernelFamily:
@@ -510,26 +620,68 @@ def slice_kernel(kernel: Kernel, cell: int) -> Kernel:
     return Kernel(kernel.grid, kernel.order - 1, kernel.values[cell], validate=False)
 
 
-def _derivative_tables(family: KernelFamily) -> list[tuple[int, _BlockTables]]:
-    """(j, block tables of the order-j kernel over its first j - 1 axes), nonzero kernels only."""
-    return [(k.order, _block_tables(k.values, k.order - 1, family.grid))
-            for k in family.kernels if k.values.any()]
+def _derivative_tables(family: KernelFamily) -> tuple[int, _BlockTables]:
+    """(J, covering tables of the derivative), J the top order of a nonzero kernel.
 
-
-def _derivative_pieces(grid: GridSpec, tables, loc: np.ndarray):
-    """Yield (j, D_j) per order, where j * D_j is the order-j part of the derivative.
-
-    D_j(t, p) = (j-1)! times the sum, over (j-1)-sets of blocks, of kernel_j at
-    t and the path's cells in those blocks; a (cells, paths) matrix, so each
-    column block of a table adds into contiguous rows.  It is overwritten by
-    the next order, so use it before resuming.
+    Order j adds (j-1)! K_j, with K_j the block tables of kernel_j over its
+    first j - 1 axes, into the negated inverse-OU derivative d_inv, and j
+    times that into the derivative d.  The tables index a (3, cells, paths)
+    accumulator [d, d_inv, T]: a part holding order J alone is (J-1)! K_J,
+    an (M, codes) table added into T, which counts J times into d and once
+    into d_inv; every other part stacks [sum of j (j-1)! K_j; sum of
+    (j-1)! K_j] as a (2, M, codes) table added into d and d_inv at once.
     """
-    piece = np.empty((grid.size, loc.shape[1]))
-    for j, kernel_tables in tables:
-        _gather_sum(kernel_tables, loc, j - 1, grid.cells, piece)
-        if j > 2:
-            piece *= math.factorial(j - 1)
-        yield j, piece
+    grid = family.grid
+    m = grid.cells
+    kernels = [k for k in family.kernels if k.values.any()]
+    if not kernels:
+        return 0, []
+    top = kernels[-1].order
+    stacked = []
+    for kern in reversed(kernels):
+        j = kern.order
+        f = math.factorial(j - 1)
+        stacked += [(combo, [(b, np.stack([j * f * table, f * table])) for b, table in parts])
+                    for combo, parts in _block_tables(kern.values, j - 1, grid)]
+    tables = []
+    for combo, parts in _cover(stacked, m):
+        indexed = []
+        for b, group in parts:
+            cols = slice(b * m, (b + 1) * m)
+            if len(group) == 1 and len(combo) == top - 1:
+                indexed.append(((2, cols), group[0][1]))
+            else:
+                indexed.append(((slice(0, 2), cols), _summed(group)))
+        tables.append((combo, indexed))
+    return top, tables
+
+
+# (paths x cells) entries per derivative chunk: keeps a chunk's derivative in cache.
+STEIN_CHUNK_ENTRIES = 100_000
+
+
+def _derivative_chunk_rows(grid: GridSpec) -> int:
+    return max(1, STEIN_CHUNK_ENTRIES // grid.size)
+
+
+def _derivative_span(grid: GridSpec, top: int, tables: _BlockTables, lo: int, hi: int, paths):
+    """Yield (a, d, d_inv) for each chunk [a, b) of the paths lo .. hi.
+
+    d is the derivative and d_inv the negated inverse-OU derivative, both
+    (cells, paths) views of the span's accumulator, overwritten by the next
+    chunk; ``paths(a, b)`` returns the chunk's rows of block uniforms.
+    """
+    chunk = _derivative_chunk_rows(grid)
+    span = _SpanBuffers(grid, min(chunk, hi - lo), tables)
+    acc = np.empty((3, grid.size, min(chunk, hi - lo)))
+    for a in range(lo, hi, chunk):
+        b = min(a + chunk, hi)
+        span.locate(paths(a, b))
+        d, d_inv, top_part = _gather_sum(tables, span, acc[:, :, :b - a])
+        d_inv += top_part
+        top_part *= top
+        d += top_part
+        yield a, d, d_inv
 
 
 def derivative_values_many(family: KernelFamily, u: np.ndarray, *,
@@ -543,13 +695,18 @@ def derivative_values_many(family: KernelFamily, u: np.ndarray, *,
     """
     if not family.is_block_centered:
         raise ChaosError("derivative needs a block-centered family; apply block_center first")
-    u = np.atleast_2d(np.asarray(u, dtype=float))
     grid = family.grid
-    loc = np.ascontiguousarray(_local_cells(grid, u).T)
-    out = np.zeros((grid.size, u.shape[0]))
-    for j, piece in _derivative_pieces(grid, _derivative_tables(family), loc):
-        out += piece if unit_weights else j * piece
-    return np.ascontiguousarray(out.T)
+    u = _path_matrix(grid, u)
+    out = np.empty((u.shape[0], grid.size))
+    top, tables = _derivative_tables(family)
+
+    def work(lo: int, hi: int) -> None:
+        for a, d, d_inv in _derivative_span(grid, top, tables, lo, hi, lambda a, b: u[a:b]):
+            out[a:a + d.shape[1]] = (d_inv if unit_weights else d).T
+
+    rng.map_chunks(work, rng.chunk_spans(u.shape[0], _derivative_chunk_rows(grid),
+                                         rng.thread_count()))
+    return out
 
 
 @dataclass(frozen=True)
@@ -566,10 +723,6 @@ class SteinBoundTerms:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-# (paths x cells) entries per Stein chunk: keeps a chunk's derivative in cache.
-STEIN_CHUNK_ENTRIES = 200_000
 
 
 def _sd_with_se(x: np.ndarray) -> tuple[float, float]:
@@ -596,8 +749,8 @@ def stein_bound_terms(family: KernelFamily, n_paths: int, seed: int) -> SteinBou
     The inner product <derivative, negated inverse-OU derivative> is computed
     exactly per path as a cell sum with the (dx/2) weight; only its variance
     and the fourth-moment integral are Monte Carlo averages over paths.  One
-    derivative pass per chunk gives both derivatives: d = sum_j j D_j and the
-    negated inverse-OU derivative sum_j D_j.
+    derivative pass per chunk gives both derivatives, the derivative and the
+    negated inverse-OU derivative.
     """
     if n_paths < 1:
         raise ChaosError(f"bound needs at least one path, got {n_paths}")
@@ -609,28 +762,38 @@ def stein_bound_terms(family: KernelFamily, n_paths: int, seed: int) -> SteinBou
     half_w = grid.cell_width / 2.0
     ex2 = family.second_moment()
     term1 = abs(1.0 - ex2)
-    tables = _derivative_tables(family)
+    top, tables = _derivative_tables(family)
+    chunk = _derivative_chunk_rows(grid)
 
     inner = np.empty(n_paths)
     fourth = np.empty(n_paths)  # per path, the cell sum of derivative^4
 
     def work(lo: int, hi: int) -> None:
-        u = random_paths(seed, hi - lo, grid.blocks, first=lo)
-        loc = np.ascontiguousarray(_local_cells(grid, u).T)
-        d = np.zeros((grid.size, hi - lo))
-        d_inv = np.zeros_like(d)
-        for j, piece in _derivative_pieces(grid, tables, loc):
-            d_inv += piece
-            piece *= j
-            d += piece
-        # the cell sums run over contiguous (paths, cells) rows, as einsum
-        # orders them there, so they do not depend on the gather layout
-        d = np.ascontiguousarray(d.T)
-        inner[lo:hi] = np.einsum("ij,ij->i", d, np.ascontiguousarray(d_inv.T)) * half_w
-        d *= d
-        fourth[lo:hi] = np.einsum("ij,ij->i", d, d)
+        rows = min(chunk, hi - lo)
+        stream = rng.uniform_stream(seed, lo * grid.blocks)
+        u = np.empty((rows, grid.blocks))
+        d_rows = np.empty((rows, grid.size))
+        inv_rows = np.empty((rows, grid.size))
 
-    rng.map_chunks(work, rng.chunk_ranges(n_paths, max(1, STEIN_CHUNK_ENTRIES // grid.size)))
+        def paths(a: int, b: int) -> np.ndarray:
+            # random_paths(seed, b - a, grid.blocks, first=a), read on from the span's stream
+            return _to_paths(rng.uniform_matrix(seed, b - a, grid.blocks, first_row=a,
+                                                stream=stream, out=u[:b - a]))
+
+        for a, d, d_inv in _derivative_span(grid, top, tables, lo, hi, paths):
+            b = a + d.shape[1]
+            # the cell sums run over contiguous (paths, cells) rows, as einsum
+            # orders them there, so they do not depend on the gather layout
+            dr = d_rows[:b - a]
+            np.copyto(dr, d.T)
+            ir = inv_rows[:b - a]
+            np.copyto(ir, d_inv.T)
+            np.einsum("ij,ij->i", dr, ir, out=inner[a:b])
+            inner[a:b] *= half_w
+            dr *= dr
+            np.einsum("ij,ij->i", dr, dr, out=fourth[a:b])
+
+    rng.map_chunks(work, rng.chunk_spans(n_paths, chunk, rng.thread_count()))
 
     term2, term2_se = _sd_with_se(inner)
     fourth_integral = float(fourth.sum()) / n_paths * half_w

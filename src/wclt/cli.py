@@ -203,13 +203,15 @@ def _cmd_simulate(args) -> int:
 
 def _read_normalized_column(path: str) -> list[float]:
     with open(path, "r", newline="") as handle:
-        rows = (line for line in handle if not line.startswith("#"))
-        reader = csv.DictReader(rows)
-        if reader.fieldnames is None or "normalized" not in reader.fieldnames:
+        reader = csv.reader(line for line in handle if not line.startswith("#"))
+        header = next(reader, None)
+        if header is None or "normalized" not in header:
             raise PatternError(f"samples file {path!r} has no 'normalized' column")
+        # the last 'normalized' column, the one a dict of the row would keep
+        col = len(header) - 1 - header[::-1].index("normalized")
         values = []
-        for i, row in enumerate(reader, 1):
-            value = row["normalized"]  # None when the row is too short
+        for i, row in enumerate(filter(None, reader), 1):  # blank lines hold no row
+            value = row[col] if col < len(row) else None  # None when the row is too short
             try:
                 values.append(float(value))
             except (TypeError, ValueError):

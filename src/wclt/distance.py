@@ -21,11 +21,19 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _U_FLOOR = 1e-300
 _U_CEIL = 1.0 - 1e-16
 _inv_cdf = NormalDist().inv_cdf
+# Values per slice of _map: a Python list of one half-line of a large sample
+# (about 5 MB at 300k values) would set the process's memory peak.
+_MAP_SLICE = 8192
 
 
 def _map(fn, x: np.ndarray) -> np.ndarray:
-    """A scalar float function applied to every entry of a float array."""
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    """A scalar float function applied to every entry of a float array, a slice at a time."""
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    for lo in range(0, flat.size, _MAP_SLICE):
+        part = flat[lo:lo + _MAP_SLICE]
+        out[lo:lo + part.size] = np.fromiter(map(fn, part.tolist()), float, part.size)
+    return out.reshape(x.shape)
 
 
 def _cdf(x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 from scipy import special
 
 from wclt import rng
-from wclt.chaos import Kernel, KernelFamily, family_from_kernels
+from wclt.chaos import Kernel, KernelFamily, family_from_kernels, path_cells, random_paths
 from wclt.errors import ChaosError
 from wclt.graph_stats import HostSample
 from wclt.patterns import complete_graph_edges, enumerate_copies
@@ -175,3 +175,27 @@ def derivative_family(family, block: int, cell: int):
     if not slices:
         return KernelFamily(family.grid, constant, [])
     return family_from_kernels(slices, constant=constant)
+
+
+def stein_terms_by_gather(family, n_paths: int, seed: int) -> dict:
+    """term2, term3 and their standard errors from the gathered derivatives.
+
+    The paths are ``random_paths(seed, n_paths, blocks)``, the ones the bound
+    reads; each per-path cell sum and each moment is taken over whole arrays.
+    """
+    grid = family.grid
+    idx = path_cells(grid, random_paths(seed, n_paths, grid.blocks))
+    d = gathered_derivative(family, idx)
+    d_inv = gathered_derivative(family, idx, unit_weights=True)
+    half_w = grid.cell_width / 2.0
+    inner = (d * d_inv).sum(axis=1) * half_w
+    fourth = (d**4).sum(axis=1)
+    ex2 = family.second_moment()
+    dev = inner - inner.mean()
+    var = float(np.var(inner, ddof=1))
+    term2 = math.sqrt(var)
+    term2_se = math.sqrt(max(float(np.mean(dev**4)) - var * var, 0.0) / n_paths) / (2.0 * term2)
+    integral = float(fourth.mean()) * half_w
+    fourth_se = float(np.std(fourth, ddof=1)) / math.sqrt(n_paths) * half_w
+    return {"term2": term2, "term3": 2.0 * math.sqrt(ex2 * integral), "term2_se": term2_se,
+            "term3_se": math.sqrt(ex2 / integral) * fourth_se}

@@ -6,8 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import derivative_family, gathered_block_sum, gathered_derivative, gathered_integral
-from wclt import chaos
+from oracles import (
+    derivative_family,
+    gathered_block_sum,
+    gathered_derivative,
+    gathered_integral,
+    stein_terms_by_gather,
+)
+from wclt import chaos, rng
 from wclt.chaos import (
     EVAL_CHUNK_ROWS,
     EXACT_TOL,
@@ -39,6 +45,9 @@ from wclt.chaos import (
     ustat_eval_many,
     zero_kernel,
     _block_tables,
+    _cover,
+    _derivative_tables,
+    _integral_tables,
 )
 from wclt.errors import ChaosError
 from wclt.graph_chaos import graph_weight_family
@@ -221,6 +230,11 @@ class TestIntegralEvaluation:
         idx = path_cells(grid, np.array([[-0.9, 0.9]]))
         assert idx[0, 0] == 0       # low uniform -> first cell of block 0
         assert idx[0, 1] == 7       # high uniform -> last cell of block 1
+
+    def test_random_paths_scale_the_uniform_table(self):
+        for first in (0, 7):
+            expected = 2.0 * rng.uniform_matrix(24, 33, 6, first_row=first) - 1.0
+            assert np.array_equal(random_paths(24, 33, 6, first=first), expected)
 
     def test_variance_dominated_for_uncentered(self):
         # without block centering the second moment stays below n! times the norm
@@ -432,6 +446,17 @@ def zeroed_block_tuples(kern: Kernel) -> Kernel:
     return Kernel(grid, kern.order, kern.values * keep, validate=False)
 
 
+def blocks_within(kern: Kernel, blocks: set[int]) -> Kernel:
+    """The kernel with every block tuple that leaves the given blocks set to zero;
+    block centered when the kernel is, like ``zeroed_block_tuples``."""
+    grid = kern.grid
+    inside = np.isin(np.arange(grid.size) // grid.cells, list(blocks))
+    keep = np.ones((grid.size,) * kern.order, dtype=bool)
+    for axis in range(kern.order):
+        keep &= inside.reshape([-1 if i == axis else 1 for i in range(kern.order)])
+    return Kernel(grid, kern.order, kern.values * keep, validate=False)
+
+
 def graph_family(pattern: str, n: int, weights: str, p: float, cells: int) -> KernelFamily:
     return graph_weight_family(named_pattern(pattern), n, p, parse_weight_model(weights), cells)
 
@@ -442,6 +467,10 @@ SPARSE_FAMILIES = {
     "path3-n5": lambda: graph_family("path:3", 5, "const:2", 0.25, 8),
     "zeroed-tuples": lambda: family_from_kernels(
         [zeroed_block_tuples(random_kernel(GridSpec(6, 3), j, seed=2100 + j)) for j in (1, 2, 3)]),
+    # the top kernel lives on blocks 0..2 only, so most narrower tables have no home
+    "narrow-top": lambda: family_from_kernels(
+        [random_kernel(GridSpec(5, 2), j, seed=2150 + j) for j in (1, 2)]
+        + [blocks_within(random_kernel(GridSpec(5, 2), 3, seed=2153), {0, 1, 2})]),
     "all-zero": lambda: KernelFamily(GridSpec(4, 2), 0.5,
                                      [zero_kernel(GridSpec(4, 2), j) for j in (1, 2, 3)]),
 }
@@ -511,29 +540,109 @@ class TestBlockTableGather:
             assert all(table.any() for _, table in parts)
         assert _block_tables(np.zeros_like(top), 2, fam.grid) == []
 
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_cover_folds_every_narrower_table_once(self, derivative):
+        # triangle at n = 5: every narrower block set with a nonzero table (a
+        # pair of meeting host edges, one edge, none) lies in a triangle of host
+        # edges, so the tables fold into the 10 triangles, 30 derivative parts
+        fam = SPARSE_FAMILIES["triangle-n5"]()
+        marked, where = [], []  # table k is the constant k; where[k] = (combo, target)
+        for kern in reversed(fam.kernels):
+            width = kern.order - 1 if derivative else kern.order
+            for combo, parts in _block_tables(kern.values, width, fam.grid):
+                marked.append((combo, []))
+                for target, table in parts:
+                    marked[-1][1].append((target, np.full(table.shape, float(len(where)))))
+                    where.append((combo, target))
+        covered = _cover(marked, fam.grid.cells)
+        assert sum(len(parts) for _, parts in covered) == (30 if derivative else 10)
+        seen = []
+        for combo, parts in covered:
+            for target, (own, *folded) in parts:
+                assert where[int(own.flat[0])] == (combo, target)
+                for table in folded:
+                    k = int(table.flat[0])
+                    assert np.all(table == k) and table.shape == own.shape
+                    assert where[k][1] == target
+                    assert set(where[k][0]) < set(combo)
+                seen += [int(t.flat[0]) for t in [own, *folded]]
+        assert sorted(seen) == list(range(len(where)))
+        assert len(_integral_tables(fam.kernels, fam.grid)) == 10
+        assert sum(len(parts) for _, parts in _derivative_tables(fam)[1]) == 30
+
+    @pytest.mark.parametrize("name", ["zeroed-tuples", "narrow-top"])
+    def test_uncovered_narrower_tables_stay(self, name):
+        # zeroed-tuples leaves a home for every narrower table; narrow-top does not
+        fam = SPARSE_FAMILIES[name]()
+        top, tables = _derivative_tables(fam)
+        integral = _integral_tables(fam.kernels, fam.grid)
+        uncovered = name == "narrow-top"
+        assert any(len(combo) < top - 1 for combo, _ in tables) == uncovered
+        assert any(len(combo) < top for combo, _ in integral) == uncovered
+        u = random_paths(2010, 300, fam.grid.blocks)
+        idx = path_cells(fam.grid, u)
+        assert_matches_gather(fam.eval_many(u), sum(gathered_integral(k, idx) for k in fam.kernels))
+        for unit in (False, True):
+            assert_matches_gather(derivative_values_many(fam, u, unit_weights=unit),
+                                  gathered_derivative(fam, idx, unit_weights=unit))
+
+    @pytest.mark.parametrize("name", ["triangle-n4", "triangle-n5", "path3-n5", "zeroed-tuples",
+                                      "narrow-top", "dense-random"])
+    def test_stein_terms_match_gathered_derivative(self, name):
+        if name == "dense-random":
+            grid = GridSpec(5, 3)
+            fam = family_from_kernels([random_kernel(grid, j, seed=2200 + j) for j in (1, 2, 3)])
+        else:
+            graph = SPARSE_FAMILIES[name]()
+            fam = KernelFamily(graph.grid, 0.0, graph.kernels)
+        n_paths = 2 * (STEIN_CHUNK_ENTRIES // fam.grid.size) + 7  # three chunks
+        terms = stein_bound_terms(fam, n_paths, seed=2300).to_dict()
+        oracle = stein_terms_by_gather(fam, n_paths, seed=2300)
+        for key, value in oracle.items():
+            assert terms[key] == pytest.approx(value, rel=1e-12), key
+
+    def test_wrong_path_width_raises(self):
+        fam = SPARSE_FAMILIES["triangle-n4"]()
+        kern = fam.kernels[2]
+        calls = (fam.eval_many, lambda v: integral_eval_many(kern, v),
+                 lambda v: ustat_eval_many(kern, v), lambda v: derivative_values_many(fam, v))
+        for width in (fam.grid.blocks - 1, fam.grid.blocks + 1):
+            u = random_paths(2400, 5, width)
+            for call in calls:
+                with pytest.raises(ChaosError, match="one value per block"):
+                    call(u)
+
     def test_results_independent_of_thread_count(self, monkeypatch):
-        # at least 3 chunks each; 4 threads on fewer cores with a short switch
-        # interval, so a write outside a chunk's own rows would show
+        # one path, a chunk less one, a chunk and one, and at least 3 chunks;
+        # up to 8 threads, more than there are chunks or cores, with a short
+        # switch interval, so a write outside a chunk's own rows would show
         grid = GridSpec(10, 4)
         graph = SPARSE_FAMILIES["triangle-n5"]()
         assert graph.grid == grid
         families = [family_from_kernels([random_kernel(grid, j, seed=1950 + j) for j in (1, 2, 3)]),
                     KernelFamily(grid, 0.0, graph.kernels)]
-        n_paths = 15_001
-        u = random_paths(1960, 3 * EVAL_CHUNK_ROWS + 1, grid.blocks)
-        assert n_paths > 3 * (STEIN_CHUNK_ENTRIES // grid.size)
+        stein_chunk = STEIN_CHUNK_ENTRIES // grid.size
+        stein_counts = (1, stein_chunk - 1, stein_chunk + 1, 15_001)
+        eval_counts = (1, EVAL_CHUNK_ROWS - 1, EVAL_CHUNK_ROWS + 1, 3 * EVAL_CHUNK_ROWS + 1)
+        assert stein_counts[-1] > 3 * stein_chunk
+        u = random_paths(1960, eval_counts[-1], grid.blocks)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for fam in families:
                 results = {}
-                for threads in ("1", "2", "4"):
+                for threads in ("1", "2", "4", "8"):
                     monkeypatch.setenv("WCLT_THREADS", threads)
-                    results[threads] = (stein_bound_terms(fam, n_paths, seed=1961).to_dict(),
-                                        fam.eval_many(u))
-                for threads in ("2", "4"):
-                    assert results[threads][0] == results["1"][0]
-                    assert np.array_equal(results[threads][1], results["1"][1])
+                    results[threads] = (
+                        [stein_bound_terms(fam, n, seed=1961).to_dict() for n in stein_counts],
+                        [fam.eval_many(u[:n]) for n in eval_counts],
+                        derivative_values_many(fam, u[:stein_chunk + 1]),
+                    )
+                for threads in ("2", "4", "8"):
+                    stein, evals, derivative = results[threads]
+                    assert stein == results["1"][0]
+                    assert all(map(np.array_equal, evals, results["1"][1]))
+                    assert np.array_equal(derivative, results["1"][2])
         finally:
             sys.setswitchinterval(interval)
 

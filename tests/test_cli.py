@@ -271,6 +271,28 @@ class TestDistanceCommand:
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
         assert "short.csv" in res.stderr and "data row 2" in res.stderr
 
+    def test_column_reader_values_and_messages(self, tmp_path):
+        from wclt.cli import _read_normalized_column
+        from wclt.errors import PatternError
+
+        f = tmp_path / "s.csv"
+        # comment and blank lines are skipped; of two 'normalized' columns the last counts
+        f.write_text("# config\nreplicate,normalized,normalized\n\n0,9,0.5\n\n1,9,-2e-3\n")
+        assert _read_normalized_column(str(f)) == [0.5, -0.002]
+        name = repr(str(f))
+        for text, message in [
+            ("replicate,raw\n0,1.0\n", f"samples file {name} has no 'normalized' column"),
+            ("", f"samples file {name} has no 'normalized' column"),
+            ("replicate,raw_w,normalized\n0,1.0,0.5\n\n1,2.0\n",
+             f"samples file {name}, data row 2: no number in the 'normalized' column (None)"),
+            ("replicate,raw_w,normalized\n0,1.0,x\n",
+             f"samples file {name}, data row 1: no number in the 'normalized' column ('x')"),
+        ]:
+            f.write_text(text)
+            with pytest.raises(PatternError) as err:
+                _read_normalized_column(str(f))
+            assert str(err.value) == message
+
     def test_missing_file_usage_error(self, tmp_path):
         res = run_cli("distance", "--samples", str(tmp_path / "missing.csv"))
         assert res.returncode == 2

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import w1_quantile_space
-from wclt import rng
+from wclt import distance, rng
 from wclt.distance import normal_cdf, normal_pdf, normal_quantile, wasserstein1_to_normal
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -70,6 +70,15 @@ class TestNormalPlumbing:
             assert isinstance(fn(float(arg[0, 0])), float)
         assert normal_quantile(0.0) == normal_quantile(1e-300)
         assert normal_quantile(1.0) == normal_quantile(1.0 - 1e-16)
+
+    @pytest.mark.parametrize("size", [0, 1, distance._MAP_SLICE - 1, distance._MAP_SLICE,
+                                      distance._MAP_SLICE + 1])
+    def test_sliced_map_matches_whole_array_map(self, size):
+        x = rng.uniform_slice(80, 0, 2 * size).reshape(size, 2)
+        for fn in (math.erfc, distance._inv_cdf):
+            for arr in (x[:, 0].copy(), x):  # 1-D, and 2-D input
+                whole = np.fromiter(map(fn, arr.ravel().tolist()), float, arr.size)
+                assert np.array_equal(distance._map(fn, arr), whole.reshape(arr.shape))
 
     def test_quantile_inverts_cdf(self):
         us = np.concatenate([

@@ -22,3 +22,15 @@ def test_traced_chaos_verify_runs(tmp_path):
     assert res.returncode == 0, res.stderr
     spans = json.loads(probe.read_text())["spans"]
     assert "cli.chaos_verify" in {span["name"] for span in spans}
+
+
+def test_traced_stein_job_runs(tmp_path):
+    probe = tmp_path / "probe.json"
+    res = subprocess.run(
+        [sys.executable, LAUNCH, str(probe), "trace", "stein", "1", "2000",
+         str(tmp_path / "stein.json")],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    names = {span["name"] for span in json.loads(probe.read_text())["spans"]}
+    assert {"chaos.stein_bound_terms", "chaos.eval_many"} <= names
