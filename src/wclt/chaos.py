@@ -127,6 +127,7 @@ class Kernel:
             drop = self.order - keep
             cached = self.values.sum(axis=tuple(range(keep, self.order)))
             cached = cached * self.grid.cell_width**drop
+            cached.setflags(write=False)  # shared by every later call
             self._marginals[keep] = cached
         return cached
 
@@ -290,6 +291,9 @@ def _path_matrix(grid: GridSpec, u) -> np.ndarray:
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.shape[-1] != grid.blocks:
         raise ChaosError(f"path needs one value per block ({grid.blocks}), got {u.shape[-1]}")
+    # min and max allocate no path-sized temporary, and a NaN fails both comparisons
+    if u.size and not (u.min() >= -1.0 and u.max() <= 1.0):
+        raise ChaosError("path values must be finite and lie in [-1, 1]")
     return u
 
 
@@ -476,6 +480,12 @@ def _integral_tables(kernels, grid: GridSpec) -> _BlockTables:
             for combo, parts in _cover(scaled, grid.cells)]
 
 
+def _row_chunks(u: np.ndarray, lo: int, hi: int, chunk: int):
+    """(a, u[a:b]) for each chunk [a, b) of the rows lo .. hi, ``chunk`` at a time."""
+    for a in range(lo, hi, chunk):
+        yield a, u[a:min(a + chunk, hi)]
+
+
 def _eval_block_sums(grid: GridSpec, tables: _BlockTables, u, constant: float = 0.0,
                      factor: float = 1.0) -> np.ndarray:
     """constant + factor times the gathered table sum, per path (row of u).
@@ -490,14 +500,13 @@ def _eval_block_sums(grid: GridSpec, tables: _BlockTables, u, constant: float = 
 
     def work(lo: int, hi: int) -> None:
         span = _SpanBuffers(grid, min(chunk, hi - lo), tables)
-        for a in range(lo, hi, chunk):
-            b = min(a + chunk, hi)
-            span.locate(u[a:b])
-            total = _gather_sum(tables, span, out[a:b])
+        for a, paths in _row_chunks(u, lo, hi, chunk):
+            span.locate(paths)
+            total = _gather_sum(tables, span, out[a:a + paths.shape[0]])
             total *= factor
             total += constant
 
-    rng.map_chunks(work, rng.chunk_spans(u.shape[0], chunk, rng.thread_count()))
+    rng.map_spans(u.shape[0], chunk, work)
     return out
 
 
@@ -664,49 +673,51 @@ def _derivative_chunk_rows(grid: GridSpec) -> int:
     return max(1, STEIN_CHUNK_ENTRIES // grid.size)
 
 
-def _derivative_span(grid: GridSpec, top: int, tables: _BlockTables, lo: int, hi: int, paths):
-    """Yield (a, d, d_inv) for each chunk [a, b) of the paths lo .. hi.
+def _derivative_span(grid: GridSpec, top: int, tables: _BlockTables, chunks, rows: int):
+    """Yield (a, d, d_inv) for each chunk (a, paths) of at most ``rows`` paths.
 
+    ``paths`` holds the chunk's rows of block uniforms, the paths a, a + 1, ...
     d is the derivative and d_inv the negated inverse-OU derivative, both
     (cells, paths) views of the span's accumulator, overwritten by the next
-    chunk; ``paths(a, b)`` returns the chunk's rows of block uniforms.
+    chunk.
     """
-    chunk = _derivative_chunk_rows(grid)
-    span = _SpanBuffers(grid, min(chunk, hi - lo), tables)
-    acc = np.empty((3, grid.size, min(chunk, hi - lo)))
-    for a in range(lo, hi, chunk):
-        b = min(a + chunk, hi)
-        span.locate(paths(a, b))
-        d, d_inv, top_part = _gather_sum(tables, span, acc[:, :, :b - a])
+    span = _SpanBuffers(grid, rows, tables)
+    acc = np.empty((3, grid.size, rows))
+    for a, paths in chunks:
+        span.locate(paths)
+        d, d_inv, top_part = _gather_sum(tables, span, acc[:, :, :paths.shape[0]])
         d_inv += top_part
         top_part *= top
         d += top_part
         yield a, d, d_inv
 
 
-def derivative_values_many(family: KernelFamily, u: np.ndarray, *,
-                           unit_weights: bool = False) -> np.ndarray:
-    """Finite-difference derivative along each path, as a (paths, cells) matrix.
+def derivative_values_many(family: KernelFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Finite-difference derivative along each path, and the negated
+    derivative of the inverse-OU image, each as a (paths, cells) matrix.
 
-    Entry (p, t) is sum over orders j of j * I_{j-1}(kernel_j(t, .)) at path p
-    (coefficient 1 instead of j under ``unit_weights``, which equals the
-    negated derivative of the inverse-OU image).  Requires a block-centered
-    family, for which the correction term of the derivative vanishes.
+    Entry (p, t) of the derivative is sum over orders j of
+    j * I_{j-1}(kernel_j(t, .)) at path p; the inverse-OU one has coefficient
+    1 in place of j.  Requires a block-centered family, for which the
+    correction term of the derivative vanishes.
     """
     if not family.is_block_centered:
         raise ChaosError("derivative needs a block-centered family; apply block_center first")
     grid = family.grid
     u = _path_matrix(grid, u)
-    out = np.empty((u.shape[0], grid.size))
+    d_out = np.empty((u.shape[0], grid.size))
+    inv_out = np.empty((u.shape[0], grid.size))
     top, tables = _derivative_tables(family)
+    chunk = _derivative_chunk_rows(grid)
 
     def work(lo: int, hi: int) -> None:
-        for a, d, d_inv in _derivative_span(grid, top, tables, lo, hi, lambda a, b: u[a:b]):
-            out[a:a + d.shape[1]] = (d_inv if unit_weights else d).T
+        chunks = _row_chunks(u, lo, hi, chunk)
+        for a, d, d_inv in _derivative_span(grid, top, tables, chunks, min(chunk, hi - lo)):
+            d_out[a:a + d.shape[1]] = d.T
+            inv_out[a:a + d.shape[1]] = d_inv.T
 
-    rng.map_chunks(work, rng.chunk_spans(u.shape[0], _derivative_chunk_rows(grid),
-                                         rng.thread_count()))
-    return out
+    rng.map_spans(u.shape[0], chunk, work)
+    return d_out, inv_out
 
 
 @dataclass(frozen=True)
@@ -770,17 +781,12 @@ def stein_bound_terms(family: KernelFamily, n_paths: int, seed: int) -> SteinBou
 
     def work(lo: int, hi: int) -> None:
         rows = min(chunk, hi - lo)
-        stream = rng.uniform_stream(seed, lo * grid.blocks)
-        u = np.empty((rows, grid.blocks))
         d_rows = np.empty((rows, grid.size))
         inv_rows = np.empty((rows, grid.size))
-
-        def paths(a: int, b: int) -> np.ndarray:
-            # random_paths(seed, b - a, grid.blocks, first=a), read on from the span's stream
-            return _to_paths(rng.uniform_matrix(seed, b - a, grid.blocks, first_row=a,
-                                                stream=stream, out=u[:b - a]))
-
-        for a, d, d_inv in _derivative_span(grid, top, tables, lo, hi, paths):
+        # the rows of random_paths(seed, n_paths, grid.blocks), a chunk at a time
+        uniforms = rng.uniform_chunks(seed, grid.blocks, lo, hi, chunk)
+        chunks = ((a, _to_paths(u)) for a, u in uniforms)
+        for a, d, d_inv in _derivative_span(grid, top, tables, chunks, rows):
             b = a + d.shape[1]
             # the cell sums run over contiguous (paths, cells) rows, as einsum
             # orders them there, so they do not depend on the gather layout
@@ -793,7 +799,7 @@ def stein_bound_terms(family: KernelFamily, n_paths: int, seed: int) -> SteinBou
             dr *= dr
             np.einsum("ij,ij->i", dr, dr, out=fourth[a:b])
 
-    rng.map_chunks(work, rng.chunk_spans(n_paths, chunk, rng.thread_count()))
+    rng.map_spans(n_paths, chunk, work)
 
     term2, term2_se = _sd_with_se(inner)
     fourth_integral = float(fourth.sum()) / n_paths * half_w

@@ -487,25 +487,23 @@ def _accumulate_weights(plan: _WeightPlan, n: int, p: float, model: WeightModel,
     present edge e.  N_e comes from the batched 0/1 adjacency through the
     pattern's ``_weight_plan``; every count is an integer below 2^53, so it
     is exact and the same whatever the chunk, and each replicate's row sum
-    is taken on its own.  The span reads its uniforms forward from one
-    stream and refills one set of chunk buffers in place: fresh arrays of
-    chunk * n^2 cells, freed after every chunk, are handed back to the
-    system by the allocator and page-faulted in again by the next chunk.
+    is taken on its own.  The span reads its uniforms from
+    ``rng.uniform_chunks`` and refills one set of chunk buffers in place:
+    fresh arrays of chunk * n^2 cells, freed after every chunk, are handed
+    back to the system by the allocator and page-faulted in again by the
+    next chunk.
     """
     n_edges = n * (n - 1) // 2
     rows = min(chunk, hi - lo)
-    stream = rng.uniform_stream(seed, lo * n_edges)
     cell_edge, upper, lower = _host_cells(n)
-    uniforms = np.empty((rows, n_edges))
     padded = np.zeros((rows, n_edges + 1))  # the last column stays 0: the diagonal's "edge"
     cells = np.empty((rows, n * n))
     counts_cells = np.empty((rows, n * n))
     term_cells = np.empty((rows, n, n))
     per_edge_rows = np.empty((rows, n_edges))
     lower_rows = np.empty((rows, n_edges))
-    for a in range(lo, hi, chunk):
-        c = min(chunk, hi - a)
-        u = rng.uniform_matrix(seed, c, n_edges, first_row=a, stream=stream, out=uniforms[:c])
+    for a, u in rng.uniform_chunks(seed, n_edges, lo, hi, chunk):
+        c = u.shape[0]
         present, weights = retained_weights(u, p, model)
         padded[:c, :n_edges] = present
         adjacency = padded[:c].take(cell_edge, axis=1, out=cells[:c]).reshape(c, n, n)
@@ -538,10 +536,8 @@ def normalized_samples(pattern: PatternGraph, n: int, p: float, model: WeightMod
     raw = np.empty(reps, dtype=float)
     plan = _weight_plan(pattern)
     chunk = max(1, _CHUNK_CELLS // (n * n))
-    rng.map_chunks(
-        lambda lo, hi: _accumulate_weights(plan, n, p, model, seed, raw, lo, hi, chunk),
-        rng.chunk_spans(reps, chunk, rng.thread_count()),
-    )
+    rng.map_spans(reps, chunk,
+                  lambda lo, hi: _accumulate_weights(plan, n, p, model, seed, raw, lo, hi, chunk))
     normalized = (raw - mean) / math.sqrt(var)
     raw.setflags(write=False)
     normalized.setflags(write=False)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -52,9 +52,8 @@ def uniform_matrix(seed: int, rows: int, cols: int, first_row: int = 0, *,
     Row r, column c holds stream value r * cols + c, so a batched call and a
     sequence of single-row calls produce bit-identical numbers.  ``stream``,
     when given, is a generator from ``uniform_stream(seed, ...)`` read forward
-    to value first_row * cols; a caller that walks consecutive row blocks
-    passes one and positions Philox once.  ``out``, when given, is a
-    C-contiguous (rows, cols) array that receives the values.
+    to value first_row * cols, and ``out`` a C-contiguous (rows, cols) array
+    that receives the values; ``uniform_chunks`` passes both.
     """
     if stream is None:
         stream = uniform_stream(seed, first_row * cols)
@@ -77,43 +76,41 @@ def thread_count() -> int:
     return value
 
 
-def chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
-    chunk = max(1, chunk)
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+def uniform_chunks(seed: int, cols: int, lo: int, hi: int,
+                   chunk: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(a, rows a .. a + c of the (row, item) uniform table) for each chunk of
+    rows lo .. hi, ``chunk`` at a time.
 
-
-def _contiguous_runs(ranges: Sequence[tuple[int, int]],
-                     parts: int) -> list[Sequence[tuple[int, int]]]:
-    """The ranges cut, in order, into at most ``parts`` nonempty runs whose
-    lengths differ by at most one."""
-    k = len(ranges)
-    parts = min(parts, k)
-    return [ranges[i * k // parts:(i + 1) * k // parts] for i in range(parts)]
-
-
-def chunk_spans(total: int, chunk: int, parts: int) -> list[tuple[int, int]]:
-    """[0, total) cut into at most ``parts`` contiguous spans of whole chunks."""
-    return [(run[0][0], run[-1][1])
-            for run in _contiguous_runs(chunk_ranges(total, chunk), parts)]
-
-
-def map_chunks(work: Callable[[int, int], None], ranges: Sequence[tuple[int, int]]) -> None:
-    """Run ``work(lo, hi)`` over ranges, possibly threaded.
-
-    Each worker is one pool task that runs a contiguous run of the ranges in
-    increasing order.  ``work`` must write only into the output slice
-    [lo, hi), which keeps the result independent of scheduling order and
-    thread count.
+    One Philox stream is positioned at row lo and read forward, and each
+    chunk's rows refill one buffer in place, so a yielded array is
+    overwritten by the next chunk.
     """
-    def run_all(run: Sequence[tuple[int, int]]) -> None:
-        for lo, hi in run:
-            work(lo, hi)
+    stream = uniform_stream(seed, lo * cols)
+    buffer = np.empty((min(chunk, hi - lo), cols))
+    for a in range(lo, hi, chunk):
+        c = min(chunk, hi - a)
+        yield a, uniform_matrix(seed, c, cols, a, stream=stream, out=buffer[:c])
 
-    runs = _contiguous_runs(ranges, thread_count())
-    if len(runs) <= 1:
-        run_all(ranges)
+
+def map_spans(total: int, chunk: int, work: Callable[[int, int], None]) -> None:
+    """Run ``work(lo, hi)`` over spans of [0, total), possibly threaded.
+
+    [0, total) is cut into chunks of ``chunk`` rows, and the chunks, in
+    order, into at most thread_count() contiguous spans whose chunk counts
+    differ by at most one.  One span runs inline; otherwise each span is one
+    pool task.  ``work`` must write only into the output rows [lo, hi), which
+    keeps the result independent of scheduling order and thread count.
+    """
+    chunk = max(1, chunk)
+    chunks = -(-total // chunk)
+    parts = min(thread_count(), chunks)
+    spans = [(i * chunks // parts * chunk, min((i + 1) * chunks // parts * chunk, total))
+             for i in range(parts)]
+    if len(spans) <= 1:
+        for lo, hi in spans:
+            work(lo, hi)
         return
-    with ThreadPoolExecutor(max_workers=len(runs)) as pool:
-        futures = [pool.submit(run_all, run) for run in runs]
+    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+        futures = [pool.submit(work, lo, hi) for lo, hi in spans]
         for fut in futures:
             fut.result()

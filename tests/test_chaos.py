@@ -100,6 +100,19 @@ class TestKernelBasics:
         with pytest.raises(ChaosError):
             Kernel(grid, 2, raw)
 
+    def test_cached_marginals_are_read_only(self):
+        # every later integral reads the cached marginals, so an in-place edit
+        # of one would silently change them
+        grid = GridSpec(4, 2)
+        k = random_kernel(grid, 2, seed=2, centered=False)
+        u = random_paths(3, 20, 4)
+        before = integral_eval_many(k, u)
+        for keep in (1, 2):
+            marginal = k.marginal(keep)
+            with pytest.raises(ValueError, match="read-only"):
+                marginal += 1.0
+        assert np.array_equal(integral_eval_many(k, u), before)
+
 class TestCentering:
     def test_zero_kernel_centered(self):
         assert is_block_centered(zero_kernel(GridSpec(2, 2), 2))
@@ -283,7 +296,7 @@ class TestOperators:
         f = rademacher_kernel(blocks=2)
         fam = family_from_kernels([f])
         u = random_paths(31, 20, 2)
-        d = derivative_values_many(fam, u)
+        d, _ = derivative_values_many(fam, u)
         assert np.allclose(d, np.broadcast_to(f.values, d.shape))
 
     def test_derivative_of_order2_pathwise(self):
@@ -292,7 +305,7 @@ class TestOperators:
         f2 = random_kernel(grid, 2, seed=600)
         fam = family_from_kernels([f2])
         u = random_paths(32, 100, 3)
-        d = derivative_values_many(fam, u)
+        d, _ = derivative_values_many(fam, u)
         for t in (0, 2, 5):
             direct = 2.0 * integral_eval_many(slice_kernel(f2, t), u)
             assert np.max(np.abs(d[:, t] - direct)) <= PATHWISE_TOL
@@ -301,7 +314,7 @@ class TestOperators:
         f = rademacher_kernel(blocks=2)
         fam = family_from_kernels([f])
         u = np.array([0.3, -0.4])
-        d = derivative_values_many(fam, u)
+        d, _ = derivative_values_many(fam, u)
         assert d.shape == (1, 4)
         assert d[0, 0] == pytest.approx(1.0)
         assert d[0, 3] == pytest.approx(-1.0)
@@ -311,7 +324,7 @@ class TestOperators:
         fam = family_from_kernels([random_kernel(grid, 1, seed=650),
                                    random_kernel(grid, 2, seed=651)])
         u = random_paths(33, 50, 3)
-        d = derivative_values_many(fam, u)
+        d, _ = derivative_values_many(fam, u)
         for block, cell in ((0, 0), (1, 1), (2, 0)):
             slice_fam = derivative_family(fam, block, cell)
             vals = slice_fam.eval_many(u)
@@ -322,7 +335,7 @@ class TestOperators:
         grid = GridSpec(4, 2)
         fam = family_from_kernels([random_kernel(grid, j, seed=660 + j) for j in (1, 2, 3, 4)])
         u = random_paths(34, 50, 4)
-        d = derivative_values_many(fam, u)
+        d, _ = derivative_values_many(fam, u)
         for block in range(4):
             for cell in range(2):
                 vals = derivative_family(fam, block, cell).eval_many(u)
@@ -337,7 +350,8 @@ class TestOperators:
     def test_zero_family_derivative(self):
         grid = GridSpec(2, 2)
         fam = family_from_kernels([zero_kernel(grid, 1)])
-        assert np.all(derivative_values_many(fam, np.zeros((3, 2))) == 0)
+        d, d_inv = derivative_values_many(fam, np.zeros((3, 2)))
+        assert np.all(d == 0) and np.all(d_inv == 0)
 
 class TestEnergyIdentity:
     def test_order1_tight(self):
@@ -495,9 +509,9 @@ class TestBlockTableGather:
                                    for j in range(1, order + 1)])
         u = random_paths(1800 + order, 200, blocks)
         idx = path_cells(grid, u)
-        for unit in (False, True):
-            assert_matches_gather(derivative_values_many(fam, u, unit_weights=unit),
-                                  gathered_derivative(fam, idx, unit_weights=unit))
+        d, d_inv = derivative_values_many(fam, u)
+        assert_matches_gather(d, gathered_derivative(fam, idx))
+        assert_matches_gather(d_inv, gathered_derivative(fam, idx, unit_weights=True))
 
     def test_family_eval_matches_kernel_sum(self):
         grid = GridSpec(5, 3)
@@ -522,9 +536,9 @@ class TestBlockTableGather:
             assert_matches_gather(integral_eval_many(kern, u), gathered_integral(kern, idx))
         assert_matches_gather(fam.eval_many(u),
                               fam.constant + sum(gathered_integral(k, idx) for k in fam.kernels))
-        for unit in (False, True):
-            assert_matches_gather(derivative_values_many(fam, u, unit_weights=unit),
-                                  gathered_derivative(fam, idx, unit_weights=unit))
+        d, d_inv = derivative_values_many(fam, u)
+        assert_matches_gather(d, gathered_derivative(fam, idx))
+        assert_matches_gather(d_inv, gathered_derivative(fam, idx, unit_weights=True))
 
     def test_block_tables_drop_zero_parts(self):
         # triangle at n = 5: a pair of host edges lies in a triangle only when
@@ -582,9 +596,9 @@ class TestBlockTableGather:
         u = random_paths(2010, 300, fam.grid.blocks)
         idx = path_cells(fam.grid, u)
         assert_matches_gather(fam.eval_many(u), sum(gathered_integral(k, idx) for k in fam.kernels))
-        for unit in (False, True):
-            assert_matches_gather(derivative_values_many(fam, u, unit_weights=unit),
-                                  gathered_derivative(fam, idx, unit_weights=unit))
+        d, d_inv = derivative_values_many(fam, u)
+        assert_matches_gather(d, gathered_derivative(fam, idx))
+        assert_matches_gather(d_inv, gathered_derivative(fam, idx, unit_weights=True))
 
     @pytest.mark.parametrize("name", ["triangle-n4", "triangle-n5", "path3-n5", "zeroed-tuples",
                                       "narrow-top", "dense-random"])
@@ -611,6 +625,21 @@ class TestBlockTableGather:
             for call in calls:
                 with pytest.raises(ChaosError, match="one value per block"):
                     call(u)
+        # values that are not finite or lie outside [-1, 1] are refused, not
+        # cast and clipped into a block's edge cells
+        calls += (lambda v: path_cells(fam.grid, v),)
+        u = random_paths(2401, 3, fam.grid.blocks)
+        for bad in (np.nan, np.inf, -np.inf, 1.0 + 1e-12, -1.5):
+            v = u.copy()
+            v[1, 2] = bad
+            for call in calls:
+                with pytest.raises(ChaosError, match=r"finite and lie in \[-1, 1\]"):
+                    call(v)
+        v = u.copy()
+        v[0, :] = -1.0
+        v[2, :] = 1.0
+        for call in calls:
+            call(v)
 
     def test_results_independent_of_thread_count(self, monkeypatch):
         # one path, a chunk less one, a chunk and one, and at least 3 chunks;
@@ -642,7 +671,7 @@ class TestBlockTableGather:
                     stein, evals, derivative = results[threads]
                     assert stein == results["1"][0]
                     assert all(map(np.array_equal, evals, results["1"][1]))
-                    assert np.array_equal(derivative, results["1"][2])
+                    assert all(map(np.array_equal, derivative, results["1"][2]))
         finally:
             sys.setswitchinterval(interval)
 

@@ -34,3 +34,18 @@ def test_traced_stein_job_runs(tmp_path):
     assert res.returncode == 0, res.stderr
     names = {span["name"] for span in json.loads(probe.read_text())["spans"]}
     assert {"chaos.stein_bound_terms", "chaos.eval_many"} <= names
+
+
+def test_traced_simulate_counts_every_uniform(tmp_path):
+    # the sampler's span runner must draw through rng.uniform_matrix, or the
+    # traced benchmark's rng layer reads 0: 100 replicates of the 28 edges of K_8
+    probe = tmp_path / "probe.json"
+    res = subprocess.run(
+        [sys.executable, LAUNCH, str(probe), "trace", "cli", "simulate",
+         "--pattern", "triangle", "--n", "8", "--weights", "unif:1", "--p", "0.5",
+         "--reps", "100", "--seed", "1", "--out", str(tmp_path / "s.csv")],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    spans = json.loads(probe.read_text())["spans"]
+    assert sum(span.get("counts", {}).get("rng.uniforms", 0) for span in spans) == 100 * 28

@@ -1,5 +1,5 @@
-"""Position-stable uniform streams, and deterministic chunked parallelism:
-every range runs once, whatever the thread count."""
+"""Position-stable uniform streams, and deterministic span parallelism:
+every span of whole chunks runs once, whatever the thread count."""
 
 import threading
 from concurrent import futures
@@ -38,8 +38,8 @@ def test_negative_position_refused():
         rng.uniform_slice(1, 0, -1)
 
 
-def _record(monkeypatch, threads, ranges):
-    """Per thread, the ranges map_chunks ran there, in the order it ran them."""
+def _record(monkeypatch, threads, total, chunk):
+    """Per thread, the spans map_spans ran there, in the order it ran them."""
     monkeypatch.setenv("WCLT_THREADS", threads)
     calls: dict[int, list] = {}
     lock = threading.Lock()
@@ -48,20 +48,21 @@ def _record(monkeypatch, threads, ranges):
         with lock:
             calls.setdefault(threading.get_ident(), []).append((lo, hi))
 
-    rng.map_chunks(work, ranges)
+    rng.map_spans(total, chunk, work)
     return calls
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "8"])
 def test_every_range_runs_once(monkeypatch, threads):
-    # 8 workers is more than the 5 ranges
-    ranges = rng.chunk_ranges(23, 5)
-    assert len(ranges) == 5
-    calls = _record(monkeypatch, threads, ranges)
-    assert sorted(r for run in calls.values() for r in run) == ranges
-    for run in calls.values():
-        assert run == sorted(run)
-    assert len(calls) <= min(int(threads), len(ranges))
+    # 8 workers is more than the 5 chunks of 23 rows
+    calls = _record(monkeypatch, threads, 23, 5)
+    spans = sorted(span for run in calls.values() for span in run)
+    assert len(spans) == min(int(threads), 5)
+    # the spans tile [0, 23) in order, each one whole chunks
+    assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+    assert spans[-1][1] == 23
+    assert all(lo % 5 == 0 for lo, _ in spans)
+    assert len(calls) <= len(spans)
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "8"])
@@ -74,17 +75,17 @@ def test_one_task_per_worker(monkeypatch, threads):
         return original(self, fn, *args)
 
     monkeypatch.setattr(futures.ThreadPoolExecutor, "submit", submit)
-    ranges = rng.chunk_ranges(100, 7)
-    _record(monkeypatch, threads, ranges)
+    calls = _record(monkeypatch, threads, 100, 7)
     workers = int(threads)
     assert len(submitted) == (0 if workers == 1 else workers)
-    # each task is a contiguous run of the ranges, and the runs tile them in order
-    assert [r for (run,) in submitted for r in run] == (ranges if workers > 1 else [])
+    # each task is one span, submitted in order
+    spans = sorted(span for run in calls.values() for span in run)
+    assert submitted == (spans if workers > 1 else [])
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "8"])
 def test_empty_range_list_does_nothing(monkeypatch, threads):
-    assert _record(monkeypatch, threads, []) == {}
+    assert _record(monkeypatch, threads, 0, 5) == {}
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -92,11 +93,12 @@ def test_exception_in_work_reaches_caller(monkeypatch, threads):
     monkeypatch.setenv("WCLT_THREADS", threads)
 
     def work(lo, hi):
-        if lo == 10:
-            raise ArithmeticError(f"range {lo}..{hi}")
+        if hi == 23:
+            raise ArithmeticError(f"span {lo}..{hi}")
 
-    with pytest.raises(ArithmeticError, match="range 10..15"):
-        rng.map_chunks(work, rng.chunk_ranges(23, 5))
+    last = "0..23" if threads == "1" else "10..23"
+    with pytest.raises(ArithmeticError, match=f"span {last}"):
+        rng.map_spans(23, 5, work)
 
 
 @pytest.mark.parametrize("total, chunk, parts, spans", [
@@ -106,8 +108,22 @@ def test_exception_in_work_reaches_caller(monkeypatch, threads):
     (23, 5, 8, [(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]),
     (0, 5, 2, []),
 ])
-def test_chunk_spans_hold_whole_chunks(total, chunk, parts, spans):
-    assert rng.chunk_spans(total, chunk, parts) == spans
+def test_chunk_spans_hold_whole_chunks(monkeypatch, total, chunk, parts, spans):
+    calls = _record(monkeypatch, str(parts), total, chunk)
+    assert sorted(span for run in calls.values() for span in run) == spans
+
+
+def test_uniform_chunks_match_fresh_matrices():
+    # lo = 7 is not a multiple of the Philox block, and 4 does not divide 18
+    cols, lo, hi, chunk = 5, 7, 25, 4
+    starts, first = [], None
+    for a, u in rng.uniform_chunks(11, cols, lo, hi, chunk):
+        c = min(chunk, hi - a)
+        assert u.tobytes() == rng.uniform_matrix(11, c, cols, first_row=a).tobytes()
+        first = u if first is None else first
+        assert np.shares_memory(u, first)
+        starts.append(a)
+    assert starts == list(range(lo, hi, chunk))
 
 
 def test_thread_cap(monkeypatch):
