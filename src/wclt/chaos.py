@@ -746,10 +746,11 @@ def _sd_with_se(x: np.ndarray) -> tuple[float, float]:
     if n < 2:
         return 0.0, 0.0
     dev = x - x.mean()
-    var = float((dev * dev).sum()) / (n - 1)
+    d2 = dev * dev
+    var = float(d2.sum()) / (n - 1)
     if var == 0.0:
         return 0.0, 0.0
-    m4 = float(np.mean(dev**4))
+    m4 = float(d2 @ d2) / n  # a dot of the squares: dev**4 pays a pow per element
     sd = math.sqrt(var)
     return sd, math.sqrt(max(m4 - var * var, 0.0) / n) / (2.0 * sd)
 

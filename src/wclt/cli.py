@@ -30,6 +30,7 @@ from .graph_stats import (
     combined_weight,
     intersection_pair_census,
     normalized_samples,
+    sampler_layout,
 )
 from .patterns import PatternGraph, named_pattern, parse_pattern
 from .weights import Constant, parse_weight_model
@@ -190,12 +191,15 @@ def _cmd_simulate(args) -> int:
     _emit(_samples_csv(batch, config), args.out)
     if args.meta:
         census = intersection_pair_census(pattern, args.n)
+        layout = sampler_layout(pattern, args.n)
         payload = {
             "format_version": FORMAT_VERSION,
             "config": config,
             "exact_mean": batch.exact_mean,
             "exact_variance": batch.exact_variance,
             "census": {str(h): c for h, c in census.items()},
+            "sampler": {"count_dtype": layout.count_dtype.name, "chunk_rows": layout.chunk_rows,
+                        "plan_terms": layout.plan_terms},
         }
         _atomic_write(args.meta, _json_dumps(payload))
     return EXIT_OK

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, islice, product
 from typing import NamedTuple
 
@@ -44,19 +44,26 @@ def _edge_index(n: int) -> dict[Edge, int]:
     return {e: i for i, e in enumerate(complete_graph_edges(n))}
 
 
-def retained_weights(uniforms: np.ndarray, p: float,
-                     model: WeightModel) -> tuple[np.ndarray, np.ndarray]:
+def retained_weights(uniforms: np.ndarray, p: float, model: WeightModel,
+                     out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The mask u < p and the weights quantile(u / p) where u < p, else 0.
 
-    Both come in the input's shape.  The quantile runs on the retained edges
-    only.  Their flat index comes from the bool mask, and ``take`` and
+    Both come in the input's shape; ``out``, a float64 array of that shape
+    when given, receives the weights.  The quantile runs on the retained
+    edges only.  Their flat index comes from the bool mask, and ``take`` and
     the indexed store move the values without the branch per element of a
     boolean gather and scatter.
     """
     present = uniforms < p
     index = np.flatnonzero(present)
-    weights = np.zeros(present.shape)
-    weights.reshape(-1)[index] = model.quantile_array(uniforms.take(index) / p)
+    if out is None:
+        weights = np.zeros(present.shape)
+    else:
+        weights = out
+        weights.fill(0.0)
+    retained = uniforms.take(index)
+    retained /= p
+    weights.reshape(-1)[index] = model.quantile_array(retained)
     return present, weights
 
 
@@ -108,8 +115,8 @@ class SampleBatch:
 # a conditioned one costs n^2 per value tuple of its free vertices (C(n, k)
 # increasing tuples, else n^k).  Every term counts at least n^3, so one
 # replicate's n^2 cells stay small.  At the cap a replicate takes from about
-# 7 ms (the triangle at n = 464) to 0.13 s (complete:10 at n = 21), one thread
-# on a 2-vCPU VM.
+# 5 ms (the triangle at n = 464, float32 counts) to 0.07 s (complete:10 at
+# n = 21, float64 counts), one thread on a 2-vCPU VM at p = 0.1.
 MAX_REPLICATE_WORK = 10**8
 
 
@@ -230,10 +237,20 @@ def asymptotic_variance(pattern: PatternGraph, n: int, p: float, model: WeightMo
     return (m.variance + (1.0 - p) * m.mean**2) * overlaps
 
 
-# Host cells (chunk * n^2) in one dense adjacency batch; small enough that a
-# chunk's arrays stay in cache.  The chunk size depends on n alone, never on
-# the thread count.
-_CHUNK_CELLS = 1 << 15
+# Bytes in one dense (chunk, n, n) array of the sampler, and in one per-block
+# array of a conditioned term: small enough that a chunk's arrays stay in
+# cache.  At 8 bytes a value this is 2^15 host cells, at 4 bytes 2^16.  The
+# chunk size depends on n and the count dtype alone, never on the thread count.
+_CHUNK_BYTES = 1 << 18
+
+# Every integer of magnitude up to 2^24 is exact in float32: the range of its
+# 24-bit significand.
+_FLOAT32_EXACT = 1 << 24
+
+
+def _chunk_rows(dtype: np.dtype, cells: int) -> int:
+    """Rows of ``cells`` values of ``dtype`` that fit the byte budget; at least 1."""
+    return max(1, _CHUNK_BYTES // (dtype.itemsize * cells))
 
 
 class _OpenTerm(NamedTuple):
@@ -379,15 +396,75 @@ def _weight_plan(pattern: PatternGraph) -> _WeightPlan:
     return _WeightPlan(automorphisms, terms)
 
 
+def _count_dtype(plan: _WeightPlan, n: int) -> np.dtype:
+    """float32 when it holds every integer the plan forms at host size n, else float64.
+
+    A term's intermediates count partial homomorphisms of its quotient, so
+    each is at most n^|free|.  The cube adds coefficient * count over the
+    terms and an edge adds two cells, so no value the sampler forms in the
+    count dtype exceeds 2 sum_t |coefficient_t| n^|free_t| in magnitude.
+    """
+    bound = 2 * sum(abs(term.coefficient) * n ** len(term.free) for term in plan.terms)
+    return np.dtype(np.float32 if bound < _FLOAT32_EXACT else np.float64)
+
+
+class SamplerLayout(NamedTuple):
+    """How ``normalized_samples`` evaluates the copy counts at one host size."""
+
+    count_dtype: np.dtype
+    chunk_rows: int
+    plan_terms: int
+
+
+def sampler_layout(pattern: PatternGraph, n: int) -> SamplerLayout:
+    """The count dtype, the replicates per chunk and the plan's term count at host size n."""
+    plan = _weight_plan(pattern)
+    dtype = _count_dtype(plan, n)
+    return SamplerLayout(dtype, _chunk_rows(dtype, n * n), len(plan.terms))
+
+
+class _Scratch:
+    """One span's plan intermediates, in the count dtype.
+
+    Flat buffers of ``size`` values are lent as arrays of any shape that
+    fits and given back once consumed.  A buffer is allocated only when none
+    is free, so a span holds as many as one term keeps live at once and
+    reuses them over terms and chunks.
+    """
+
+    def __init__(self, size: int, dtype: np.dtype) -> None:
+        self.size, self.dtype = size, dtype
+        self._free: list[np.ndarray] = []
+        self._owned: dict[int, np.ndarray] = {}
+
+    def lend(self, *shape: int) -> np.ndarray:
+        if self._free:
+            buffer = self._free.pop()
+        else:
+            buffer = np.empty(self.size, self.dtype)
+            self._owned[id(buffer)] = buffer
+        return buffer[:math.prod(shape)].reshape(shape)
+
+    def give(self, *arrays: np.ndarray) -> None:
+        """Take back the buffers under ``arrays``; an array not lent here (the adjacency) stays."""
+        for arr in arrays:
+            if id(arr.base) in self._owned:
+                self._free.append(arr.base)
+
+
 def _oriented(factor: tuple, first: int) -> np.ndarray:
     """A pair factor's array indexed [replicate, first, other]; symmetric ones as stored."""
     scope, arr, symmetric = factor
     return arr if symmetric or scope[0] == first else arr.transpose(0, 2, 1)
 
 
-def _eliminate(factors: list, v: int) -> list:
-    """Sum out vertex v from factors (scope, array indexed [replicate, *scope], symmetric)."""
-    vec = None
+def _eliminate(factors: list, v: int, scratch: _Scratch) -> list:
+    """Sum out vertex v from factors (scope, array indexed [replicate, *scope], symmetric).
+
+    The new factor's array is lent by ``scratch``, and the arrays of the
+    factors on v go back to it.
+    """
+    vectors = []
     pairs: dict[int, list] = {}  # neighbour w -> the factors on {v, w}
     rest = []
     for factor in factors:
@@ -395,24 +472,43 @@ def _eliminate(factors: list, v: int) -> list:
         if v not in scope:
             rest.append(factor)
         elif len(scope) == 1:
-            vec = arr if vec is None else vec * arr
+            vectors.append(arr)
         else:
             pairs.setdefault(scope[0] + scope[1] - v, []).append(factor)
+    spent = vectors + [f[1] for fs in pairs.values() for f in fs]
+
+    def multiplied(arrays: list) -> np.ndarray:
+        if len(arrays) == 1:
+            return arrays[0]
+        out = scratch.lend(*arrays[0].shape)
+        spent.append(out)
+        np.multiply(arrays[0], arrays[1], out=out)
+        for arr in arrays[2:]:
+            np.multiply(out, arr, out=out)
+        return out
 
     def matrix(w: int, first: int) -> np.ndarray:
-        return reduce(np.multiply, (_oriented(f, first) for f in pairs[w]))
+        return multiplied([_oriented(f, first) for f in pairs[w]])
 
+    vec = multiplied(vectors) if vectors else None
     ws = sorted(pairs)
     if not ws:
-        rest.append(((), vec.sum(axis=1), True))
+        rest.append(((), vec.sum(axis=1, out=scratch.lend(vec.shape[0])), True))
     elif len(ws) == 1:
         m = matrix(ws[0], v)
-        rest.append(((ws[0],), m.sum(axis=1) if vec is None else (vec[:, None, :] @ m)[:, 0], True))
+        c, _, n = m.shape
+        if vec is None:  # column sums by one product: numpy sums a middle axis far slower
+            new = np.matmul(np.ones(n, m.dtype), m, out=scratch.lend(c, n))
+        else:
+            new = np.matmul(vec[:, None, :], m, out=scratch.lend(c, 1, n))[:, 0]
+        rest.append(((ws[0],), new, True))
     else:
         left = matrix(ws[0], ws[0])
         if vec is not None:
-            left = left * vec[:, None, :]
-        rest.append(((ws[0], ws[1]), left @ matrix(ws[1], v), False))
+            left = multiplied([left, vec[:, None, :]])
+        new = np.matmul(left, matrix(ws[1], v), out=scratch.lend(*left.shape))
+        rest.append(((ws[0], ws[1]), new, False))
+    scratch.give(*spent)
     return rest
 
 
@@ -426,46 +522,94 @@ def _on_open_edge(factor: tuple, a: int) -> np.ndarray:
     return arr[:, :, None] if scope == (a,) else arr[:, None, :]
 
 
-def _eliminated_count(term: _OpenTerm, adjacency: np.ndarray):
-    """hom of the term's quotient with its open edge on (i, j), per replicate: [r, i, j]."""
+def _add_eliminated(term: _OpenTerm, adjacency: np.ndarray, cube: np.ndarray, first: bool,
+                    scratch: _Scratch) -> None:
+    """cube += coefficient * hom of the term's quotient with its open edge on (i, j),
+    per replicate [r, i, j]; the first term writes the cube instead."""
     factors = [(edge, adjacency, True) for edge in term.edges]
     for v in term.order:
-        factors = _eliminate(factors, v)
-    if not factors:
-        return 1.0
+        factors = _eliminate(factors, v, scratch)
     factors.sort(key=lambda f: len(f[0]))  # vectors first: one full-size product fewer
-    return reduce(np.multiply, (_on_open_edge(f, term.open_edge[0]) for f in factors))
+    parts = [_on_open_edge(f, term.open_edge[0]) for f in factors]
+    if not parts:  # no edge left: the count is 1 on every cell
+        if first:
+            cube.fill(term.coefficient)
+        else:
+            cube += term.coefficient
+        return
+    out = cube if first else scratch.lend(*np.broadcast_shapes(*(f.shape for f in parts)))
+    np.multiply(parts[0], term.coefficient, out=out)
+    for part in parts[1:]:
+        np.multiply(out, part, out=out)
+    if not first:
+        cube += out
+        scratch.give(out)
+    scratch.give(*(f[1] for f in factors))
 
 
-def _conditioned_count(term: _OpenTerm, adjacency: np.ndarray):
-    """sum over value tuples t of the free vertices of s_t * outer(u_t, v_t), by matmul.
+def _add_conditioned(term: _OpenTerm, adjacency: np.ndarray, cube: np.ndarray, first: bool,
+                     scratch: _Scratch) -> None:
+    """cube += coefficient * sum over value tuples t of the free vertices of
+    s_t * outer(u_t, v_t), by matmul; the first term writes the cube instead.
 
     s_t is the product of the edges among the free vertices, u_t (v_t) that
     of the edges from them to the first (second) end of the open edge.
     """
     c, n = adjacency.shape[:2]
+    cells = adjacency.reshape(c, n * n)
     a, b = term.open_edge
     slot = {v: i for i, v in enumerate(term.free)}
     inner = [(slot[u], slot[w]) for u, w in term.edges if u in slot and w in slot]
     at = {e: tuple(slot[u + w - e] for u, w in term.edges if e in (u, w)) for e in (a, b)}
     k = len(term.free)
     tuples = combinations(range(n), k) if term.increasing else product(range(n), repeat=k)
-    step = max(1, _CHUNK_CELLS // (c * n))
-    total = 0.0
+    step = _chunk_rows(cube.dtype, c * n)
     while block := list(islice(tuples, step)):
         t = np.array(block)
         if not term.increasing:  # adjacent free vertices on one host vertex add nothing
             t = t[np.all([t[:, i] != t[:, j] for i, j in inner], axis=0)]
-        # arrays indexed [replicate, tuple, host vertex]
-        scale = np.ones((c, len(t), 1))
-        for i, j in inner:
-            scale = scale * adjacency[:, t[:, i], t[:, j]][:, :, None]
-        rows = {i: adjacency[:, t[:, i], :] for i in set(at[a] + at[b])}
-        # an end with no free neighbour (a disconnected pattern) is one column of ones
-        ends = {xs: reduce(np.multiply, (rows[i] for i in xs)) if xs else np.ones((c, len(t), 1))
-                for xs in (at[a], at[b])}
-        total = total + (ends[at[a]] * scale).transpose(0, 2, 1) @ ends[at[b]]
-    return total
+        m = len(t)
+        # arrays indexed [replicate, tuple, host vertex]; the coefficient rides on s_t
+        scale = scratch.lend(c, m)
+        scale.fill(term.coefficient)
+        lent = [scale]
+        if inner:
+            edge = scratch.lend(c, m)
+            lent.append(edge)
+            for i, j in inner:
+                scale *= cells.take(t[:, i] * n + t[:, j], axis=1, out=edge, mode="wrap")
+        rows = {}
+        for i in set(at[a] + at[b]):
+            rows[i] = adjacency.take(t[:, i], axis=1, out=scratch.lend(c, m, n), mode="wrap")
+            lent.append(rows[i])
+        ends = {}
+        for xs in {at[a], at[b]}:
+            if len(xs) == 1:
+                ends[xs] = rows[xs[0]]
+                continue
+            # an end with no free neighbour (a disconnected pattern) is one column of ones
+            ends[xs] = end = scratch.lend(c, m, n if xs else 1)
+            lent.append(end)
+            if xs:
+                np.multiply(rows[xs[0]], rows[xs[1]], out=end)
+                for i in xs[2:]:
+                    end *= rows[i]
+            else:
+                end.fill(1)
+        left, right = ends[at[a]], ends[at[b]]
+        lhs = np.multiply(left, scale[:, :, None], out=scratch.lend(*left.shape))
+        shape = (c, lhs.shape[2], right.shape[2])
+        direct = first and shape == cube.shape
+        res = np.matmul(lhs.transpose(0, 2, 1), right,
+                        out=cube if direct else scratch.lend(*shape))
+        if not direct:
+            lent.append(res)
+            if first:
+                np.copyto(cube, res)
+            else:
+                cube += res
+        first = False
+        scratch.give(lhs, *lent)
 
 
 @lru_cache(maxsize=None)
@@ -485,38 +629,44 @@ def _accumulate_weights(plan: _WeightPlan, n: int, p: float, model: WeightModel,
 
     W = sum_e w_e N_e, where N_e counts the present copies through the
     present edge e.  N_e comes from the batched 0/1 adjacency through the
-    pattern's ``_weight_plan``; every count is an integer below 2^53, so it
-    is exact and the same whatever the chunk, and each replicate's row sum
-    is taken on its own.  The span reads its uniforms from
-    ``rng.uniform_chunks`` and refills one set of chunk buffers in place:
-    fresh arrays of chunk * n^2 cells, freed after every chunk, are handed
-    back to the system by the allocator and page-faulted in again by the
-    next chunk.
+    pattern's ``_weight_plan``, evaluated in ``_count_dtype``: every value it
+    forms is an integer that dtype holds exactly, so N_e is exact and the
+    same whatever the chunk and the dtype.  The per-edge sums turn float64
+    before the division by aut(G), the weights and the row sum, and each
+    replicate's row sum is taken on its own.  The span reads its uniforms
+    from ``rng.uniform_chunks`` and refills one set of buffers in place, the
+    plan's intermediates included: fresh arrays of chunk * n^2 cells, freed
+    after every chunk, are handed back to the system by the allocator and
+    page-faulted in again by the next chunk.
     """
     n_edges = n * (n - 1) // 2
     rows = min(chunk, hi - lo)
+    dtype = _count_dtype(plan, n)
     cell_edge, upper, lower = _host_cells(n)
-    padded = np.zeros((rows, n_edges + 1))  # the last column stays 0: the diagonal's "edge"
-    cells = np.empty((rows, n * n))
-    counts_cells = np.empty((rows, n * n))
-    term_cells = np.empty((rows, n, n))
+    padded = np.zeros((rows, n_edges + 1), dtype)  # the last column stays 0: the diagonal's "edge"
+    cells = np.empty((rows, n * n), dtype)
+    counts_cells = np.empty((rows, n * n), dtype)
+    upper_rows = np.empty((rows, n_edges), dtype)
+    lower_rows = np.empty((rows, n_edges), dtype)
     per_edge_rows = np.empty((rows, n_edges))
-    lower_rows = np.empty((rows, n_edges))
+    weight_rows = np.empty((rows, n_edges))
+    # a conditioned block holds at most the budget, or one tuple of rows * n cells
+    scratch = _Scratch(max(rows * n * n, _CHUNK_BYTES // dtype.itemsize), dtype)
     for a, u in rng.uniform_chunks(seed, n_edges, lo, hi, chunk):
         c = u.shape[0]
-        present, weights = retained_weights(u, p, model)
+        present, weights = retained_weights(u, p, model, out=weight_rows[:c])
         padded[:c, :n_edges] = present
-        adjacency = padded[:c].take(cell_edge, axis=1, out=cells[:c]).reshape(c, n, n)
+        # the indices are in range by construction; "wrap" writes straight
+        # into the buffer, where the default "raise" fills a temporary first
+        adjacency = padded[:c].take(cell_edge, axis=1, out=cells[:c], mode="wrap").reshape(c, n, n)
         counts = counts_cells[:c]
         cube = counts.reshape(c, n, n)  # a view: the same cells, indexed [replicate, i, j]
-        cube.fill(0.0)
-        for term in plan.terms:
-            count = (_conditioned_count(term, adjacency) if term.order is None
-                     else _eliminated_count(term, adjacency))
-            cube += np.multiply(count, term.coefficient, out=term_cells[:c])
-        per_edge = counts.take(upper, axis=1, out=per_edge_rows[:c])
-        per_edge += counts.take(lower, axis=1, out=lower_rows[:c])
-        per_edge /= plan.automorphisms
+        for i, term in enumerate(plan.terms):
+            add = _add_eliminated if term.order is not None else _add_conditioned
+            add(term, adjacency, cube, i == 0, scratch)
+        per_edge = counts.take(upper, axis=1, out=upper_rows[:c], mode="wrap")
+        per_edge += counts.take(lower, axis=1, out=lower_rows[:c], mode="wrap")
+        per_edge = np.divide(per_edge, plan.automorphisms, out=per_edge_rows[:c], dtype=np.float64)
         per_edge *= weights
         out[a:a + c] = per_edge.sum(axis=1)
 
@@ -535,7 +685,7 @@ def normalized_samples(pattern: PatternGraph, n: int, p: float, model: WeightMod
         )
     raw = np.empty(reps, dtype=float)
     plan = _weight_plan(pattern)
-    chunk = max(1, _CHUNK_CELLS // (n * n))
+    chunk = sampler_layout(pattern, n).chunk_rows
     rng.map_spans(reps, chunk,
                   lambda lo, hi: _accumulate_weights(plan, n, p, model, seed, raw, lo, hi, chunk))
     normalized = (raw - mean) / math.sqrt(var)

@@ -139,7 +139,11 @@ class Exponential(WeightModel):
         return math.factorial(k) / self.rate**k
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
-        return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
+        # -log1p(-u) / rate in one array: a / -b is -a / b exactly
+        out = np.negative(np.asarray(u, dtype=float))
+        np.log1p(out, out=out)
+        out /= -self.rate
+        return out
 
     def quantile_mean(self, a: float, b: float) -> float:
         # antiderivative of -log(1-u) is (1-u) log(1-u) + u

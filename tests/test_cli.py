@@ -154,6 +154,21 @@ class TestSimulateCommand:
         assert payload["census"]["3"] == 56
         assert payload["config"]["seed"] == 2
 
+    @pytest.mark.parametrize("pattern, n, sampler", [
+        ("triangle", "40", {"count_dtype": "float32", "chunk_rows": 40, "plan_terms": 1}),
+        # a term of star:5 counts up to 80^4 maps, past float32's integers
+        ("star:5", "80", {"count_dtype": "float64", "chunk_rows": 5, "plan_terms": 5}),
+    ])
+    def test_meta_sampler_layout(self, tmp_path, pattern, n, sampler):
+        meta = tmp_path / "m.json"
+        for threads in ("1", "2"):
+            res = run_cli("simulate", "--pattern", pattern, "--n", n, "--p", "0.5",
+                          "--weights", "unif:1", "--reps", "6", "--seed", "1",
+                          "--out", str(tmp_path / "s.csv"), "--meta", str(meta),
+                          env_extra={"WCLT_THREADS": threads})
+            assert res.returncode == 0, res.stderr
+            assert json.loads(meta.read_text())["sampler"] == sampler
+
     def test_degenerate_configuration(self):
         res = run_cli("simulate", "--pattern", "triangle", "--n", "6",
                       "--p", "0.9999999999999999", "--weights", "const:1",

@@ -12,6 +12,8 @@ from wclt.errors import DegenerateConfigError, ResourceLimitError
 from wclt.graph_stats import (
     HostSample,
     _accumulate_weights,
+    _chunk_rows,
+    _count_dtype,
     _weight_plan,
     asymptotic_variance,
     check_sample_config,
@@ -22,6 +24,7 @@ from wclt.graph_stats import (
     normalized_samples,
     retained_weights,
     sample_host,
+    sampler_layout,
 )
 from wclt.patterns import (
     PatternGraph,
@@ -378,14 +381,17 @@ class TestNormalizedSamples:
         pytest.param("complete:4", TwoPoint(0.5, 2.0, 0.3), 9, id="complete:4-twopoint"),
         # 45 edges: span starts at 2 and 3 chunks fall inside a Philox block
         pytest.param("cycle:4", Exponential(1.0), 10, id="cycle:4-n10"),
+        # counts past float32's integers: the float64 side of the precision rule
+        pytest.param("star:5", Exponential(1.0), 80, id="star:5-n80-float64"),
     ])
     def test_raw_bitwise_chunk_invariant(self, name, model, n, monkeypatch):
         # one chunk for all replicates or one chunk per replicate: same bits;
         # and the sampler's four chunks in one, two or three spans: same bits
-        pattern, p, reps = named_pattern(name), 0.6, 1250
-        chunk = graph_stats._CHUNK_CELLS // (n * n)
-        assert 3 * chunk < reps <= 4 * chunk
+        pattern, p = named_pattern(name), 0.6
         plan = _weight_plan(pattern)
+        chunk = _chunk_rows(_count_dtype(plan, n), n * n)
+        assert sampler_layout(pattern, n).chunk_rows == chunk
+        reps = 3 * chunk + max(1, chunk // 10)  # the fourth chunk is partial
         whole = np.empty(reps)
         _accumulate_weights(plan, n, p, model, 4, whole, 0, reps, reps)
         single = np.empty(reps)
@@ -395,6 +401,29 @@ class TestNormalizedSamples:
             monkeypatch.setenv("WCLT_THREADS", threads)
             batch = normalized_samples(pattern, n, p, model, reps=reps, seed=4)
             assert batch.raw.tobytes() == whole.tobytes(), f"WCLT_THREADS={threads}"
+
+    def test_count_dtype_boundary(self):
+        # star:4 forms at most 2 (24 + 44 n + 24 n^2 + 4 n^3) in its counts:
+        # 16776192 at n = 126, under 2^24, and 17172480 at n = 127
+        plan = _weight_plan(named_pattern("star:4"))
+        assert [(abs(t.coefficient), len(t.free)) for t in plan.terms] == [
+            (24, 0), (44, 1), (24, 2), (4, 3)]
+        assert _count_dtype(plan, 126) == np.float32
+        assert _count_dtype(plan, 127) == np.float64
+        assert sampler_layout(named_pattern("star:4"), 126) == (np.float32, 4, 4)
+        assert sampler_layout(named_pattern("star:4"), 127) == (np.float64, 2, 4)
+
+    def test_precision_guard_needed(self, monkeypatch):
+        # star:5 at n = 80 counts past 2^24: float64 by the rule; in float32
+        # the counts round and the samples move
+        pattern, p, model = named_pattern("star:5"), 0.8, Exponential(1.0)
+        assert sampler_layout(pattern, 80).count_dtype == np.float64
+        exact = normalized_samples(pattern, 80, p, model, reps=20, seed=5).raw
+        monkeypatch.setattr(graph_stats, "_FLOAT32_EXACT", 1 << 60)
+        assert sampler_layout(pattern, 80).count_dtype == np.float32
+        rounded = normalized_samples(pattern, 80, p, model, reps=20, seed=5).raw
+        assert rounded.tobytes() != exact.tobytes()
+        np.testing.assert_allclose(rounded, exact, rtol=1e-6)
 
     def test_chunking_invariance(self):
         # identical output whatever the internal chunk boundaries
