@@ -21,7 +21,7 @@ import tempfile
 import numpy as np
 
 from . import chaos, graph_chaos, rng
-from .bounds import regime_bound, wasserstein_bound, rate_term
+from .bounds import DEFAULT_CUTOFF, regime_bound, wasserstein_bound, rate_term
 from .distance import wasserstein1_to_normal
 from .errors import ChaosError, DegenerateConfigError, PatternError, ResourceLimitError
 from .graph_stats import (
@@ -116,6 +116,9 @@ def _config_comment(config: dict) -> str:
 
 
 def _cmd_bound(args) -> int:
+    if args.cutoff_c is not None and not args.regime:  # only the regime formula reads it
+        raise PatternError("--cutoff-c needs --regime")
+    cutoff = DEFAULT_CUTOFF if args.cutoff_c is None else args.cutoff_c
     pattern = _load_pattern(args.pattern)
     model = parse_weight_model(args.weights)
     config = {
@@ -124,7 +127,7 @@ def _cmd_bound(args) -> int:
         "n": args.n,
         "p": args.p,
         "weights": args.weights,
-        "cutoff_c": args.cutoff_c,
+        "cutoff_c": cutoff,
         "regime_formula": bool(args.regime),
         "sweep_n": args.sweep_n,
         "sweep_p": args.sweep_p,
@@ -144,7 +147,7 @@ def _cmd_bound(args) -> int:
         writer.writerow(["n", "p", "rate_term", "moment_ratio", "bound_value", "regime", "family"])
         for n in n_list:
             for p in p_list:
-                rep = (regime_bound(pattern, n, p, model, cutoff=args.cutoff_c)
+                rep = (regime_bound(pattern, n, p, model, cutoff=cutoff)
                        if args.regime else wasserstein_bound(pattern, n, p, model))
                 writer.writerow([n, repr(p), repr(rep.rate_term), repr(rep.moment_ratio),
                                  repr(rep.bound_value), rep.regime or "", rep.family])
@@ -153,7 +156,7 @@ def _cmd_bound(args) -> int:
     if args.n is None or args.p is None:
         raise PatternError("--n and --p are required without --sweep-n/--sweep-p")
     if args.regime:
-        report = regime_bound(pattern, args.n, args.p, model, cutoff=args.cutoff_c)
+        report = regime_bound(pattern, args.n, args.p, model, cutoff=cutoff)
     else:
         report = wasserstein_bound(pattern, args.n, args.p, model)
     payload = {
@@ -385,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_pattern_opts(p_bound)
     p_bound.add_argument("--n", type=int, default=None)
     p_bound.add_argument("--p", type=float, default=None)
-    p_bound.add_argument("--cutoff-c", type=float, default=0.5, dest="cutoff_c")
+    p_bound.add_argument("--cutoff-c", type=float, default=None, dest="cutoff_c",
+                         help=f"with --regime: the dense-regime cutoff (default {DEFAULT_CUTOFF})")
     p_bound.add_argument("--regime", action="store_true",
                          help="use the three-regime formula (balanced patterns only)")
     p_bound.add_argument("--sweep-n", default=None, dest="sweep_n",

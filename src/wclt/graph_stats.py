@@ -111,12 +111,11 @@ class SampleBatch:
 
 
 # Work units per replicate above which the sampler refuses a configuration.
-# An eliminated plan term costs one n x n matmul, n^3, per vertex summed out;
-# a conditioned one costs n^2 per value tuple of its free vertices (C(n, k)
-# increasing tuples, else n^k).  Every term counts at least n^3, so one
-# replicate's n^2 cells stay small.  At the cap a replicate takes from about
-# 5 ms (the triangle at n = 464, float32 counts) to 0.07 s (complete:10 at
-# n = 21, float64 counts), one thread on a 2-vCPU VM at p = 0.1.
+# Each bag of a plan term costs n^2 per value tuple: n^3 for a single vertex,
+# C(n, k) n^2 or n^k n^2 for a final bag of k.  Every term counts at least
+# n^3, so one replicate's n^2 cells stay small.  At the cap a replicate
+# takes from about 5 ms (the triangle at n = 464, float32 counts) to 0.07 s
+# (complete:10 at n = 21, float64 counts), one thread on a 2-vCPU VM at p = 0.1.
 MAX_REPLICATE_WORK = 10**8
 
 
@@ -125,12 +124,9 @@ def check_sample_config(pattern: PatternGraph, n: int, p: float) -> None:
     _check_np(pattern, n, p)
     work = 0
     for term in _weight_plan(pattern).terms:
-        if term.order is None:
-            k = len(term.free)
-            tuples = math.comb(n, k) if term.increasing else n**k
-            work += max(tuples, n) * n * n
-        else:
-            work += max(1, len(term.order)) * n**3
+        bags = sum(max(math.comb(n, len(bag)) if term.increasing else n ** len(bag), n) * n * n
+                   for bag in term.bags)
+        work += max(bags, n**3)
     if work > MAX_REPLICATE_WORK:
         raise ResourceLimitError(
             f"sampler plan at n = {n} for the pattern with v_G = {pattern.num_vertices}, "
@@ -238,7 +234,7 @@ def asymptotic_variance(pattern: PatternGraph, n: int, p: float, model: WeightMo
 
 
 # Bytes in one dense (chunk, n, n) array of the sampler, and in one per-block
-# array of a conditioned term: small enough that a chunk's arrays stay in
+# array of a bag's gathered rows: small enough that a chunk's arrays stay in
 # cache.  At 8 bytes a value this is 2^15 host cells, at 4 bytes 2^16.  The
 # chunk size depends on n and the count dtype alone, never on the thread count.
 _CHUNK_BYTES = 1 << 18
@@ -257,19 +253,17 @@ class _OpenTerm(NamedTuple):
     """coefficient * hom(quotient, A) with the ends of its open edge held at (i, j).
 
     ``edges`` are the quotient's edges other than the open one.  The other
-    vertices are eliminated in ``order``, one batched matmul or less each.
-    When no such order exists, ``order`` is None and all of them are
-    conditioned on instead: each tuple of their values is a rank-one term,
-    and the tuples are summed by matmul.  If those vertices are pairwise
-    adjacent twins, only increasing tuples are taken and the coefficient
-    carries their orderings.
+    vertices are summed out bag by bag, in order: single vertices while one
+    has at most two neighbours left, then the rest as one final bag.  If a
+    bag holds all of them and they are pairwise adjacent twins,
+    ``increasing`` is set: only its increasing value tuples are taken and
+    the coefficient carries their orderings.
     """
 
     coefficient: int
     edges: tuple[Edge, ...]
     open_edge: Edge
-    free: tuple[int, ...]
-    order: tuple[int, ...] | None
+    bags: tuple[tuple[int, ...], ...]
     increasing: bool
 
 
@@ -336,36 +330,38 @@ def _canonical_term(k: int, edges, open_edge: Edge) -> tuple:
     return k, tuple(sorted(pair(u, w) for u, w in edges)), pair(*open_edge)
 
 
-def _elimination_order(k: int, edges, open_edge: Edge) -> tuple[int, ...] | None:
-    """Greedy minimum-degree order of the vertices off the open edge, or None.
+def _elimination_bags(k: int, edges, open_edge: Edge) -> tuple[tuple[int, ...], ...]:
+    """Greedy minimum-degree elimination of the vertices off the open edge, as bags.
 
-    Eliminating a vertex joins its neighbours; an order exists when each
-    vertex has at most two neighbours left when its turn comes.
+    Eliminating a vertex joins its neighbours.  Single vertices are taken
+    while one has at most two neighbours left; the free vertices still left
+    then form one final bag, whose outside neighbours lie on the open edge.
     """
     nbrs = _neighbours(k, edges)
     free = [v for v in range(k) if v not in open_edge]
-    order = []
+    bags = []
     while free:
         v = min(free, key=lambda x: (len(nbrs[x]), x))
         if len(nbrs[v]) > 2:
-            return None
+            return (*bags, tuple(free))
         for a in nbrs[v]:
             nbrs[a] |= nbrs[v] - {a}
             nbrs[a].discard(v)
-        order.append(v)
+        bags.append((v,))
         free.remove(v)
-    return tuple(order)
+    return tuple(bags)
 
 
 def _open_term(coefficient: int, k: int, edges: tuple[Edge, ...], open_edge: Edge) -> _OpenTerm:
-    free = tuple(v for v in range(k) if v not in open_edge)
-    order = _elimination_order(k, edges, open_edge)
+    bags = _elimination_bags(k, edges, open_edge)
+    # only a bag of every free vertex: a later one's orderings would move _count_dtype's bound
+    first = bags[0] if bags else ()
     closed = [nbrs | {v} for v, nbrs in enumerate(_neighbours(k, edges))]
-    increasing = order is None and all(closed[u] == closed[w] and w in closed[u]
-                                       for u in free for w in free)
+    increasing = len(first) > 1 and all(closed[u] == closed[w] and w in closed[u]
+                                        for u in first for w in first)
     if increasing:
-        coefficient *= math.factorial(len(free))
-    return _OpenTerm(coefficient, edges, open_edge, free, order, increasing)
+        coefficient *= math.factorial(len(first))
+    return _OpenTerm(coefficient, edges, open_edge, bags, increasing)
 
 
 @lru_cache(maxsize=None)
@@ -404,7 +400,7 @@ def _count_dtype(plan: _WeightPlan, n: int) -> np.dtype:
     terms and an edge adds two cells, so no value the sampler forms in the
     count dtype exceeds 2 sum_t |coefficient_t| n^|free_t| in magnitude.
     """
-    bound = 2 * sum(abs(term.coefficient) * n ** len(term.free) for term in plan.terms)
+    bound = 2 * sum(abs(term.coefficient) * n ** sum(map(len, term.bags)) for term in plan.terms)
     return np.dtype(np.float32 if bound < _FLOAT32_EXACT else np.float64)
 
 
@@ -458,56 +454,124 @@ def _oriented(factor: tuple, first: int) -> np.ndarray:
     return arr if symmetric or scope[0] == first else arr.transpose(0, 2, 1)
 
 
-def _eliminate(factors: list, v: int, scratch: _Scratch) -> list:
-    """Sum out vertex v from factors (scope, array indexed [replicate, *scope], symmetric).
+def _bag_tuples(bag: tuple[int, ...], term: _OpenTerm, n: int, step: int):
+    """A final bag's value tuples, ``step`` at a time, as arrays indexed [tuple, bag slot].
 
-    The new factor's array is lent by ``scratch``, and the arrays of the
-    factors on v go back to it.
+    Adjacent bag vertices on one host vertex add nothing, as the adjacency's
+    diagonal is zero; a factor made by an elimination has a nonzero
+    diagonal, so only the term's own edges filter.
     """
-    vectors = []
-    pairs: dict[int, list] = {}  # neighbour w -> the factors on {v, w}
+    inner = [(bag.index(u), bag.index(w)) for u, w in term.edges if u in bag and w in bag]
+    tuples = (combinations(range(n), len(bag)) if term.increasing
+              else product(range(n), repeat=len(bag)))
+    while block := list(islice(tuples, step)):
+        t = np.array(block)
+        if not term.increasing:
+            for i, j in inner:
+                t = t[t[:, i] != t[:, j]]
+        yield t
+
+
+def _eliminate(factors: list, bag: tuple[int, ...], term: _OpenTerm, scratch: _Scratch) -> list:
+    """Sum out the vertices of ``bag`` from factors (scope, array indexed [replicate, *scope],
+    symmetric), by one batched matmul per block of the bag's value tuples t.
+
+    s_t is the product of the factors within the bag, and an outside end's
+    row at t the product of the rows of the factors to it.  The new factor
+    sums s_t times the outer product of the two ends' rows over t, so the
+    tuples are the contraction axis.  A single vertex's tuples are the host
+    vertices in order, so its factor arrays serve as they are.  The new
+    factor's array is lent by ``scratch``, and the arrays of the spent
+    factors go back to it.
+    """
+    slot = {v: i for i, v in enumerate(bag)}
+    groups: dict = {}  # outside end, or None within the bag -> the factors on the bag
     rest = []
     for factor in factors:
-        scope, arr, _ = factor
-        if v not in scope:
+        outside = [w for w in factor[0] if w not in slot]
+        if len(outside) == len(factor[0]):
             rest.append(factor)
-        elif len(scope) == 1:
-            vectors.append(arr)
         else:
-            pairs.setdefault(scope[0] + scope[1] - v, []).append(factor)
-    spent = vectors + [f[1] for fs in pairs.values() for f in fs]
+            groups.setdefault(outside[0] if outside else None, []).append(factor)
+    inside = groups.pop(None, [])
+    ws = sorted(groups)
+    spent = [f[1] for fs in (inside, *groups.values()) for f in fs]
+    c, n = spent[0].shape[0], spent[0].shape[-1]
+    # a final bag gathers each factor within it by flat cell, and its ends'
+    # rows once per factor array and bag vertex: ends with equal keys share them
+    flat = [(arr.reshape(c, -1), [slot[v] for v in scope]) for scope, arr, _ in inside]
+    sides = {w: [(f, f[0][0] + f[0][1] - w) for f in groups[w]] for w in ws}
+    keys = {w: tuple(sorted((id(f[1]), x) for f, x in sides[w])) for w in ws}
+
+    def lend(*shape: int) -> np.ndarray:
+        lent.append(scratch.lend(*shape))
+        return lent[-1]
+
+    def within() -> np.ndarray | None:
+        """s at the tuples, [replicate, tuple]."""
+        if not inside:
+            return None
+        if t is None:
+            return multiplied([f[1] for f in inside])
+        s, gathered, tn = lend(c, len(t)), lend(c, len(t)), t * n
+        for i, (arr, vs) in enumerate(flat):
+            cells = t[:, vs[0]] if len(vs) == 1 else tn[:, vs[0]] + t[:, vs[1]]
+            arr.take(cells, axis=1, out=gathered if i else s, mode="wrap")
+            if i:
+                s *= gathered
+        return s
+
+    def row(factor: tuple, x: int) -> np.ndarray:
+        """A factor on bag vertex x and an outside end at the tuples, [replicate, tuple, end]."""
+        arr = _oriented(factor, x)
+        return arr if t is None else arr.take(t[:, slot[x]], axis=1, out=lend(c, len(t), n),
+                                              mode="wrap")
 
     def multiplied(arrays: list) -> np.ndarray:
         if len(arrays) == 1:
             return arrays[0]
-        out = scratch.lend(*arrays[0].shape)
-        spent.append(out)
+        out = lend(*arrays[0].shape)
         np.multiply(arrays[0], arrays[1], out=out)
         for arr in arrays[2:]:
             np.multiply(out, arr, out=out)
         return out
 
-    def matrix(w: int, first: int) -> np.ndarray:
-        return multiplied([_oriented(f, first) for f in pairs[w]])
+    def end(w: int) -> np.ndarray:
+        """The product of the rows to w."""
+        if keys[w] not in products:
+            products[keys[w]] = multiplied([row(f, x) for f, x in sides[w]])
+        return products[keys[w]]
 
-    vec = multiplied(vectors) if vectors else None
-    ws = sorted(pairs)
-    if not ws:
-        rest.append(((), vec.sum(axis=1, out=scratch.lend(vec.shape[0])), True))
-    elif len(ws) == 1:
-        m = matrix(ws[0], v)
-        c, _, n = m.shape
-        if vec is None:  # column sums by one product: numpy sums a middle axis far slower
-            new = np.matmul(np.ones(n, m.dtype), m, out=scratch.lend(c, n))
+    new = None
+    step = _chunk_rows(scratch.dtype, c * n)
+    # None stands for a single vertex's tuples: the n host vertices in order
+    for t in _bag_tuples(bag, term, n, step) if len(bag) > 1 else [None]:
+        lent, products = [], {}  # per block: the helpers above read these names at call time
+        s = within()
+        fresh = scratch.lend if new is None else lend
+        if not ws:
+            part = s.sum(axis=1, out=fresh(c))
+        elif len(ws) == 1:
+            m = end(ws[0])
+            if s is None:  # column sums by one product: numpy sums a middle axis far slower
+                part = np.matmul(np.ones(m.shape[1], m.dtype), m, out=fresh(c, n))
+            else:
+                part = np.matmul(s[:, None, :], m, out=fresh(c, 1, n))[:, 0]
         else:
-            new = np.matmul(vec[:, None, :], m, out=scratch.lend(c, 1, n))[:, 0]
-        rest.append(((ws[0],), new, True))
-    else:
-        left = matrix(ws[0], ws[0])
-        if vec is not None:
-            left = multiplied([left, vec[:, None, :]])
-        new = np.matmul(left, matrix(ws[1], v), out=scratch.lend(*left.shape))
-        rest.append(((ws[0], ws[1]), new, False))
+            left, right = end(ws[0]), end(ws[1])
+            if s is not None:
+                left = multiplied([left, s[:, :, None]])
+            # a product of symmetric factors at the n host vertices in order is
+            # its own transpose, so it goes in as stored
+            if s is not None or t is not None or not all(f[2] for f in groups[ws[0]]):
+                left = left.transpose(0, 2, 1)
+            part = np.matmul(left, right, out=fresh(c, n, n))
+        if new is None:
+            new = part
+        else:
+            new += part
+        scratch.give(*lent)
+    rest.append((tuple(ws), new, len(ws) < 2))
     scratch.give(*spent)
     return rest
 
@@ -527,8 +591,8 @@ def _add_eliminated(term: _OpenTerm, adjacency: np.ndarray, cube: np.ndarray, fi
     """cube += coefficient * hom of the term's quotient with its open edge on (i, j),
     per replicate [r, i, j]; the first term writes the cube instead."""
     factors = [(edge, adjacency, True) for edge in term.edges]
-    for v in term.order:
-        factors = _eliminate(factors, v, scratch)
+    for bag in term.bags:
+        factors = _eliminate(factors, bag, term, scratch)
     factors.sort(key=lambda f: len(f[0]))  # vectors first: one full-size product fewer
     parts = [_on_open_edge(f, term.open_edge[0]) for f in factors]
     if not parts:  # no edge left: the count is 1 on every cell
@@ -545,71 +609,6 @@ def _add_eliminated(term: _OpenTerm, adjacency: np.ndarray, cube: np.ndarray, fi
         cube += out
         scratch.give(out)
     scratch.give(*(f[1] for f in factors))
-
-
-def _add_conditioned(term: _OpenTerm, adjacency: np.ndarray, cube: np.ndarray, first: bool,
-                     scratch: _Scratch) -> None:
-    """cube += coefficient * sum over value tuples t of the free vertices of
-    s_t * outer(u_t, v_t), by matmul; the first term writes the cube instead.
-
-    s_t is the product of the edges among the free vertices, u_t (v_t) that
-    of the edges from them to the first (second) end of the open edge.
-    """
-    c, n = adjacency.shape[:2]
-    cells = adjacency.reshape(c, n * n)
-    a, b = term.open_edge
-    slot = {v: i for i, v in enumerate(term.free)}
-    inner = [(slot[u], slot[w]) for u, w in term.edges if u in slot and w in slot]
-    at = {e: tuple(slot[u + w - e] for u, w in term.edges if e in (u, w)) for e in (a, b)}
-    k = len(term.free)
-    tuples = combinations(range(n), k) if term.increasing else product(range(n), repeat=k)
-    step = _chunk_rows(cube.dtype, c * n)
-    while block := list(islice(tuples, step)):
-        t = np.array(block)
-        if not term.increasing:  # adjacent free vertices on one host vertex add nothing
-            t = t[np.all([t[:, i] != t[:, j] for i, j in inner], axis=0)]
-        m = len(t)
-        # arrays indexed [replicate, tuple, host vertex]; the coefficient rides on s_t
-        scale = scratch.lend(c, m)
-        scale.fill(term.coefficient)
-        lent = [scale]
-        if inner:
-            edge = scratch.lend(c, m)
-            lent.append(edge)
-            for i, j in inner:
-                scale *= cells.take(t[:, i] * n + t[:, j], axis=1, out=edge, mode="wrap")
-        rows = {}
-        for i in set(at[a] + at[b]):
-            rows[i] = adjacency.take(t[:, i], axis=1, out=scratch.lend(c, m, n), mode="wrap")
-            lent.append(rows[i])
-        ends = {}
-        for xs in {at[a], at[b]}:
-            if len(xs) == 1:
-                ends[xs] = rows[xs[0]]
-                continue
-            # an end with no free neighbour (a disconnected pattern) is one column of ones
-            ends[xs] = end = scratch.lend(c, m, n if xs else 1)
-            lent.append(end)
-            if xs:
-                np.multiply(rows[xs[0]], rows[xs[1]], out=end)
-                for i in xs[2:]:
-                    end *= rows[i]
-            else:
-                end.fill(1)
-        left, right = ends[at[a]], ends[at[b]]
-        lhs = np.multiply(left, scale[:, :, None], out=scratch.lend(*left.shape))
-        shape = (c, lhs.shape[2], right.shape[2])
-        direct = first and shape == cube.shape
-        res = np.matmul(lhs.transpose(0, 2, 1), right,
-                        out=cube if direct else scratch.lend(*shape))
-        if not direct:
-            lent.append(res)
-            if first:
-                np.copyto(cube, res)
-            else:
-                cube += res
-        first = False
-        scratch.give(lhs, *lent)
 
 
 @lru_cache(maxsize=None)
@@ -650,7 +649,7 @@ def _accumulate_weights(plan: _WeightPlan, n: int, p: float, model: WeightModel,
     lower_rows = np.empty((rows, n_edges), dtype)
     per_edge_rows = np.empty((rows, n_edges))
     weight_rows = np.empty((rows, n_edges))
-    # a conditioned block holds at most the budget, or one tuple of rows * n cells
+    # a bag's gathered rows hold at most the budget, or one tuple of rows * n cells
     scratch = _Scratch(max(rows * n * n, _CHUNK_BYTES // dtype.itemsize), dtype)
     for a, u in rng.uniform_chunks(seed, n_edges, lo, hi, chunk):
         c = u.shape[0]
@@ -662,8 +661,7 @@ def _accumulate_weights(plan: _WeightPlan, n: int, p: float, model: WeightModel,
         counts = counts_cells[:c]
         cube = counts.reshape(c, n, n)  # a view: the same cells, indexed [replicate, i, j]
         for i, term in enumerate(plan.terms):
-            add = _add_eliminated if term.order is not None else _add_conditioned
-            add(term, adjacency, cube, i == 0, scratch)
+            _add_eliminated(term, adjacency, cube, i == 0, scratch)
         per_edge = counts.take(upper, axis=1, out=upper_rows[:c], mode="wrap")
         per_edge += counts.take(lower, axis=1, out=lower_rows[:c], mode="wrap")
         per_edge = np.divide(per_edge, plan.automorphisms, out=per_edge_rows[:c], dtype=np.float64)

@@ -48,6 +48,22 @@ class TestBoundCommand:
         payload = json.loads(res.stdout)
         assert payload["report"]["regime"] == "dense"
 
+    @pytest.mark.parametrize("form", [("--n", "100", "--p", "0.7"),
+                                      ("--sweep-n", "100", "--sweep-p", "0.7")])
+    def test_cutoff_without_regime_usage_error(self, tmp_path, form):
+        # only the regime formula reads the cutoff; the plain bound would record
+        # 0.9 in its config and report the default cutoff's regime
+        out = tmp_path / "bound.out"
+        res = run_cli("bound", "--pattern", "triangle", "--weights", "exp:1", *form,
+                      "--cutoff-c", "0.9", "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr == "error: --cutoff-c needs --regime\n"
+        assert not out.exists()
+        res = run_cli("bound", "--pattern", "triangle", "--weights", "exp:1", *form,
+                      "--cutoff-c", "0.9", "--regime", "--out", str(out))
+        assert res.returncode == 0
+        assert '"cutoff_c": 0.9' in out.read_text()
+
     @pytest.mark.parametrize("p, code", [("1.5", 2), ("nan", 2), ("1.0", 3), ("0", 3)])
     @pytest.mark.parametrize("command", [
         ("bound", "--n", "10", "--p", "{p}"),
@@ -237,8 +253,8 @@ class TestSimulateCommand:
         assert not out.exists()
 
     def test_uneliminable_pattern_copy_cap_resource_error(self, tmp_path):
-        # complete:8 has no elimination order; its plan sums n^2 cells over the
-        # C(64, 6) increasing tuples of its six free vertices
+        # complete:8's one term is a bag of its six free vertices; it sums n^2
+        # cells over their C(64, 6) increasing tuples
         out = tmp_path / "s.csv"
         res = run_cli("simulate", "--pattern", "complete:8", "--n", "64", "--p", "0.5",
                       "--weights", "unif:1", "--reps", "20", "--seed", "0", "--out", str(out))
@@ -411,7 +427,7 @@ class TestRateSweepCommand:
                       "--out", str(out))
         assert res.returncode == 4
         assert not out.exists()
-        # cycle:8 has a plan term with no elimination order: n = 65 fits the
+        # cycle:8 has a plan term that ends in a bag: n = 65 fits the
         # work cap and n = 66 does not, checked over the list too
         res = run_cli("rate-sweep", "--pattern", "cycle:8", "--weights", "unif:1",
                       "--sweep-n", "8,66", "--p", "0.5", "--reps", "2000", "--seed", "5",

@@ -44,6 +44,12 @@ DISJOINT_UNIONS = {
     "K3+K2": PatternGraph(5, ((0, 1), (1, 2), (0, 2), (3, 4))),
     "K4+K2": PatternGraph(6, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5))),
 }
+# plans with mixed terms: single vertices summed out, then a final bag
+MIXED_TERMS = {
+    "K4+pendant": PatternGraph(5, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4))),
+    "K4+pendant-path": PatternGraph(6, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4),
+                                        (4, 5))),
+}
 
 
 def host_with_uniforms(n, p, model, uniforms) -> HostSample:
@@ -215,9 +221,11 @@ class TestExactMoments:
         # the sampler caps the plan's work per replicate, not the copies of K_n:
         # each pattern runs at its last host size N and is refused at N + 1
         # (the triangle costs n^3; cycle:4 3 n^3; complete:4 C(n, 2) n^2 over
-        # increasing tuples; cycle:8 has one such term among 90 eliminated ones)
+        # the increasing tuples of its one bag; cycle:8 has one such term among
+        # 90 of single vertices; path:10 and cycle:10 have mixed terms, whose
+        # single vertices cost n^3 each and whose final bag n^2 per tuple)
         for name, last in (("triangle", 464), ("cycle:4", 292), ("complete:4", 119),
-                           ("cycle:8", 65)):
+                           ("cycle:8", 65), ("path:10", 15), ("cycle:10", 17)):
             pattern = named_pattern(name)
             check_sample_config(pattern, last, 0.5)
             with pytest.raises(ResourceLimitError, match=rf"sampler plan at n = {last + 1} .* "
@@ -225,10 +233,13 @@ class TestExactMoments:
                 normalized_samples(pattern, last + 1, 0.5, Uniform(1.0), reps=3, seed=0)
 
     @pytest.mark.parametrize("name, n, p", [("path:9", 10, 0.3), ("cycle:10", 10, 0.5),
-                                            ("cycle:8", 10, 0.3), ("triangle", 200, 0.05)])
+                                            ("cycle:8", 10, 0.3), ("triangle", 200, 0.05),
+                                            ("path:10", 12, 0.3), ("cycle:10", 13, 0.3)])
     def test_large_plans_match_copy_search(self, name, n, p, monkeypatch):
-        # plans with conditioned terms over 2-4 free vertices, and a host past
-        # the copy search's 64-vertex cap, which is lifted for this oracle only
+        # plans with final bags of 2-4 vertices, some after single vertices
+        # (path:10 at n = 12 and cycle:10 at 13 were refused while such terms
+        # enumerated tuples of all their free vertices), and a host past the
+        # copy search's 64-vertex cap, which is lifted for this oracle only
         # (sparse hosts keep the search fast)
         monkeypatch.setattr(patterns, "MAX_HOST_VERTICES", n)
         monkeypatch.setattr(graph_stats, "MAX_HOST_VERTICES", n)
@@ -340,14 +351,16 @@ class TestNormalizedSamples:
 
     @pytest.mark.parametrize("name", ["path:2", "path:3", "path:4", "path:5", "triangle",
                                       "star:3", "star:4", "cycle:4", "cycle:5",
-                                      "complete:4", "complete:5"])
+                                      "complete:4", "complete:5", *MIXED_TERMS])
     def test_matches_gather_oracle(self, name):
-        # every named pattern with v_G <= 5 (star:2 is path:3), against the
-        # per-copy gather on the same uniforms
-        pattern = named_pattern(name)
+        # every named pattern with v_G <= 5 (star:2 is path:3), and patterns
+        # with mixed terms, against the per-copy gather on the same uniforms;
+        # a 6-vertex pattern stops at v_G + 3, where the oracle's copy list is
+        # still short (K_14 holds 360k copies of K4+pendant-path)
+        pattern = MIXED_TERMS.get(name) or named_pattern(name)
         v_g = pattern.num_vertices
         models = [Constant(1.5), Uniform(2.0), Exponential(1.0), TwoPoint(0.5, 2.0, 0.3)]
-        for n in (v_g, v_g + 1, 2 * v_g + 2):
+        for n in (v_g, v_g + 1, 2 * v_g + 2 if v_g <= 5 else v_g + 3):
             for p in (0.2, 0.8):
                 for i, model in enumerate(models):
                     seed = 1000 * n + 10 * i + int(10 * p)
@@ -406,7 +419,7 @@ class TestNormalizedSamples:
         # star:4 forms at most 2 (24 + 44 n + 24 n^2 + 4 n^3) in its counts:
         # 16776192 at n = 126, under 2^24, and 17172480 at n = 127
         plan = _weight_plan(named_pattern("star:4"))
-        assert [(abs(t.coefficient), len(t.free)) for t in plan.terms] == [
+        assert [(abs(t.coefficient), sum(map(len, t.bags))) for t in plan.terms] == [
             (24, 0), (44, 1), (24, 2), (4, 3)]
         assert _count_dtype(plan, 126) == np.float32
         assert _count_dtype(plan, 127) == np.float64
