@@ -317,10 +317,17 @@ def path_cells(grid: GridSpec, u: np.ndarray) -> np.ndarray:
     return (loc.T + np.arange(grid.blocks, dtype=np.int64) * grid.cells).reshape(u.shape)
 
 
-# (block combination, [(key, table)]): the key of a part is its target (a
-# column block, or None) in _block_tables and an index into the gather
-# output in the tables that _gather_sum reads.
+# (block combination, [(key, table)]): the key of a part is its target, a
+# column block or None.
 _BlockTables = list[tuple[tuple[int, ...], list[tuple[object, np.ndarray]]]]
+# (block combination, [(output, rows, table, add)]): the gather reads a part's
+# table at each path's code into outs[output][rows], adding when ``add``.
+_GatherTables = list[tuple[tuple[int, ...], list[tuple[int, object, np.ndarray, bool]]]]
+
+# Largest table, in bytes, that _fold_targets builds for one target: exactly
+# the triangle family's at n = 5, 2 rows of 4 cells over the 4**6 codes of the
+# 6 host edges that meet the target edge.
+UNION_TABLE_BYTES = 256 * 1024
 
 
 def _block_tables(values: np.ndarray, r: int, grid: GridSpec) -> _BlockTables:
@@ -397,73 +404,123 @@ def _summed(group: list[np.ndarray]) -> np.ndarray:
     return sum(group[1:], start=group[0])
 
 
+def _fold_targets(parts, cells: int, lead: tuple[int, ...], finish=None) -> _GatherTables:
+    """Gather tables for covering parts, one table per target wherever it fits.
+
+    ``parts`` lists (combo, output, target, table) in the order the gather
+    adds them: a table over the codes of combo, for the rows of output
+    ``output`` that belong to target (the column block of ``cells`` cells, or
+    None for all of them).  A target's combinations have a union; when a
+    table of shape lead + (cells**|union|,) fits UNION_TABLE_BYTES, the
+    target's parts become that one table over the union's codes.  It adds
+    each part, broadcast over the union's extra blocks, into the sum of its
+    output, in order, and ``finish`` combines the sums by output as the gather
+    combines its outputs (by default output 0 is the table).  So each code
+    holds what the parts would add up to at a path with that code, in the
+    same order.  A target with a larger union keeps its parts.
+
+    In the result the first part of each output and target takes its rows and
+    the later ones add, in table order.
+    """
+    by_target: dict = {}
+    for combo, output, target, table in parts:
+        by_target.setdefault(target, []).append((combo, output, table))
+    folded: dict = {}  # union combination -> [(output, target, table)]
+    for target, own in list(by_target.items()):
+        union = tuple(sorted(set().union(*(combo for combo, _, _ in own))))
+        if math.prod(lead) * cells ** len(union) * 8 > UNION_TABLE_BYTES:
+            continue
+        sums: dict = {}
+        for combo, output, table in own:
+            full = _broadcast(table, combo, union, cells)
+            if output in sums:
+                sums[output] += full
+            else:
+                sums[output] = full.copy()
+        folded.setdefault(union, []).append((0, target, finish(sums) if finish else sums[0]))
+        del by_target[target]
+    grouped: dict = {}  # combination -> [(output, target, table)], for the targets kept
+    for combo, output, target, table in parts:
+        if target in by_target:
+            grouped.setdefault(combo, []).append((output, target, table))
+    tables, seen = [], set()
+    for combo, own in [*folded.items(), *grouped.items()]:
+        marked = []
+        for output, target, table in own:
+            rows = () if target is None else slice(target * cells, (target + 1) * cells)
+            marked.append((output, rows, table, (output, target) in seen))
+            seen.add((output, target))
+        tables.append((combo, marked))
+    return tables
+
+
 class _SpanBuffers:
     """One span's buffers for gathering the tables over chunks of up to ``rows`` paths.
 
-    ``scaled[e]`` holds the chunk's local cells times cells**e, laid out
-    (blocks, paths), for every e below the widest combination's width.
+    ``loc`` holds the chunk's local cells, laid out (blocks, paths); ``buf``
+    receives the rows of a part that adds.
     """
 
-    def __init__(self, grid: GridSpec, rows: int, tables: _BlockTables):
-        width = max((len(combo) for combo, _ in tables), default=0)
-        table_rows = max((table.size // table.shape[-1]
-                          for _, parts in tables for _, table in parts), default=0)
+    def __init__(self, grid: GridSpec, rows: int, tables: _GatherTables):
+        adding = [table.size // table.shape[-1]
+                  for _, parts in tables for *_, table, add in parts if add]
         self.grid = grid
         self.scratch = np.empty((rows, grid.blocks))
-        self.scaled = np.empty((max(width, 1), grid.blocks, rows), dtype=np.int64)
+        self.loc = np.empty((grid.blocks, rows), dtype=np.int64)
         self.code = np.empty(rows, dtype=np.int64)
-        self.buf = np.empty(table_rows * rows)
+        self.buf = np.empty(max(adding, default=0) * rows)
 
     def locate(self, u: np.ndarray) -> None:
         """Take the paths u, rows of block uniforms, as the current chunk."""
-        c = u.shape[0]
-        loc = self.scaled[0, :, :c]
-        _local_cells(self.grid, u, self.scratch[:c], loc)
-        for e in range(1, len(self.scaled)):
-            np.multiply(loc, self.grid.cells**e, out=self.scaled[e, :, :c])
+        _local_cells(self.grid, u, self.scratch[:u.shape[0]], self.loc[:, :u.shape[0]])
 
 
-def _gather_sum(tables: _BlockTables, span: _SpanBuffers, out: np.ndarray) -> np.ndarray:
-    """Sum, over the kept combinations, of the table entry at each path's code.
+def _gather_sum(tables: _GatherTables, span: _SpanBuffers, outs) -> None:
+    """Read every part's table at the codes of the current chunk's paths.
 
-    A part is (index, table): ``out[index]`` receives the table rows gathered
-    at the codes of the current chunk's paths, the last axis of ``out``.  The
-    combinations may differ in width; each forms its code once.  ``out`` is
-    overwritten.
+    A part (output, rows, table, add) writes the table rows gathered at each
+    path's code into ``outs[output][rows]``, whose last axis holds the paths:
+    it takes them, or adds them when ``add``.  Rows that no part writes are
+    left as they are.  Each combination forms its code once.
     """
-    out.fill(0.0)
-    c = out.shape[-1]
-    scaled = span.scaled[:, :, :c]
+    c = outs[0].shape[-1]
+    loc = span.loc[:, :c]
+    cells = span.grid.cells
     for combo, parts in tables:
-        width = len(combo)
-        if width == 1:
-            code = scaled[0, combo[0]]
+        if len(combo) == 1:
+            code = loc[combo[0]]
         else:
             code = span.code[:c]
-            if width == 0:
+            if not combo:
                 code.fill(0)
             else:
-                np.add(scaled[width - 1, combo[0]], scaled[width - 2, combo[1]], out=code)
-                for i in range(2, width):
-                    code += scaled[width - 1 - i, combo[i]]
-        for index, table in parts:
-            buf = span.buf[:c * (table.size // table.shape[-1])].reshape(table.shape[:-1] + (c,))
-            target = out[index]
+                np.multiply(loc[combo[0]], cells, out=code)
+                code += loc[combo[1]]
+                for b in combo[2:]:
+                    code *= cells
+                    code += loc[b]
+        for output, rows, table, add in parts:
+            target = outs[output][rows]
             # the codes are in range by construction; "wrap" writes straight
-            # into buf, where the default "raise" fills a temporary first
-            target += table.take(code, axis=-1, out=buf, mode="wrap")
-    return out
+            # into its out, where the default "raise" fills a temporary first
+            if add:
+                buf = span.buf[:c * (table.size // table.shape[-1])]
+                target += table.take(code, axis=-1, out=buf.reshape(table.shape[:-1] + (c,)),
+                                     mode="wrap")
+            else:
+                table.take(code, axis=-1, out=target, mode="wrap")
 
 
-def _integral_tables(kernels, grid: GridSpec) -> _BlockTables:
+def _integral_tables(kernels, grid: GridSpec) -> _GatherTables:
     """Covering tables whose gathered sum is the sum of the kernels' integrals.
 
     The integrals add up to the sum over r of r! times the distinct-block-set
     sum of A_r, where A_r adds (-1)^{n-r} 2^{r-n} C(n, r) times the
     (n - r)-fold marginal of each order-n kernel; all-zero kernels are
-    skipped.  The tables hold r! A_r, folded into the widest combinations.
-    The marginals are computed here, so their caches are filled before any
-    evaluation thread starts.
+    skipped.  The tables hold r! A_r, folded into the widest combinations
+    and then, where it fits, into one table over their union.  The marginals
+    are computed here, so their caches are filled before any evaluation
+    thread starts.
     """
     arrays: dict[int, np.ndarray] = {}
     for kern in kernels:
@@ -476,8 +533,9 @@ def _integral_tables(kernels, grid: GridSpec) -> _BlockTables:
     scaled = [(combo, [(None, math.factorial(r) * table) for _, table in parts])
               for r in sorted(arrays, reverse=True)
               for combo, parts in _block_tables(arrays[r], r, grid)]
-    return [(combo, [((), _summed(group)) for _, group in parts])
-            for combo, parts in _cover(scaled, grid.cells)]
+    parts = [(combo, 0, None, _summed(group))
+             for combo, covered in _cover(scaled, grid.cells) for _, group in covered]
+    return _fold_targets(parts, grid.cells, ())
 
 
 def _row_chunks(u: np.ndarray, lo: int, hi: int, chunk: int):
@@ -486,7 +544,7 @@ def _row_chunks(u: np.ndarray, lo: int, hi: int, chunk: int):
         yield a, u[a:min(a + chunk, hi)]
 
 
-def _eval_block_sums(grid: GridSpec, tables: _BlockTables, u, constant: float = 0.0,
+def _eval_block_sums(grid: GridSpec, tables: _GatherTables, u, constant: float = 0.0,
                      factor: float = 1.0) -> np.ndarray:
     """constant + factor times the gathered table sum, per path (row of u).
 
@@ -501,8 +559,12 @@ def _eval_block_sums(grid: GridSpec, tables: _BlockTables, u, constant: float = 
     def work(lo: int, hi: int) -> None:
         span = _SpanBuffers(grid, min(chunk, hi - lo), tables)
         for a, paths in _row_chunks(u, lo, hi, chunk):
-            span.locate(paths)
-            total = _gather_sum(tables, span, out[a:a + paths.shape[0]])
+            total = out[a:a + paths.shape[0]]
+            if tables:
+                span.locate(paths)
+                _gather_sum(tables, span, (total,))
+            else:
+                total.fill(0.0)
             total *= factor
             total += constant
 
@@ -523,9 +585,10 @@ def integral_eval_many(kernel: Kernel, u: np.ndarray) -> np.ndarray:
 def ustat_eval_many(kernel: Kernel, u: np.ndarray) -> np.ndarray:
     """Plain U-statistic: kernel summed at path points over distinct block tuples."""
     r = kernel.order
-    tables = [(combo, [((), table) for _, table in parts])
-              for combo, parts in _block_tables(kernel.values, r, kernel.grid)]
-    return _eval_block_sums(kernel.grid, tables, u, factor=math.factorial(r))
+    parts = [(combo, 0, None, table)
+             for combo, own in _block_tables(kernel.values, r, kernel.grid) for _, table in own]
+    return _eval_block_sums(kernel.grid, _fold_targets(parts, kernel.grid.cells, ()), u,
+                            factor=math.factorial(r))
 
 
 def _to_paths(u: np.ndarray) -> np.ndarray:
@@ -629,16 +692,19 @@ def slice_kernel(kernel: Kernel, cell: int) -> Kernel:
     return Kernel(kernel.grid, kernel.order - 1, kernel.values[cell], validate=False)
 
 
-def _derivative_tables(family: KernelFamily) -> tuple[int, _BlockTables]:
+def _derivative_tables(family: KernelFamily) -> tuple[int, _GatherTables]:
     """(J, covering tables of the derivative), J the top order of a nonzero kernel.
 
     Order j adds (j-1)! K_j, with K_j the block tables of kernel_j over its
     first j - 1 axes, into the negated inverse-OU derivative d_inv, and j
-    times that into the derivative d.  The tables index a (3, cells, paths)
-    accumulator [d, d_inv, T]: a part holding order J alone is (J-1)! K_J,
-    an (M, codes) table added into T, which counts J times into d and once
-    into d_inv; every other part stacks [sum of j (j-1)! K_j; sum of
-    (j-1)! K_j] as a (2, M, codes) table added into d and d_inv at once.
+    times that into the derivative d.  The tables write the target-major
+    (cells, 2, paths) accumulator [d, d_inv] of _derivative_span, output 0,
+    as (M, 2, codes) tables, the stack [sum of j (j-1)! K_j, sum of
+    (j-1)! K_j] along their middle axis.  A covering part that holds order J
+    alone is the (M, codes) table (J-1)! K_J instead, for output 1, the
+    (cells, paths) row T, which counts J times into d and once into d_inv.
+    Each target whose union table fits is one table, with T's share folded in
+    as the gather adds it, so T is written only for targets over the budget.
     """
     grid = family.grid
     m = grid.cells
@@ -650,19 +716,31 @@ def _derivative_tables(family: KernelFamily) -> tuple[int, _BlockTables]:
     for kern in reversed(kernels):
         j = kern.order
         f = math.factorial(j - 1)
-        stacked += [(combo, [(b, np.stack([j * f * table, f * table])) for b, table in parts])
+        stacked += [(combo, [(b, np.stack([j * f * table, f * table], axis=1))
+                             for b, table in parts])
                     for combo, parts in _block_tables(kern.values, j - 1, grid)]
-    tables = []
-    for combo, parts in _cover(stacked, m):
-        indexed = []
-        for b, group in parts:
-            cols = slice(b * m, (b + 1) * m)
+    parts = []
+    for combo, covered in _cover(stacked, m):
+        for b, group in covered:
             if len(group) == 1 and len(combo) == top - 1:
-                indexed.append(((2, cols), group[0][1]))
+                parts.append((combo, 1, b, np.ascontiguousarray(group[0][:, 1])))
             else:
-                indexed.append(((slice(0, 2), cols), _summed(group)))
-        tables.append((combo, indexed))
-    return top, tables
+                parts.append((combo, 0, b, _summed(group)))
+
+    def finish(sums: dict) -> np.ndarray:
+        # the top pass of _derivative_span on the table: d_inv += T, then d += J T
+        table = sums.get(0)
+        top_sum = sums.get(1)
+        if top_sum is None:
+            return table
+        if table is None:
+            table = np.zeros(top_sum.shape[:1] + (2,) + top_sum.shape[1:])
+        table[:, 1] += top_sum
+        top_sum *= top
+        table[:, 0] += top_sum
+        return table
+
+    return top, _fold_targets(parts, m, (m, 2), finish)
 
 
 # (paths x cells) entries per derivative chunk: keeps a chunk's derivative in cache.
@@ -673,22 +751,38 @@ def _derivative_chunk_rows(grid: GridSpec) -> int:
     return max(1, STEIN_CHUNK_ENTRIES // grid.size)
 
 
-def _derivative_span(grid: GridSpec, top: int, tables: _BlockTables, chunks, rows: int):
+def _derivative_span(grid: GridSpec, top: int, tables: _GatherTables, chunks, rows: int):
     """Yield (a, d, d_inv) for each chunk (a, paths) of at most ``rows`` paths.
 
     ``paths`` holds the chunk's rows of block uniforms, the paths a, a + 1, ...
     d is the derivative and d_inv the negated inverse-OU derivative, both
-    (cells, paths) views of the span's accumulator, overwritten by the next
-    chunk.
+    (cells, paths) views of the span's target-major (cells, 2, paths)
+    accumulator, overwritten by the next chunk.  A target's first part takes
+    its rows and later parts add; cells that no part writes keep the zeros of
+    the accumulator's allocation.  The row T and its pass (d_inv += T, then
+    d += top T) exist only when a part writes T; the cells that only T writes
+    restart at zero every chunk.
     """
     span = _SpanBuffers(grid, rows, tables)
-    acc = np.empty((3, grid.size, rows))
+    written = {(output, cols.start) for _, parts in tables for output, cols, *_ in parts}
+    top_only = np.array(sorted(t for output, start in written
+                               if output == 1 and (0, start) not in written
+                               for t in range(start, start + grid.cells)), dtype=np.intp)
+    has_top = any(output == 1 for output, _ in written)
+    acc = top_row = None
     for a, paths in chunks:
+        c = paths.shape[0]
+        if acc is None or acc.shape[-1] != c:
+            acc = np.zeros((grid.size, 2, c))
+            top_row = np.zeros((grid.size, c)) if has_top else None
         span.locate(paths)
-        d, d_inv, top_part = _gather_sum(tables, span, acc[:, :, :paths.shape[0]])
-        d_inv += top_part
-        top_part *= top
-        d += top_part
+        _gather_sum(tables, span, (acc, top_row))
+        d, d_inv = acc[:, 0], acc[:, 1]
+        if has_top:
+            acc[top_only] = 0.0
+            d_inv += top_row
+            top_row *= top
+            d += top_row
         yield a, d, d_inv
 
 

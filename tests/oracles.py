@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 from scipy import special
 
-from wclt import rng
+from wclt import chaos, rng
 from wclt.chaos import Kernel, KernelFamily, family_from_kernels, path_cells, random_paths
 from wclt.errors import ChaosError
 from wclt.graph_stats import HostSample
@@ -199,3 +199,114 @@ def stein_terms_by_gather(family, n_paths: int, seed: int) -> dict:
     fourth_se = float(np.std(fourth, ddof=1)) / math.sqrt(n_paths) * half_w
     return {"term2": term2, "term3": 2.0 * math.sqrt(ex2 * integral), "term2_se": term2_se,
             "term3_se": math.sqrt(ex2 / integral) * fourth_se}
+
+
+def _combination_gather(tables, grid, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Zero ``out``, then add every part's table at the paths' codes: the part
+    (index, table) adds its rows into out[index], whose last axis is the paths."""
+    local = (path_cells(grid, u) - np.arange(grid.blocks) * grid.cells).T
+    out.fill(0.0)
+    for combo, parts in tables:
+        code = np.zeros(u.shape[0], dtype=np.int64)
+        for b in combo:
+            code = code * grid.cells + local[b]
+        for index, table in parts:
+            out[index] += table.take(code, axis=-1)
+    return out
+
+
+def combination_integral_tables(kernels, grid):
+    """The integral's covering tables with one table per kept block combination."""
+    arrays = {}
+    for kern in kernels:
+        n = kern.order
+        if not kern.values.any():
+            continue
+        for r in range(n + 1):
+            term = (-1.0) ** (n - r) / 2.0 ** (n - r) * math.comb(n, r) * kern.marginal(r)
+            arrays[r] = arrays[r] + term if r in arrays else term
+    scaled = [(combo, [(None, math.factorial(r) * table) for _, table in parts])
+              for r in sorted(arrays, reverse=True)
+              for combo, parts in chaos._block_tables(arrays[r], r, grid)]
+    return [(combo, [((), sum(group[1:], start=group[0])) for _, group in parts])
+            for combo, parts in chaos._cover(scaled, grid.cells)]
+
+
+def combination_derivative_tables(family):
+    """(J, the derivative's covering tables with one table per kept combination and target).
+
+    The tables index a (3, cells, paths) accumulator [d, d_inv, T]: a part
+    holding the top order J alone is (J-1)! K_J, added into T, which counts J
+    times into d and once into d_inv; every other part is a (2, M, codes)
+    stack added into d and d_inv at once.
+    """
+    grid = family.grid
+    m = grid.cells
+    kernels = [k for k in family.kernels if k.values.any()]
+    if not kernels:
+        return 0, []
+    top = kernels[-1].order
+    stacked = []
+    for kern in reversed(kernels):
+        j = kern.order
+        f = math.factorial(j - 1)
+        stacked += [(combo, [(b, np.stack([j * f * table, f * table])) for b, table in parts])
+                    for combo, parts in chaos._block_tables(kern.values, j - 1, grid)]
+    tables = []
+    for combo, parts in chaos._cover(stacked, m):
+        indexed = []
+        for b, group in parts:
+            cols = slice(b * m, (b + 1) * m)
+            if len(group) == 1 and len(combo) == top - 1:
+                indexed.append(((2, cols), group[0][1]))
+            else:
+                indexed.append(((slice(0, 2), cols), sum(group[1:], start=group[0])))
+        tables.append((combo, indexed))
+    return top, tables
+
+
+def combination_eval(family, u: np.ndarray) -> np.ndarray:
+    """``family.eval_many(u)`` by the per-combination tables and the fill-and-add gather."""
+    out = np.empty(u.shape[0])
+    _combination_gather(combination_integral_tables(family.kernels, family.grid), family.grid,
+                        u, out)
+    out += family.constant
+    return out
+
+
+def combination_derivative(family, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``derivative_values_many(family, u)`` by the per-combination tables and the
+    fill-and-add gather into a (3, cells, paths) accumulator."""
+    top, tables = combination_derivative_tables(family)
+    acc = np.empty((3, family.grid.size, u.shape[0]))
+    d, d_inv, top_part = _combination_gather(tables, family.grid, u, acc)
+    d_inv += top_part
+    top_part *= top
+    d += top_part
+    return np.ascontiguousarray(d.T), np.ascontiguousarray(d_inv.T)
+
+
+def combination_stein_terms(family, n_paths: int, seed: int) -> dict:
+    """``stein_bound_terms(family, n_paths, seed).to_dict()`` from ``combination_derivative``.
+
+    The per-path cell sums run over contiguous (paths, cells) rows, and the
+    moments are the library's, so only the derivative's gather differs.
+    """
+    grid = family.grid
+    half_w = grid.cell_width / 2.0
+    ex2 = family.second_moment()
+    d, d_inv = combination_derivative(family, random_paths(seed, n_paths, grid.blocks))
+    inner = np.einsum("ij,ij->i", d, d_inv)
+    inner *= half_w
+    d *= d
+    fourth = np.einsum("ij,ij->i", d, d)
+    term1 = abs(1.0 - ex2)
+    term2, term2_se = chaos._sd_with_se(inner)
+    fourth_integral = float(fourth.sum()) / n_paths * half_w
+    term3 = 2.0 * math.sqrt(ex2 * fourth_integral)
+    term3_se = 0.0
+    if n_paths > 1 and fourth_integral > 0.0:
+        fourth_se = float(np.std(fourth, ddof=1)) / math.sqrt(n_paths) * half_w
+        term3_se = math.sqrt(ex2 / fourth_integral) * fourth_se
+    return {"term1": term1, "term2": term2, "term3": term3, "total": term1 + term2 + term3,
+            "n_paths": n_paths, "term2_se": term2_se, "term3_se": term3_se}

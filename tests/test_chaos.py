@@ -7,6 +7,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    combination_derivative,
+    combination_derivative_tables,
+    combination_eval,
+    combination_integral_tables,
+    combination_stein_terms,
     derivative_family,
     gathered_block_sum,
     gathered_derivative,
@@ -47,7 +52,9 @@ from wclt.chaos import (
     _block_tables,
     _cover,
     _derivative_tables,
+    _fold_targets,
     _integral_tables,
+    _summed,
 )
 from wclt.errors import ChaosError
 from wclt.graph_chaos import graph_weight_family
@@ -490,6 +497,18 @@ SPARSE_FAMILIES = {
 }
 
 
+BITWISE_FAMILIES = {
+    **{name: SPARSE_FAMILIES[name]
+       for name in ("triangle-n4", "triangle-n5", "path3-n5", "zeroed-tuples", "narrow-top")},
+    "dense-random": lambda: family_from_kernels(
+        [random_kernel(GridSpec(5, 3), j, seed=2200 + j) for j in (1, 2, 3)]),
+    "over-budget": lambda: family_from_kernels(
+        [random_kernel(GridSpec(16, 2), j, seed=2210 + j) for j in (1, 2, 3)]),
+    # the top order alone: every part writes the top row, none the accumulator
+    "over-budget-top": lambda: family_from_kernels([random_kernel(GridSpec(16, 2), 3, seed=2214)]),
+}
+
+
 class TestBlockTableGather:
     @pytest.mark.parametrize("blocks,cells", GATHER_GRIDS)
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -558,47 +577,99 @@ class TestBlockTableGather:
     def test_cover_folds_every_narrower_table_once(self, derivative):
         # triangle at n = 5: every narrower block set with a nonzero table (a
         # pair of meeting host edges, one edge, none) lies in a triangle of host
-        # edges, so the tables fold into the 10 triangles, 30 derivative parts
+        # edges, so the tables first fold into the 10 triangles, 30 derivative
+        # parts; the 3 parts of a target then fold into one table over the 6
+        # host edges that meet it, while the integral's union, all 10 edges,
+        # exceeds the byte budget and keeps the 10 triangles
         fam = SPARSE_FAMILIES["triangle-n5"]()
-        marked, where = [], []  # table k is the constant k; where[k] = (combo, target)
+        cells = fam.grid.cells
+        # the i-th table of a target is the constant 2**i, so a sum of them
+        # says exactly which tables it holds
+        marked, homes = [], {}  # homes[target][i] = combination of table i
         for kern in reversed(fam.kernels):
             width = kern.order - 1 if derivative else kern.order
             for combo, parts in _block_tables(kern.values, width, fam.grid):
                 marked.append((combo, []))
                 for target, table in parts:
-                    marked[-1][1].append((target, np.full(table.shape, float(len(where)))))
-                    where.append((combo, target))
-        covered = _cover(marked, fam.grid.cells)
-        assert sum(len(parts) for _, parts in covered) == (30 if derivative else 10)
-        seen = []
-        for combo, parts in covered:
-            for target, (own, *folded) in parts:
-                assert where[int(own.flat[0])] == (combo, target)
-                for table in folded:
-                    k = int(table.flat[0])
-                    assert np.all(table == k) and table.shape == own.shape
-                    assert where[k][1] == target
-                    assert set(where[k][0]) < set(combo)
-                seen += [int(t.flat[0]) for t in [own, *folded]]
-        assert sorted(seen) == list(range(len(where)))
+                    own = homes.setdefault(target, [])
+                    marked[-1][1].append((target, np.full(table.shape, 2.0 ** len(own))))
+                    own.append(combo)
+        assert max(map(len, homes.values())) <= 53  # every sum of marks is exact
+        parts = [(combo, 0, target, _summed(group))
+                 for combo, covered in _cover(marked, cells) for target, group in covered]
+        tables = _fold_targets(parts, cells, (cells, 2) if derivative else ())
+        seen = dict.fromkeys(homes, 0)
+        writes = []
+        for combo, gathered in tables:
+            for output, rows, table, add in gathered:
+                target = None if rows == () else rows.start // cells
+                mark = int(table.flat[0])
+                assert output == 0 and np.all(table == mark)
+                assert add == (target in writes)
+                writes.append(target)
+                held = [i for i in range(len(homes[target])) if mark >> i & 1]
+                assert all(set(homes[target][i]) <= set(combo) for i in held)
+                if derivative:  # one table, over the union of its tables' blocks
+                    assert set(combo) == set().union(*(homes[target][i] for i in held))
+                assert seen[target] & mark == 0
+                seen[target] |= mark
+        assert all(seen[target] == 2 ** len(own) - 1 for target, own in homes.items())
+        if derivative:
+            assert sorted(writes) == list(range(fam.grid.blocks))
+        else:
+            assert writes == [None] * 10
         assert len(_integral_tables(fam.kernels, fam.grid)) == 10
-        assert sum(len(parts) for _, parts in _derivative_tables(fam)[1]) == 30
+        assert sum(len(parts) for _, parts in _derivative_tables(fam)[1]) == 10
 
     @pytest.mark.parametrize("name", ["zeroed-tuples", "narrow-top"])
     def test_uncovered_narrower_tables_stay(self, name):
-        # zeroed-tuples leaves a home for every narrower table; narrow-top does not
+        # zeroed-tuples leaves a home for every narrower table; narrow-top does
+        # not.  Either way every target's union table fits the byte budget, so
+        # the derivative is one table per column block and the integral one table
         fam = SPARSE_FAMILIES[name]()
         top, tables = _derivative_tables(fam)
         integral = _integral_tables(fam.kernels, fam.grid)
         uncovered = name == "narrow-top"
-        assert any(len(combo) < top - 1 for combo, _ in tables) == uncovered
-        assert any(len(combo) < top for combo, _ in integral) == uncovered
+        homes = combination_derivative_tables(fam)[1]
+        assert any(len(combo) < top - 1 for combo, _ in homes) == uncovered
+        assert any(len(combo) < top
+                   for combo, _ in combination_integral_tables(fam.kernels, fam.grid)) == uncovered
+        starts = sorted(rows.start for _, parts in tables for _, rows, _, _ in parts)
+        assert starts == list(range(0, fam.grid.size, fam.grid.cells))
+        assert [len(parts) for _, parts in integral] == [1]
         u = random_paths(2010, 300, fam.grid.blocks)
         idx = path_cells(fam.grid, u)
         assert_matches_gather(fam.eval_many(u), sum(gathered_integral(k, idx) for k in fam.kernels))
         d, d_inv = derivative_values_many(fam, u)
         assert_matches_gather(d, gathered_derivative(fam, idx))
         assert_matches_gather(d_inv, gathered_derivative(fam, idx, unit_weights=True))
+
+    @pytest.mark.parametrize("name", sorted(BITWISE_FAMILIES))
+    def test_bitwise_equal_to_combination_gather(self, name, monkeypatch):
+        # one table per target reads what the per-combination tables added up
+        # to at each path, in the same order, so every output is bit for bit
+        # the same, at any thread count and with a partial last chunk
+        fam = BITWISE_FAMILIES[name]()
+        grid = fam.grid
+        if name.startswith("over-budget"):
+            # 2 rows of 2 cells over the 2**15 codes of the other blocks: 1 MiB
+            # per target, so each target keeps its per-combination parts
+            tables = _derivative_tables(fam)[1]
+            homes = combination_derivative_tables(fam)[1]
+            assert sum(len(p) for _, p in tables) == sum(len(p) for _, p in homes)
+            assert any(output == 1 for _, parts in tables for output, *_ in parts)
+        n_paths = 2 * (STEIN_CHUNK_ENTRIES // grid.size) + 7
+        u = random_paths(2500, n_paths, grid.blocks)
+        u_eval = random_paths(2501, 2 * EVAL_CHUNK_ROWS + 7, grid.blocks)
+        expected_d = combination_derivative(fam, u)
+        centered = KernelFamily(grid, 0.0, fam.kernels)  # the bound needs a zero constant
+        expected_terms = combination_stein_terms(centered, n_paths, seed=2502)
+        expected_eval = combination_eval(fam, u_eval)
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("WCLT_THREADS", threads)
+            assert all(map(np.array_equal, derivative_values_many(fam, u), expected_d)), threads
+            assert stein_bound_terms(centered, n_paths, seed=2502).to_dict() == expected_terms, threads
+            assert np.array_equal(fam.eval_many(u_eval), expected_eval), threads
 
     @pytest.mark.parametrize("name", ["triangle-n4", "triangle-n5", "path3-n5", "zeroed-tuples",
                                       "narrow-top", "dense-random"])

@@ -32,8 +32,11 @@ def test_traced_stein_job_runs(tmp_path):
         capture_output=True, text=True,
     )
     assert res.returncode == 0, res.stderr
-    names = {span["name"] for span in json.loads(probe.read_text())["spans"]}
-    assert {"chaos.stein_bound_terms", "chaos.eval_many"} <= names
+    spans = json.loads(probe.read_text())["spans"]
+    assert {"chaos.stein_bound_terms", "chaos.eval_many"} <= {span["name"] for span in spans}
+    # the Stein draw and the eval_many paths, 2000 each, on the 6 and the 10
+    # host edges (blocks) of the triangle families at n = 4 and 5
+    assert sum(span.get("counts", {}).get("rng.uniforms", 0) for span in spans) == 2 * 2000 * (6 + 10)
 
 
 def test_traced_simulate_counts_every_uniform(tmp_path):
