@@ -317,16 +317,16 @@ def path_cells(grid: GridSpec, u: np.ndarray) -> np.ndarray:
     return (loc.T + np.arange(grid.blocks, dtype=np.int64) * grid.cells).reshape(u.shape)
 
 
-# (block combination, [(key, table)]): the key of a part is its target, a
-# column block or None.
+# (block combination, [(target, table)]): the target of a table is a column
+# block or None.
 _BlockTables = list[tuple[tuple[int, ...], list[tuple[object, np.ndarray]]]]
-# (block combination, [(output, rows, table, add)]): the gather reads a part's
-# table at each path's code into outs[output][rows], adding when ``add``.
-_GatherTables = list[tuple[tuple[int, ...], list[tuple[int, object, np.ndarray, bool]]]]
+# (block combination, [(rows, table, add)]): the gather reads a table at each
+# path's code into out[rows], adding when ``add``.
+_GatherTables = list[tuple[tuple[int, ...], list[tuple[object, np.ndarray, bool]]]]
 
-# Largest table, in bytes, that _fold_targets builds for one target: exactly
-# the triangle family's at n = 5, 2 rows of 4 cells over the 4**6 codes of the
-# 6 host edges that meet the target edge.
+# Largest union table, in bytes, that _fold builds for one target: exactly the
+# triangle family's at n = 5, 2 rows of 4 cells over the 4**6 codes of the 6
+# host edges that meet the target edge.
 UNION_TABLE_BYTES = 256 * 1024
 
 
@@ -369,89 +369,53 @@ def _broadcast(table: np.ndarray, combo: tuple[int, ...], home: tuple[int, ...],
     return full.reshape(lead + (cells ** len(home),))
 
 
-def _cover(tables: _BlockTables, cells: int) -> list[tuple[tuple[int, ...], list]]:
-    """Fold each block table into the first wider kept table with its target
-    whose combination contains its own.
+def _fold(tables: _BlockTables, cells: int) -> _GatherTables:
+    """Gather tables that add up each target's block tables in input order.
 
-    ``tables`` run widest combination first.  A folded table is broadcast over
-    its home's extra blocks and listed after the home's own table; a table
-    with no such home is kept, and is a home for narrower ones.  Returns the
-    kept combinations, each part a (target, tables) pair whose tables all
-    index the combination's codes, so a path reads every folded table with
-    the one code of its home.
+    ``tables`` run widest combination first.  Each block table is broadcast
+    over the extra blocks of a home of its own target and added into the
+    home's table in input order, so each code of a home holds what its tables
+    add up to at a path with that code.  A target whose union combination
+    takes a table of at most UNION_TABLE_BYTES has that union as its one
+    home.  Any other target keeps the cover rule: a table's home is the first
+    kept wider table of its target whose combination contains its own, and a
+    table with no such home is kept.
+
+    The union homes come first, then the kept ones in input order, each as
+    (rows, table, add): a target's first home takes its rows (all of them for
+    the target None, else its column block of ``cells`` cells) and later
+    homes add.
     """
-    kept = []
-    homes: dict = {}  # (target, combination) -> (home combination, its table list)
+    unions: dict = {}
     for combo, parts in tables:
-        own = []
+        for target, _ in parts:
+            unions.setdefault(target, set()).update(combo)
+    covers: dict = {}  # (target, combination) -> home, for a target over the budget
+    homes: dict = {}  # (over the budget, home combination) -> {target: table}
+    for combo, parts in tables:
         for target, table in parts:
-            home = homes.get((target, combo))
-            if home is not None:
-                home[1].append(_broadcast(table, combo, home[0], cells))
-                continue
-            group = [table]
-            own.append((target, group))
-            for width in range(len(combo)):
-                for sub in combinations(combo, width):
-                    homes.setdefault((target, sub), (combo, group))
-        if own:
-            kept.append((combo, own))
-    return kept
-
-
-def _summed(group: list[np.ndarray]) -> np.ndarray:
-    """The tables of one covering part added up, its own table first."""
-    return sum(group[1:], start=group[0])
-
-
-def _fold_targets(parts, cells: int, lead: tuple[int, ...], finish=None) -> _GatherTables:
-    """Gather tables for covering parts, one table per target wherever it fits.
-
-    ``parts`` lists (combo, output, target, table) in the order the gather
-    adds them: a table over the codes of combo, for the rows of output
-    ``output`` that belong to target (the column block of ``cells`` cells, or
-    None for all of them).  A target's combinations have a union; when a
-    table of shape lead + (cells**|union|,) fits UNION_TABLE_BYTES, the
-    target's parts become that one table over the union's codes.  It adds
-    each part, broadcast over the union's extra blocks, into the sum of its
-    output, in order, and ``finish`` combines the sums by output as the gather
-    combines its outputs (by default output 0 is the table).  So each code
-    holds what the parts would add up to at a path with that code, in the
-    same order.  A target with a larger union keeps its parts.
-
-    In the result the first part of each output and target takes its rows and
-    the later ones add, in table order.
-    """
-    by_target: dict = {}
-    for combo, output, target, table in parts:
-        by_target.setdefault(target, []).append((combo, output, table))
-    folded: dict = {}  # union combination -> [(output, target, table)]
-    for target, own in list(by_target.items()):
-        union = tuple(sorted(set().union(*(combo for combo, _, _ in own))))
-        if math.prod(lead) * cells ** len(union) * 8 > UNION_TABLE_BYTES:
-            continue
-        sums: dict = {}
-        for combo, output, table in own:
-            full = _broadcast(table, combo, union, cells)
-            if output in sums:
-                sums[output] += full
-            else:
-                sums[output] = full.copy()
-        folded.setdefault(union, []).append((0, target, finish(sums) if finish else sums[0]))
-        del by_target[target]
-    grouped: dict = {}  # combination -> [(output, target, table)], for the targets kept
-    for combo, output, target, table in parts:
-        if target in by_target:
-            grouped.setdefault(combo, []).append((output, target, table))
-    tables, seen = [], set()
-    for combo, own in [*folded.items(), *grouped.items()]:
+            home = tuple(sorted(unions[target]))
+            over = table.nbytes // table.shape[-1] * cells ** len(home) > UNION_TABLE_BYTES
+            if over:
+                home = covers.get((target, combo), combo)
+                if home == combo:  # kept: the home of the narrower tables it contains
+                    for width in range(len(combo)):
+                        for sub in combinations(combo, width):
+                            covers.setdefault((target, sub), combo)
+            full = _broadcast(table, combo, home, cells)
+            sums = homes.setdefault((over, home), {})
+            sums[target] = sums[target] + full if target in sums else full
+    # union homes first, so no union home moves a kept home of the same
+    # combination ahead of the target's earlier kept homes
+    gather, seen = [], set()
+    for (_, combo), sums in sorted(homes.items(), key=lambda item: item[0][0]):
         marked = []
-        for output, target, table in own:
+        for target, table in sums.items():
             rows = () if target is None else slice(target * cells, (target + 1) * cells)
-            marked.append((output, rows, table, (output, target) in seen))
-            seen.add((output, target))
-        tables.append((combo, marked))
-    return tables
+            marked.append((rows, table, target in seen))
+            seen.add(target)
+        gather.append((combo, marked))
+    return gather
 
 
 class _SpanBuffers:
@@ -475,15 +439,15 @@ class _SpanBuffers:
         _local_cells(self.grid, u, self.scratch[:u.shape[0]], self.loc[:, :u.shape[0]])
 
 
-def _gather_sum(tables: _GatherTables, span: _SpanBuffers, outs) -> None:
-    """Read every part's table at the codes of the current chunk's paths.
+def _gather_sum(tables: _GatherTables, span: _SpanBuffers, out: np.ndarray) -> None:
+    """Read every table at the codes of the current chunk's paths.
 
-    A part (output, rows, table, add) writes the table rows gathered at each
-    path's code into ``outs[output][rows]``, whose last axis holds the paths:
-    it takes them, or adds them when ``add``.  Rows that no part writes are
-    left as they are.  Each combination forms its code once.
+    A part (rows, table, add) writes the table rows gathered at each path's
+    code into ``out[rows]``, whose last axis holds the paths: it takes them,
+    or adds them when ``add``.  Rows that no part writes are left as they
+    are.  Each combination forms its code once.
     """
-    c = outs[0].shape[-1]
+    c = out.shape[-1]
     loc = span.loc[:, :c]
     cells = span.grid.cells
     for combo, parts in tables:
@@ -499,8 +463,8 @@ def _gather_sum(tables: _GatherTables, span: _SpanBuffers, outs) -> None:
                 for b in combo[2:]:
                     code *= cells
                     code += loc[b]
-        for output, rows, table, add in parts:
-            target = outs[output][rows]
+        for rows, table, add in parts:
+            target = out[rows]
             # the codes are in range by construction; "wrap" writes straight
             # into its out, where the default "raise" fills a temporary first
             if add:
@@ -512,15 +476,14 @@ def _gather_sum(tables: _GatherTables, span: _SpanBuffers, outs) -> None:
 
 
 def _integral_tables(kernels, grid: GridSpec) -> _GatherTables:
-    """Covering tables whose gathered sum is the sum of the kernels' integrals.
+    """Gather tables whose gathered sum is the sum of the kernels' integrals.
 
     The integrals add up to the sum over r of r! times the distinct-block-set
     sum of A_r, where A_r adds (-1)^{n-r} 2^{r-n} C(n, r) times the
     (n - r)-fold marginal of each order-n kernel; all-zero kernels are
-    skipped.  The tables hold r! A_r, folded into the widest combinations
-    and then, where it fits, into one table over their union.  The marginals
-    are computed here, so their caches are filled before any evaluation
-    thread starts.
+    skipped.  The block tables hold r! A_r and are folded by _fold.  The
+    marginals are computed here, so their caches are filled before any
+    evaluation thread starts.
     """
     arrays: dict[int, np.ndarray] = {}
     for kern in kernels:
@@ -533,9 +496,7 @@ def _integral_tables(kernels, grid: GridSpec) -> _GatherTables:
     scaled = [(combo, [(None, math.factorial(r) * table) for _, table in parts])
               for r in sorted(arrays, reverse=True)
               for combo, parts in _block_tables(arrays[r], r, grid)]
-    parts = [(combo, 0, None, _summed(group))
-             for combo, covered in _cover(scaled, grid.cells) for _, group in covered]
-    return _fold_targets(parts, grid.cells, ())
+    return _fold(scaled, grid.cells)
 
 
 def _row_chunks(u: np.ndarray, lo: int, hi: int, chunk: int):
@@ -562,7 +523,7 @@ def _eval_block_sums(grid: GridSpec, tables: _GatherTables, u, constant: float =
             total = out[a:a + paths.shape[0]]
             if tables:
                 span.locate(paths)
-                _gather_sum(tables, span, (total,))
+                _gather_sum(tables, span, total)
             else:
                 total.fill(0.0)
             total *= factor
@@ -585,10 +546,8 @@ def integral_eval_many(kernel: Kernel, u: np.ndarray) -> np.ndarray:
 def ustat_eval_many(kernel: Kernel, u: np.ndarray) -> np.ndarray:
     """Plain U-statistic: kernel summed at path points over distinct block tuples."""
     r = kernel.order
-    parts = [(combo, 0, None, table)
-             for combo, own in _block_tables(kernel.values, r, kernel.grid) for _, table in own]
-    return _eval_block_sums(kernel.grid, _fold_targets(parts, kernel.grid.cells, ()), u,
-                            factor=math.factorial(r))
+    tables = _fold(_block_tables(kernel.values, r, kernel.grid), kernel.grid.cells)
+    return _eval_block_sums(kernel.grid, tables, u, factor=math.factorial(r))
 
 
 def _to_paths(u: np.ndarray) -> np.ndarray:
@@ -692,55 +651,27 @@ def slice_kernel(kernel: Kernel, cell: int) -> Kernel:
     return Kernel(kernel.grid, kernel.order - 1, kernel.values[cell], validate=False)
 
 
-def _derivative_tables(family: KernelFamily) -> tuple[int, _GatherTables]:
-    """(J, covering tables of the derivative), J the top order of a nonzero kernel.
+def _derivative_tables(family: KernelFamily) -> _GatherTables:
+    """Gather tables of the derivative and the negated inverse-OU derivative.
 
     Order j adds (j-1)! K_j, with K_j the block tables of kernel_j over its
     first j - 1 axes, into the negated inverse-OU derivative d_inv, and j
     times that into the derivative d.  The tables write the target-major
-    (cells, 2, paths) accumulator [d, d_inv] of _derivative_span, output 0,
-    as (M, 2, codes) tables, the stack [sum of j (j-1)! K_j, sum of
-    (j-1)! K_j] along their middle axis.  A covering part that holds order J
-    alone is the (M, codes) table (J-1)! K_J instead, for output 1, the
-    (cells, paths) row T, which counts J times into d and once into d_inv.
-    Each target whose union table fits is one table, with T's share folded in
-    as the gather adds it, so T is written only for targets over the budget.
+    (cells, 2, paths) accumulator [d, d_inv] of _derivative_span: each block
+    table is the (M, 2, codes) stack [j (j-1)! K_j, (j-1)! K_j] along its
+    middle axis, and _fold adds them up per column block.
     """
     grid = family.grid
-    m = grid.cells
-    kernels = [k for k in family.kernels if k.values.any()]
-    if not kernels:
-        return 0, []
-    top = kernels[-1].order
     stacked = []
-    for kern in reversed(kernels):
+    for kern in reversed(family.kernels):
+        if not kern.values.any():
+            continue
         j = kern.order
         f = math.factorial(j - 1)
         stacked += [(combo, [(b, np.stack([j * f * table, f * table], axis=1))
                              for b, table in parts])
                     for combo, parts in _block_tables(kern.values, j - 1, grid)]
-    parts = []
-    for combo, covered in _cover(stacked, m):
-        for b, group in covered:
-            if len(group) == 1 and len(combo) == top - 1:
-                parts.append((combo, 1, b, np.ascontiguousarray(group[0][:, 1])))
-            else:
-                parts.append((combo, 0, b, _summed(group)))
-
-    def finish(sums: dict) -> np.ndarray:
-        # the top pass of _derivative_span on the table: d_inv += T, then d += J T
-        table = sums.get(0)
-        top_sum = sums.get(1)
-        if top_sum is None:
-            return table
-        if table is None:
-            table = np.zeros(top_sum.shape[:1] + (2,) + top_sum.shape[1:])
-        table[:, 1] += top_sum
-        top_sum *= top
-        table[:, 0] += top_sum
-        return table
-
-    return top, _fold_targets(parts, m, (m, 2), finish)
+    return _fold(stacked, grid.cells)
 
 
 # (paths x cells) entries per derivative chunk: keeps a chunk's derivative in cache.
@@ -751,39 +682,25 @@ def _derivative_chunk_rows(grid: GridSpec) -> int:
     return max(1, STEIN_CHUNK_ENTRIES // grid.size)
 
 
-def _derivative_span(grid: GridSpec, top: int, tables: _GatherTables, chunks, rows: int):
+def _derivative_span(grid: GridSpec, tables: _GatherTables, chunks, rows: int):
     """Yield (a, d, d_inv) for each chunk (a, paths) of at most ``rows`` paths.
 
     ``paths`` holds the chunk's rows of block uniforms, the paths a, a + 1, ...
     d is the derivative and d_inv the negated inverse-OU derivative, both
     (cells, paths) views of the span's target-major (cells, 2, paths)
-    accumulator, overwritten by the next chunk.  A target's first part takes
-    its rows and later parts add; cells that no part writes keep the zeros of
-    the accumulator's allocation.  The row T and its pass (d_inv += T, then
-    d += top T) exist only when a part writes T; the cells that only T writes
-    restart at zero every chunk.
+    accumulator, overwritten by the next chunk.  A target's first table takes
+    its rows and later ones add; cells that no table writes keep the zeros of
+    the accumulator's allocation.
     """
     span = _SpanBuffers(grid, rows, tables)
-    written = {(output, cols.start) for _, parts in tables for output, cols, *_ in parts}
-    top_only = np.array(sorted(t for output, start in written
-                               if output == 1 and (0, start) not in written
-                               for t in range(start, start + grid.cells)), dtype=np.intp)
-    has_top = any(output == 1 for output, _ in written)
-    acc = top_row = None
+    acc = None
     for a, paths in chunks:
         c = paths.shape[0]
         if acc is None or acc.shape[-1] != c:
             acc = np.zeros((grid.size, 2, c))
-            top_row = np.zeros((grid.size, c)) if has_top else None
         span.locate(paths)
-        _gather_sum(tables, span, (acc, top_row))
-        d, d_inv = acc[:, 0], acc[:, 1]
-        if has_top:
-            acc[top_only] = 0.0
-            d_inv += top_row
-            top_row *= top
-            d += top_row
-        yield a, d, d_inv
+        _gather_sum(tables, span, acc)
+        yield a, acc[:, 0], acc[:, 1]
 
 
 def derivative_values_many(family: KernelFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -801,12 +718,12 @@ def derivative_values_many(family: KernelFamily, u: np.ndarray) -> tuple[np.ndar
     u = _path_matrix(grid, u)
     d_out = np.empty((u.shape[0], grid.size))
     inv_out = np.empty((u.shape[0], grid.size))
-    top, tables = _derivative_tables(family)
+    tables = _derivative_tables(family)
     chunk = _derivative_chunk_rows(grid)
 
     def work(lo: int, hi: int) -> None:
         chunks = _row_chunks(u, lo, hi, chunk)
-        for a, d, d_inv in _derivative_span(grid, top, tables, chunks, min(chunk, hi - lo)):
+        for a, d, d_inv in _derivative_span(grid, tables, chunks, min(chunk, hi - lo)):
             d_out[a:a + d.shape[1]] = d.T
             inv_out[a:a + d.shape[1]] = d_inv.T
 
@@ -868,7 +785,7 @@ def stein_bound_terms(family: KernelFamily, n_paths: int, seed: int) -> SteinBou
     half_w = grid.cell_width / 2.0
     ex2 = family.second_moment()
     term1 = abs(1.0 - ex2)
-    top, tables = _derivative_tables(family)
+    tables = _derivative_tables(family)
     chunk = _derivative_chunk_rows(grid)
 
     inner = np.empty(n_paths)
@@ -881,7 +798,7 @@ def stein_bound_terms(family: KernelFamily, n_paths: int, seed: int) -> SteinBou
         # the rows of random_paths(seed, n_paths, grid.blocks), a chunk at a time
         uniforms = rng.uniform_chunks(seed, grid.blocks, lo, hi, chunk)
         chunks = ((a, _to_paths(u)) for a, u in uniforms)
-        for a, d, d_inv in _derivative_span(grid, top, tables, chunks, rows):
+        for a, d, d_inv in _derivative_span(grid, tables, chunks, rows):
             b = a + d.shape[1]
             # the cell sums run over contiguous (paths, cells) rows, as einsum
             # orders them there, so they do not depend on the gather layout

@@ -20,7 +20,7 @@ import tempfile
 
 import numpy as np
 
-from . import chaos, graph_chaos, rng
+from . import rng
 from .bounds import DEFAULT_CUTOFF, regime_bound, wasserstein_bound, rate_term
 from .distance import wasserstein1_to_normal
 from .errors import ChaosError, DegenerateConfigError, PatternError, ResourceLimitError
@@ -276,6 +276,9 @@ def _cmd_rate_sweep(args) -> int:
 
 def _chaos_checks(seed: int, grid_spec: tuple[int, int], n_paths: int, corrupt: bool) -> list[dict]:
     """The identity suite behind chaos-verify; one record per check."""
+    # imported here, so the commands that run no chaos code do not load it
+    from . import chaos, graph_chaos
+
     blocks, cells = grid_spec
     grid = chaos.GridSpec(blocks, cells)
     checks = []

@@ -201,22 +201,59 @@ def stein_terms_by_gather(family, n_paths: int, seed: int) -> dict:
             "term3_se": math.sqrt(ex2 / integral) * fourth_se}
 
 
-def _combination_gather(tables, grid, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Zero ``out``, then add every part's table at the paths' codes: the part
-    (index, table) adds its rows into out[index], whose last axis is the paths."""
-    local = (path_cells(grid, u) - np.arange(grid.blocks) * grid.cells).T
-    out.fill(0.0)
+def _homes(tables, cells: int) -> list:
+    """The parts the combination gather adds, one per home, in input order.
+
+    ``tables`` list (combination, [(target, table)]) widest combination
+    first.  A target whose union table, over the codes of the union of its
+    combinations, fits ``chaos.UNION_TABLE_BYTES`` keeps each block table as
+    a part of its own.  Any other target puts each table into the first
+    earlier kept table of the target whose combination holds its own, or
+    keeps it.  A part is (target, [(combination, table)]), its kept table
+    first.
+    """
+    unions = {}
     for combo, parts in tables:
+        for target, _ in parts:
+            unions.setdefault(target, set()).update(combo)
+    kept = {}  # target -> [(combination, group)] of its kept tables
+    homes = []
+    for combo, parts in tables:
+        for target, table in parts:
+            lead = math.prod(table.shape[:-1])
+            if lead * cells ** len(unions[target]) * 8 <= chaos.UNION_TABLE_BYTES:
+                homes.append((target, [(combo, table)]))
+                continue
+            home = next((group for wider, group in kept.get(target, [])
+                         if set(combo) < set(wider)), None)
+            if home is None:
+                home = []
+                kept.setdefault(target, []).append((combo, home))
+                homes.append((target, home))
+            home.append((combo, table))
+    return homes
+
+
+def _combination_gather(homes, grid, u: np.ndarray, out: np.ndarray, index) -> np.ndarray:
+    """Zero ``out``, then add every home at the paths: each of its tables read
+    at the code of its own combination, summed in order, goes into
+    out[index(target)], whose last axis is the paths."""
+    local = (path_cells(grid, u) - np.arange(grid.blocks) * grid.cells).T
+
+    def read(combo, table):
         code = np.zeros(u.shape[0], dtype=np.int64)
         for b in combo:
             code = code * grid.cells + local[b]
-        for index, table in parts:
-            out[index] += table.take(code, axis=-1)
+        return table.take(code, axis=-1)
+
+    out.fill(0.0)
+    for target, group in homes:
+        out[index(target)] += sum((read(*part) for part in group[1:]), start=read(*group[0]))
     return out
 
 
 def combination_integral_tables(kernels, grid):
-    """The integral's covering tables with one table per kept block combination."""
+    """The integral's homes: parts (None, [(combination, r! A_r table)])."""
     arrays = {}
     for kern in kernels:
         n = kern.order
@@ -228,61 +265,40 @@ def combination_integral_tables(kernels, grid):
     scaled = [(combo, [(None, math.factorial(r) * table) for _, table in parts])
               for r in sorted(arrays, reverse=True)
               for combo, parts in chaos._block_tables(arrays[r], r, grid)]
-    return [(combo, [((), sum(group[1:], start=group[0])) for _, group in parts])
-            for combo, parts in chaos._cover(scaled, grid.cells)]
+    return _homes(scaled, grid.cells)
 
 
 def combination_derivative_tables(family):
-    """(J, the derivative's covering tables with one table per kept combination and target).
-
-    The tables index a (3, cells, paths) accumulator [d, d_inv, T]: a part
-    holding the top order J alone is (J-1)! K_J, added into T, which counts J
-    times into d and once into d_inv; every other part is a (2, M, codes)
-    stack added into d and d_inv at once.
-    """
-    grid = family.grid
-    m = grid.cells
-    kernels = [k for k in family.kernels if k.values.any()]
-    if not kernels:
-        return 0, []
-    top = kernels[-1].order
+    """The derivative's homes: parts (column block, [(combination, table)]), each
+    table the (2, M, codes) stack [j (j-1)! K_j, (j-1)! K_j] for a (2, cells,
+    paths) accumulator [d, d_inv]."""
     stacked = []
-    for kern in reversed(kernels):
+    for kern in reversed(family.kernels):
+        if not kern.values.any():
+            continue
         j = kern.order
         f = math.factorial(j - 1)
         stacked += [(combo, [(b, np.stack([j * f * table, f * table])) for b, table in parts])
-                    for combo, parts in chaos._block_tables(kern.values, j - 1, grid)]
-    tables = []
-    for combo, parts in chaos._cover(stacked, m):
-        indexed = []
-        for b, group in parts:
-            cols = slice(b * m, (b + 1) * m)
-            if len(group) == 1 and len(combo) == top - 1:
-                indexed.append(((2, cols), group[0][1]))
-            else:
-                indexed.append(((slice(0, 2), cols), sum(group[1:], start=group[0])))
-        tables.append((combo, indexed))
-    return top, tables
+                    for combo, parts in chaos._block_tables(kern.values, j - 1, family.grid)]
+    return _homes(stacked, family.grid.cells)
 
 
 def combination_eval(family, u: np.ndarray) -> np.ndarray:
-    """``family.eval_many(u)`` by the per-combination tables and the fill-and-add gather."""
+    """``family.eval_many(u)`` by the per-home gather."""
     out = np.empty(u.shape[0])
     _combination_gather(combination_integral_tables(family.kernels, family.grid), family.grid,
-                        u, out)
+                        u, out, lambda target: ())
     out += family.constant
     return out
 
 
 def combination_derivative(family, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``derivative_values_many(family, u)`` by the per-combination tables and the
-    fill-and-add gather into a (3, cells, paths) accumulator."""
-    top, tables = combination_derivative_tables(family)
-    acc = np.empty((3, family.grid.size, u.shape[0]))
-    d, d_inv, top_part = _combination_gather(tables, family.grid, u, acc)
-    d_inv += top_part
-    top_part *= top
-    d += top_part
+    """``derivative_values_many(family, u)`` by the per-home gather into a
+    (2, cells, paths) accumulator."""
+    m = family.grid.cells
+    acc = np.empty((2, family.grid.size, u.shape[0]))
+    d, d_inv = _combination_gather(combination_derivative_tables(family), family.grid, u, acc,
+                                   lambda b: (slice(None), slice(b * m, (b + 1) * m)))
     return np.ascontiguousarray(d.T), np.ascontiguousarray(d_inv.T)
 
 

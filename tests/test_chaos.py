@@ -50,11 +50,9 @@ from wclt.chaos import (
     ustat_eval_many,
     zero_kernel,
     _block_tables,
-    _cover,
     _derivative_tables,
-    _fold_targets,
+    _fold,
     _integral_tables,
-    _summed,
 )
 from wclt.errors import ChaosError
 from wclt.graph_chaos import graph_weight_family
@@ -504,8 +502,11 @@ BITWISE_FAMILIES = {
         [random_kernel(GridSpec(5, 3), j, seed=2200 + j) for j in (1, 2, 3)]),
     "over-budget": lambda: family_from_kernels(
         [random_kernel(GridSpec(16, 2), j, seed=2210 + j) for j in (1, 2, 3)]),
-    # the top order alone: every part writes the top row, none the accumulator
+    # the top order alone: no table lies in a wider one, so each is its own home
     "over-budget-top": lambda: family_from_kernels([random_kernel(GridSpec(16, 2), 3, seed=2214)]),
+    # a graph family over the budget: the union of a host edge's block sets
+    # is the other 35 edges
+    "path3-n9": lambda: graph_family("path:3", 9, "const:2", 0.5, 2),
 }
 
 
@@ -575,12 +576,12 @@ class TestBlockTableGather:
 
     @pytest.mark.parametrize("derivative", [False, True])
     def test_cover_folds_every_narrower_table_once(self, derivative):
-        # triangle at n = 5: every narrower block set with a nonzero table (a
-        # pair of meeting host edges, one edge, none) lies in a triangle of host
-        # edges, so the tables first fold into the 10 triangles, 30 derivative
-        # parts; the 3 parts of a target then fold into one table over the 6
-        # host edges that meet it, while the integral's union, all 10 edges,
-        # exceeds the byte budget and keeps the 10 triangles
+        # triangle at n = 5: each derivative target's union, the 6 host edges
+        # that meet it, fits the byte budget, so its 3 triangle tables and
+        # every narrower one fold into one table over that union; the
+        # integral's union, all 10 edges, exceeds it, so every narrower block
+        # set with a nonzero table (a pair of edges, one edge, none) folds
+        # into the first of the 10 triangles that contains it
         fam = SPARSE_FAMILIES["triangle-n5"]()
         cells = fam.grid.cells
         # the i-th table of a target is the constant 2**i, so a sum of them
@@ -592,19 +593,18 @@ class TestBlockTableGather:
                 marked.append((combo, []))
                 for target, table in parts:
                     own = homes.setdefault(target, [])
-                    marked[-1][1].append((target, np.full(table.shape, 2.0 ** len(own))))
+                    # a derivative table is an (M, 2, codes) stack, which the byte budget counts
+                    shape = table.shape[:1] + (2,) + table.shape[1:] if derivative else table.shape
+                    marked[-1][1].append((target, np.full(shape, 2.0 ** len(own))))
                     own.append(combo)
         assert max(map(len, homes.values())) <= 53  # every sum of marks is exact
-        parts = [(combo, 0, target, _summed(group))
-                 for combo, covered in _cover(marked, cells) for target, group in covered]
-        tables = _fold_targets(parts, cells, (cells, 2) if derivative else ())
         seen = dict.fromkeys(homes, 0)
         writes = []
-        for combo, gathered in tables:
-            for output, rows, table, add in gathered:
+        for combo, gathered in _fold(marked, cells):
+            for rows, table, add in gathered:
                 target = None if rows == () else rows.start // cells
                 mark = int(table.flat[0])
-                assert output == 0 and np.all(table == mark)
+                assert np.all(table == mark)
                 assert add == (target in writes)
                 writes.append(target)
                 held = [i for i in range(len(homes[target])) if mark >> i & 1]
@@ -619,24 +619,36 @@ class TestBlockTableGather:
         else:
             assert writes == [None] * 10
         assert len(_integral_tables(fam.kernels, fam.grid)) == 10
-        assert sum(len(parts) for _, parts in _derivative_tables(fam)[1]) == 10
+        assert sum(len(parts) for _, parts in _derivative_tables(fam)) == 10
 
-    @pytest.mark.parametrize("name", ["zeroed-tuples", "narrow-top"])
+    @pytest.mark.parametrize("name", ["zeroed-tuples", "narrow-top", "over-budget",
+                                      "over-budget-narrow"])
     def test_uncovered_narrower_tables_stay(self, name):
-        # zeroed-tuples leaves a home for every narrower table; narrow-top does
-        # not.  Either way every target's union table fits the byte budget, so
-        # the derivative is one table per column block and the integral one table
-        fam = SPARSE_FAMILIES[name]()
-        top, tables = _derivative_tables(fam)
+        # under the byte budget (zeroed-tuples, narrow-top) the derivative is
+        # one table per column block and the integral one table, whatever
+        # covers what.  Over it a narrower table folds into the first wider
+        # kept table of its target that contains it: over-budget has such a
+        # home for every narrower table; over-budget-narrow, whose top kernel
+        # lives on blocks 0..2, leaves most without one, and they stay
+        if name == "over-budget-narrow":
+            grid = GridSpec(16, 2)
+            fam = family_from_kernels(
+                [random_kernel(grid, j, seed=2160 + j) for j in (1, 2)]
+                + [blocks_within(random_kernel(grid, 3, seed=2163), {0, 1, 2})])
+        else:
+            fam = BITWISE_FAMILIES[name]()
+        tables = _derivative_tables(fam)
         integral = _integral_tables(fam.kernels, fam.grid)
-        uncovered = name == "narrow-top"
-        homes = combination_derivative_tables(fam)[1]
-        assert any(len(combo) < top - 1 for combo, _ in homes) == uncovered
-        assert any(len(combo) < top
-                   for combo, _ in combination_integral_tables(fam.kernels, fam.grid)) == uncovered
-        starts = sorted(rows.start for _, parts in tables for _, rows, _, _ in parts)
-        assert starts == list(range(0, fam.grid.size, fam.grid.cells))
-        assert [len(parts) for _, parts in integral] == [1]
+        if name.startswith("over-budget"):
+            homes = combination_derivative_tables(fam)
+            uncovered = name == "over-budget-narrow"
+            assert any(len(group[0][0]) < fam.max_order - 1 for _, group in homes) == uncovered
+            assert sorted((combo, rows.start) for combo, parts in tables for rows, _, _ in parts) \
+                == sorted((group[0][0], b * fam.grid.cells) for b, group in homes)
+        else:
+            starts = sorted(rows.start for _, parts in tables for rows, _, _ in parts)
+            assert starts == list(range(0, fam.grid.size, fam.grid.cells))
+            assert [len(parts) for _, parts in integral] == [1]
         u = random_paths(2010, 300, fam.grid.blocks)
         idx = path_cells(fam.grid, u)
         assert_matches_gather(fam.eval_many(u), sum(gathered_integral(k, idx) for k in fam.kernels))
@@ -646,18 +658,18 @@ class TestBlockTableGather:
 
     @pytest.mark.parametrize("name", sorted(BITWISE_FAMILIES))
     def test_bitwise_equal_to_combination_gather(self, name, monkeypatch):
-        # one table per target reads what the per-combination tables added up
-        # to at each path, in the same order, so every output is bit for bit
-        # the same, at any thread count and with a partial last chunk
+        # a union table holds what the target's block tables add up to at
+        # each path, in input order, and a home over the budget what its own
+        # tables do, so every output is bit for bit the oracle's, at any
+        # thread count and with a partial last chunk
         fam = BITWISE_FAMILIES[name]()
         grid = fam.grid
-        if name.startswith("over-budget"):
-            # 2 rows of 2 cells over the 2**15 codes of the other blocks: 1 MiB
-            # per target, so each target keeps its per-combination parts
-            tables = _derivative_tables(fam)[1]
-            homes = combination_derivative_tables(fam)[1]
-            assert sum(len(p) for _, p in tables) == sum(len(p) for _, p in homes)
-            assert any(output == 1 for _, parts in tables for output, *_ in parts)
+        if name.startswith("over-budget") or name == "path3-n9":
+            # 2 rows of 2 cells over the 2**15 (2**35) codes of the other
+            # blocks is over the budget, so each target keeps one table per home
+            tables = _derivative_tables(fam)
+            homes = combination_derivative_tables(fam)
+            assert sum(len(p) for _, p in tables) == len(homes)
         n_paths = 2 * (STEIN_CHUNK_ENTRIES // grid.size) + 7
         u = random_paths(2500, n_paths, grid.blocks)
         u_eval = random_paths(2501, 2 * EVAL_CHUNK_ROWS + 7, grid.blocks)

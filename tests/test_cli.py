@@ -494,3 +494,13 @@ def test_negative_seed_rejected_at_entry(tmp_path, command):
     assert res.returncode == 2
     assert res.stderr == "error: --seed must be nonnegative, got -1\n"
     assert not out.exists() and not meta.exists()
+
+
+def test_import_leaves_chaos_unloaded():
+    # only chaos-verify runs chaos code, so the other commands do not pay its import
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, wclt.cli\nprint(sorted(m for m in sys.modules if 'chaos' in m))\n"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
