@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import string
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -450,6 +451,7 @@ def _gather_sum(tables: _GatherTables, span: _SpanBuffers, out: np.ndarray) -> N
     c = out.shape[-1]
     loc = span.loc[:, :c]
     cells = span.grid.cells
+    views = {}  # the gather buffer as a (lead..., c) array, reshaped once per lead shape
     for combo, parts in tables:
         if len(combo) == 1:
             code = loc[combo[0]]
@@ -468,9 +470,11 @@ def _gather_sum(tables: _GatherTables, span: _SpanBuffers, out: np.ndarray) -> N
             # the codes are in range by construction; "wrap" writes straight
             # into its out, where the default "raise" fills a temporary first
             if add:
-                buf = span.buf[:c * (table.size // table.shape[-1])]
-                target += table.take(code, axis=-1, out=buf.reshape(table.shape[:-1] + (c,)),
-                                     mode="wrap")
+                lead = table.shape[:-1]
+                buf = views.get(lead)
+                if buf is None:
+                    buf = views[lead] = span.buf[:c * math.prod(lead)].reshape(lead + (c,))
+                target += table.take(code, axis=-1, out=buf, mode="wrap")
             else:
                 table.take(code, axis=-1, out=target, mode="wrap")
 
@@ -558,7 +562,8 @@ def _to_paths(u: np.ndarray) -> np.ndarray:
 
 
 def random_paths(seed: int, n_paths: int, blocks: int, first: int = 0) -> np.ndarray:
-    """Rows of path uniforms in (-1, 1), position-stable in the seed's stream."""
+    """Rows of path uniforms in [-1, 1), position-stable in the seed's stream
+    (_to_paths maps a uniform of 0.0 to -1)."""
     return _to_paths(rng.uniform_matrix(seed, n_paths, blocks, first_row=first))
 
 
@@ -674,12 +679,19 @@ def _derivative_tables(family: KernelFamily) -> _GatherTables:
     return _fold(stacked, grid.cells)
 
 
-# (paths x cells) entries per derivative chunk: keeps a chunk's derivative in cache.
+# Path entries per chunk of a derivative or bound span, one per cell of a
+# gathered derivative (else one per block): keeps a chunk's buffers in cache.
 STEIN_CHUNK_ENTRIES = 100_000
 
 
 def _derivative_chunk_rows(grid: GridSpec) -> int:
     return max(1, STEIN_CHUNK_ENTRIES // grid.size)
+
+
+def _stein_chunk_rows(grid: GridSpec, gathered: _GatherTables) -> int:
+    """Paths per chunk of the bound: a span holds one entry per cell of each
+    path when a target is gathered, else one per block."""
+    return max(1, STEIN_CHUNK_ENTRIES // (grid.size if gathered else grid.blocks))
 
 
 def _derivative_span(grid: GridSpec, tables: _GatherTables, chunks, rows: int):
@@ -766,14 +778,67 @@ def _sd_with_se(x: np.ndarray) -> tuple[float, float]:
     return sd, math.sqrt(max(m4 - var * var, 0.0) / n) / (2.0 * sd)
 
 
+def _cell_sums(stack: np.ndarray, half_w: float) -> np.ndarray:
+    """[half_w sum_t d_t d_inv_t, sum_t (d_t d_t)^2] over the M cells t of a
+    stack shaped (..., M, 2, n) that holds [d, d_inv] per cell.
+
+    Each sum adds the cells one after another in cell order (numpy's pairwise
+    sum of a contiguous row would reorder them from 8 cells on), then the
+    first is scaled.  Works in place: returns a (..., 2, n) view into the
+    stack, whose first cell accumulates the others.
+    """
+    d, d_inv = stack[..., 0, :], stack[..., 1, :]
+    d_inv *= d
+    np.square(d, out=d)
+    np.square(d, out=d)  # (d d)^2, as d**4 pays a pow per element
+    sums = stack[..., 0, :, :]  # [fourth, inner] per cell, and the sums in cell 0
+    for t in range(1, stack.shape[-3]):
+        sums += stack[..., t, :, :]
+    sums[..., 1, :] *= half_w
+    return sums[..., ::-1, :]
+
+
+def _stein_tables(family: KernelFamily) -> tuple[_GatherTables, _GatherTables]:
+    """The bound's (reduced, gathered) tables, split from the derivative's.
+
+    A target with one home, (M, 2, codes) over its combination, is reduced by
+    _cell_sums to a (2, codes) table of its share of [inner, fourth] at each
+    code; these run in target order, the first taking the rows of a (2,
+    paths) output and later ones adding.  Every other target keeps its homes
+    in the derivative's order, for the (cells, 2, paths) accumulator.
+    """
+    half_w = family.grid.cell_width / 2.0
+    tables = _derivative_tables(family)
+    homes = Counter(rows.start for _, parts in tables for rows, _, _ in parts)
+    single, gathered = [], []
+    for combo, parts in tables:
+        for rows, table, _ in parts:
+            if homes[rows.start] == 1:
+                sums = np.ascontiguousarray(_cell_sums(table.copy(), half_w))
+                single.append((rows.start, combo, sums))
+        several = [part for part in parts if homes[part[0].start] > 1]
+        if several:
+            gathered.append((combo, several))
+    single.sort(key=lambda item: item[0])
+    reduced = [(combo, [((), sums, i > 0)]) for i, (_, combo, sums) in enumerate(single)]
+    return reduced, gathered
+
+
 def stein_bound_terms(family: KernelFamily, n_paths: int, seed: int) -> SteinBoundTerms:
     """Evaluate the three explicit bound terms for a centered block-centered family.
 
     The inner product <derivative, negated inverse-OU derivative> is computed
     exactly per path as a cell sum with the (dx/2) weight; only its variance
-    and the fourth-moment integral are Monte Carlo averages over paths.  One
-    derivative pass per chunk gives both derivatives, the derivative and the
-    negated inverse-OU derivative.
+    and the fourth-moment integral are Monte Carlo averages over paths.
+
+    A path's inner product and fourth-power sum add up per-target shares:
+    each target sums its cells in cell order, then the targets with one home
+    add in target order, then the others in target order.  The share of a
+    target with one home depends only on that home's code, so it is read
+    from a (2, codes) table reduced once (see _stein_tables), and the
+    derivative itself is never formed for it.  A target with several homes
+    (one over UNION_TABLE_BYTES) is gathered per path into the derivative's
+    (cells, 2, paths) accumulator and reduced there by the same formula.
     """
     if n_paths < 1:
         raise ChaosError(f"bound needs at least one path, got {n_paths}")
@@ -785,34 +850,37 @@ def stein_bound_terms(family: KernelFamily, n_paths: int, seed: int) -> SteinBou
     half_w = grid.cell_width / 2.0
     ex2 = family.second_moment()
     term1 = abs(1.0 - ex2)
-    tables = _derivative_tables(family)
-    chunk = _derivative_chunk_rows(grid)
+    reduced, gathered = _stein_tables(family)
+    targets = sorted({rows.start // grid.cells for _, parts in gathered for rows, _, _ in parts})
+    chunk = _stein_chunk_rows(grid, gathered)
 
-    inner = np.empty(n_paths)
-    fourth = np.empty(n_paths)  # per path, the cell sum of derivative^4
+    moments = np.empty((2, n_paths))  # per path, [inner, cell sum of derivative^4]
 
     def work(lo: int, hi: int) -> None:
-        rows = min(chunk, hi - lo)
-        d_rows = np.empty((rows, grid.size))
-        inv_rows = np.empty((rows, grid.size))
+        span = _SpanBuffers(grid, min(chunk, hi - lo), reduced + gathered)
+        total = acc = None
         # the rows of random_paths(seed, n_paths, grid.blocks), a chunk at a time
-        uniforms = rng.uniform_chunks(seed, grid.blocks, lo, hi, chunk)
-        chunks = ((a, _to_paths(u)) for a, u in uniforms)
-        for a, d, d_inv in _derivative_span(grid, tables, chunks, rows):
-            b = a + d.shape[1]
-            # the cell sums run over contiguous (paths, cells) rows, as einsum
-            # orders them there, so they do not depend on the gather layout
-            dr = d_rows[:b - a]
-            np.copyto(dr, d.T)
-            ir = inv_rows[:b - a]
-            np.copyto(ir, d_inv.T)
-            np.einsum("ij,ij->i", dr, ir, out=inner[a:b])
-            inner[a:b] *= half_w
-            dr *= dr
-            np.einsum("ij,ij->i", dr, dr, out=fourth[a:b])
+        for a, u in rng.uniform_chunks(seed, grid.blocks, lo, hi, chunk):
+            c = u.shape[0]
+            if total is None or total.shape[-1] != c:
+                total = np.empty((2, c))
+                if gathered:  # cells that no table writes stay zero
+                    acc = np.zeros((grid.size, 2, c))
+            span.locate(_to_paths(u))
+            if reduced:
+                _gather_sum(reduced, span, total)
+            else:
+                total.fill(0.0)
+            if gathered:
+                _gather_sum(gathered, span, acc)
+                sums = _cell_sums(acc.reshape(grid.blocks, grid.cells, 2, c), half_w)
+                for b in targets:
+                    total += sums[b]
+            moments[:, a:a + c] = total
 
     rng.map_spans(n_paths, chunk, work)
 
+    inner, fourth = moments
     term2, term2_se = _sd_with_se(inner)
     fourth_integral = float(fourth.sum()) / n_paths * half_w
     term3 = 2.0 * math.sqrt(ex2 * fourth_integral)

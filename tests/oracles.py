@@ -5,6 +5,7 @@ code path on purpose and are only fast enough for small hosts.
 """
 
 import math
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
@@ -202,34 +203,38 @@ def stein_terms_by_gather(family, n_paths: int, seed: int) -> dict:
 
 
 def _homes(tables, cells: int) -> list:
-    """The parts the combination gather adds, one per home, in input order.
+    """The homes the combination gather adds, in input order.
 
     ``tables`` list (combination, [(target, table)]) widest combination
     first.  A target whose union table, over the codes of the union of its
-    combinations, fits ``chaos.UNION_TABLE_BYTES`` keeps each block table as
-    a part of its own.  Any other target puts each table into the first
+    combinations, fits ``chaos.UNION_TABLE_BYTES`` has one home that holds
+    all its block tables.  Any other target puts each table into the first
     earlier kept table of the target whose combination holds its own, or
-    keeps it.  A part is (target, [(combination, table)]), its kept table
-    first.
+    keeps it as a home of its own.  A home is (target, [(combination,
+    table)]), its first table first.
     """
     unions = {}
     for combo, parts in tables:
         for target, _ in parts:
             unions.setdefault(target, set()).update(combo)
     kept = {}  # target -> [(combination, group)] of its kept tables
+    union_homes = {}  # target -> its one group, for a target whose union fits
     homes = []
     for combo, parts in tables:
         for target, table in parts:
             lead = math.prod(table.shape[:-1])
             if lead * cells ** len(unions[target]) * 8 <= chaos.UNION_TABLE_BYTES:
-                homes.append((target, [(combo, table)]))
-                continue
-            home = next((group for wider, group in kept.get(target, [])
-                         if set(combo) < set(wider)), None)
-            if home is None:
-                home = []
-                kept.setdefault(target, []).append((combo, home))
-                homes.append((target, home))
+                home = union_homes.get(target)
+                if home is None:
+                    home = union_homes[target] = []
+                    homes.append((target, home))
+            else:
+                home = next((group for wider, group in kept.get(target, [])
+                             if set(combo) < set(wider)), None)
+                if home is None:
+                    home = []
+                    kept.setdefault(target, []).append((combo, home))
+                    homes.append((target, home))
             home.append((combo, table))
     return homes
 
@@ -305,17 +310,34 @@ def combination_derivative(family, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def combination_stein_terms(family, n_paths: int, seed: int) -> dict:
     """``stein_bound_terms(family, n_paths, seed).to_dict()`` from ``combination_derivative``.
 
-    The per-path cell sums run over contiguous (paths, cells) rows, and the
-    moments are the library's, so only the derivative's gather differs.
+    Per path, each target's share of the inner product and of the
+    fourth-power sum adds the target's cells one after another in cell
+    order, and the inner product's share is then scaled by half_w; the
+    shares of the targets with one home add in block order, then those of
+    the targets with several homes in block order.  The moments are the
+    library's, so only the derivative's gather differs.
     """
     grid = family.grid
+    m = grid.cells
     half_w = grid.cell_width / 2.0
     ex2 = family.second_moment()
     d, d_inv = combination_derivative(family, random_paths(seed, n_paths, grid.blocks))
-    inner = np.einsum("ij,ij->i", d, d_inv)
-    inner *= half_w
-    d *= d
-    fourth = np.einsum("ij,ij->i", d, d)
+
+    def cell_terms(t):
+        square = d[:, t] * d[:, t]
+        return d[:, t] * d_inv[:, t], square * square
+
+    homes = Counter(target for target, _ in combination_derivative_tables(family))
+    inner = np.zeros(n_paths)
+    fourth = np.zeros(n_paths)
+    for b in sorted(homes, key=lambda target: (homes[target] > 1, target)):
+        share_inner, share_fourth = cell_terms(b * m)
+        for t in range(b * m + 1, (b + 1) * m):
+            product, power = cell_terms(t)
+            share_inner = share_inner + product
+            share_fourth = share_fourth + power
+        inner = inner + share_inner * half_w
+        fourth = fourth + share_fourth
     term1 = abs(1.0 - ex2)
     term2, term2_se = chaos._sd_with_se(inner)
     fourth_integral = float(fourth.sum()) / n_paths * half_w

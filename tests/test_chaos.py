@@ -2,6 +2,7 @@
 
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from wclt.chaos import (
     EVAL_CHUNK_ROWS,
     EXACT_TOL,
     PATHWISE_TOL,
-    STEIN_CHUNK_ENTRIES,
     GridSpec,
     Kernel,
     KernelFamily,
@@ -50,9 +50,12 @@ from wclt.chaos import (
     ustat_eval_many,
     zero_kernel,
     _block_tables,
+    _derivative_chunk_rows,
     _derivative_tables,
     _fold,
     _integral_tables,
+    _stein_chunk_rows,
+    _stein_tables,
 )
 from wclt.errors import ChaosError
 from wclt.graph_chaos import graph_weight_family
@@ -507,7 +510,17 @@ BITWISE_FAMILIES = {
     # a graph family over the budget: the union of a host edge's block sets
     # is the other 35 edges
     "path3-n9": lambda: graph_family("path:3", 9, "const:2", 0.5, 2),
+    # block 15's target has one home (the order-1 table) and every other
+    # target 14, so the bound reads tabulated and gathered shares together
+    "mixed-homes": lambda: family_from_kernels(
+        [random_kernel(GridSpec(16, 2), 1, seed=2220),
+         blocks_within(random_kernel(GridSpec(16, 2), 2, seed=2221), set(range(15)))]),
 }
+
+
+def stein_chunk_rows(fam: KernelFamily) -> int:
+    """Paths per chunk of ``stein_bound_terms`` on the family."""
+    return _stein_chunk_rows(fam.grid, _stein_tables(fam)[1])
 
 
 class TestBlockTableGather:
@@ -660,17 +673,19 @@ class TestBlockTableGather:
     def test_bitwise_equal_to_combination_gather(self, name, monkeypatch):
         # a union table holds what the target's block tables add up to at
         # each path, in input order, and a home over the budget what its own
-        # tables do, so every output is bit for bit the oracle's, at any
-        # thread count and with a partial last chunk
+        # tables do, and the bound reduces each target's cells in the
+        # oracle's order, so every output is bit for bit the oracle's, at
+        # any thread count and with a partial last chunk
         fam = BITWISE_FAMILIES[name]()
         grid = fam.grid
-        if name.startswith("over-budget") or name == "path3-n9":
-            # 2 rows of 2 cells over the 2**15 (2**35) codes of the other
-            # blocks is over the budget, so each target keeps one table per home
-            tables = _derivative_tables(fam)
-            homes = combination_derivative_tables(fam)
-            assert sum(len(p) for _, p in tables) == len(homes)
-        n_paths = 2 * (STEIN_CHUNK_ENTRIES // grid.size) + 7
+        # one table per home: a single one for a target whose union fits the
+        # budget, one per kept table for a target over it (2 rows of 2 cells
+        # over the 2**14 or more codes of the other blocks)
+        homes = Counter(b for b, _ in combination_derivative_tables(fam))
+        assert sum(len(p) for _, p in _derivative_tables(fam)) == sum(homes.values())
+        if name == "mixed-homes":
+            assert homes == {15: 1, **dict.fromkeys(range(15), 14)}
+        n_paths = 2 * stein_chunk_rows(fam) + 7
         u = random_paths(2500, n_paths, grid.blocks)
         u_eval = random_paths(2501, 2 * EVAL_CHUNK_ROWS + 7, grid.blocks)
         expected_d = combination_derivative(fam, u)
@@ -684,15 +699,12 @@ class TestBlockTableGather:
             assert np.array_equal(fam.eval_many(u_eval), expected_eval), threads
 
     @pytest.mark.parametrize("name", ["triangle-n4", "triangle-n5", "path3-n5", "zeroed-tuples",
-                                      "narrow-top", "dense-random"])
+                                      "narrow-top", "dense-random", "path3-n9", "mixed-homes"])
     def test_stein_terms_match_gathered_derivative(self, name):
-        if name == "dense-random":
-            grid = GridSpec(5, 3)
-            fam = family_from_kernels([random_kernel(grid, j, seed=2200 + j) for j in (1, 2, 3)])
-        else:
-            graph = SPARSE_FAMILIES[name]()
-            fam = KernelFamily(graph.grid, 0.0, graph.kernels)
-        n_paths = 2 * (STEIN_CHUNK_ENTRIES // fam.grid.size) + 7  # three chunks
+        # path3-n9 gathers every target per path, mixed-homes 15 of its 16
+        family = BITWISE_FAMILIES[name]()
+        fam = KernelFamily(family.grid, 0.0, family.kernels)
+        n_paths = 2 * stein_chunk_rows(fam) + 7  # three chunks
         terms = stein_bound_terms(fam, n_paths, seed=2300).to_dict()
         oracle = stein_terms_by_gather(fam, n_paths, seed=2300)
         for key, value in oracle.items():
@@ -733,22 +745,24 @@ class TestBlockTableGather:
         assert graph.grid == grid
         families = [family_from_kernels([random_kernel(grid, j, seed=1950 + j) for j in (1, 2, 3)]),
                     KernelFamily(grid, 0.0, graph.kernels)]
-        stein_chunk = STEIN_CHUNK_ENTRIES // grid.size
-        stein_counts = (1, stein_chunk - 1, stein_chunk + 1, 15_001)
         eval_counts = (1, EVAL_CHUNK_ROWS - 1, EVAL_CHUNK_ROWS + 1, 3 * EVAL_CHUNK_ROWS + 1)
-        assert stein_counts[-1] > 3 * stein_chunk
+        derivative_count = _derivative_chunk_rows(grid) + 1
         u = random_paths(1960, eval_counts[-1], grid.blocks)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for fam in families:
+                # the dense family gathers its targets per path, the graph
+                # family reads tabulated shares, in chunks of other sizes
+                stein_chunk = stein_chunk_rows(fam)
+                stein_counts = (1, stein_chunk - 1, stein_chunk + 1, 3 * stein_chunk + 1)
                 results = {}
                 for threads in ("1", "2", "4", "8"):
                     monkeypatch.setenv("WCLT_THREADS", threads)
                     results[threads] = (
                         [stein_bound_terms(fam, n, seed=1961).to_dict() for n in stein_counts],
                         [fam.eval_many(u[:n]) for n in eval_counts],
-                        derivative_values_many(fam, u[:stein_chunk + 1]),
+                        derivative_values_many(fam, u[:derivative_count]),
                     )
                 for threads in ("2", "4", "8"):
                     stein, evals, derivative = results[threads]
