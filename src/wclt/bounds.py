@@ -35,10 +35,18 @@ class BoundReport:
         return asdict(self)
 
 
+def _rate_exp(log_rate: float, n: int, p: float) -> float:
+    """exp(log_rate) for a rate term at (n, p), naming both when it overflows."""
+    try:
+        return math.exp(log_rate)
+    except OverflowError:
+        raise OverflowError(f"rate term at n = {n}, p = {p!r} overflows a float") from None
+
+
 def rate_term(pattern: PatternGraph, n: int, p: float) -> float:
     """((1 - p) * min subgraph term)^(-1/2), evaluated in log scale."""
     log_min = log_min_subgraph_term(pattern, n, p)
-    return math.exp(-0.5 * (math.log1p(-p) + log_min))
+    return _rate_exp(-0.5 * (math.log1p(-p) + log_min), n, p)
 
 
 def classify_family(pattern: PatternGraph) -> tuple[str, int | None]:
@@ -136,7 +144,7 @@ def regime_bound(pattern: PatternGraph, n: int, p: float, model: WeightModel,
         ratio = sqrt_m4 / model.second_raw
     else:
         v_g, e_g = pattern.num_vertices, pattern.num_edges
-        rate = math.exp(-0.5 * (v_g * math.log(n) + e_g * math.log(p)))
+        rate = _rate_exp(-0.5 * (v_g * math.log(n) + e_g * math.log(p)), n, p)
         ratio = sqrt_m4 / model.second_raw
     return BoundReport(
         rate_term=rate,

@@ -321,13 +321,13 @@ def path_cells(grid: GridSpec, u: np.ndarray) -> np.ndarray:
 # (block combination, [(target, table)]): the target of a table is a column
 # block or None.
 _BlockTables = list[tuple[tuple[int, ...], list[tuple[object, np.ndarray]]]]
-# (block combination, [(rows, table, add)]): the gather reads a table at each
-# path's code into out[rows], adding when ``add``.
-_GatherTables = list[tuple[tuple[int, ...], list[tuple[object, np.ndarray, bool]]]]
+# (block combination, [(rows, table)]): the gather reads a table at each path's
+# code and adds it into out[rows].
+_GatherTables = list[tuple[tuple[int, ...], list[tuple[object, np.ndarray]]]]
 
-# Largest union table, in bytes, that _fold builds for one target: exactly the
-# triangle family's at n = 5, 2 rows of 4 cells over the 4**6 codes of the 6
-# host edges that meet the target edge.
+# Largest table, in bytes, that _fold packs several block tables into: exactly
+# the triangle family's derivative home at n = 5, 2 rows of 4 cells over the
+# 4**6 codes of the 6 host edges that meet the target edge.
 UNION_TABLE_BYTES = 256 * 1024
 
 
@@ -360,80 +360,65 @@ def _block_tables(values: np.ndarray, r: int, grid: GridSpec) -> _BlockTables:
     return kept
 
 
-def _broadcast(table: np.ndarray, combo: tuple[int, ...], home: tuple[int, ...],
-               cells: int) -> np.ndarray:
-    """A table over the codes of combo as a table over the codes of the wider
-    combination home, constant along home's extra blocks."""
-    lead = table.shape[:-1]
-    axes = tuple(cells if b in combo else 1 for b in home)
-    full = np.broadcast_to(table.reshape(lead + axes), lead + (cells,) * len(home))
-    return full.reshape(lead + (cells ** len(home),))
-
-
 def _fold(tables: _BlockTables, cells: int) -> _GatherTables:
     """Gather tables that add up each target's block tables in input order.
 
-    ``tables`` run widest combination first.  Each block table is broadcast
-    over the extra blocks of a home of its own target and added into the
-    home's table in input order, so each code of a home holds what its tables
-    add up to at a path with that code.  A target whose union combination
-    takes a table of at most UNION_TABLE_BYTES has that union as its one
-    home.  Any other target keeps the cover rule: a table's home is the first
-    kept wider table of its target whose combination contains its own, and a
-    table with no such home is kept.
+    ``tables`` run widest combination first.  In input order, each block
+    table joins the first home of its own target whose combination already
+    contains the table's, or whose union with it takes a table of at most
+    UNION_TABLE_BYTES; else it opens a home.  So a target whose union fits
+    has that union as its one home, and a table wider than the budget is
+    the home of the narrower tables it contains.  Each table is added into
+    its home's zeroed table in input order, constant along the home's other
+    blocks, so each code of a home holds what its tables add up to at a
+    path with that code.
 
-    The union homes come first, then the kept ones in input order, each as
-    (rows, table, add): a target's first home takes its rows (all of them for
-    the target None, else its column block of ``cells`` cells) and later
-    homes add.
+    The homes come out as (rows, table) parts grouped by their final
+    combination, the combinations in the order in which the first home to
+    end with each opened; rows are all of them for the target None, else its
+    column block of ``cells`` cells.
     """
-    unions: dict = {}
-    for combo, parts in tables:
-        for target, _ in parts:
-            unions.setdefault(target, set()).update(combo)
-    covers: dict = {}  # (target, combination) -> home, for a target over the budget
-    homes: dict = {}  # (over the budget, home combination) -> {target: table}
+    opened = []  # (blocks, target, [(combination, table)]) per home, in opening order
+    homes: dict = {}  # target -> its homes, in opening order
     for combo, parts in tables:
         for target, table in parts:
-            home = tuple(sorted(unions[target]))
-            over = table.nbytes // table.shape[-1] * cells ** len(home) > UNION_TABLE_BYTES
-            if over:
-                home = covers.get((target, combo), combo)
-                if home == combo:  # kept: the home of the narrower tables it contains
-                    for width in range(len(combo)):
-                        for sub in combinations(combo, width):
-                            covers.setdefault((target, sub), combo)
-            full = _broadcast(table, combo, home, cells)
-            sums = homes.setdefault((over, home), {})
-            sums[target] = sums[target] + full if target in sums else full
-    # union homes first, so no union home moves a kept home of the same
-    # combination ahead of the target's earlier kept homes
-    gather, seen = [], set()
-    for (_, combo), sums in sorted(homes.items(), key=lambda item: item[0][0]):
-        marked = []
-        for target, table in sums.items():
-            rows = () if target is None else slice(target * cells, (target + 1) * cells)
-            marked.append((rows, table, target in seen))
-            seen.add(target)
-        gather.append((combo, marked))
-    return gather
+            row_bytes = table.nbytes // table.shape[-1]
+            for blocks, _, held in homes.setdefault(target, []):
+                wider = blocks.union(combo)
+                if wider == blocks or row_bytes * cells ** len(wider) <= UNION_TABLE_BYTES:
+                    blocks.update(combo)
+                    held.append((combo, table))
+                    break
+            else:
+                opened.append((set(combo), target, [(combo, table)]))
+                homes[target].append(opened[-1])
+    gather: dict = {}
+    for blocks, target, held in opened:
+        home = tuple(sorted(blocks))
+        lead = held[0][1].shape[:-1]
+        total = np.zeros(lead + (cells,) * len(home), held[0][1].dtype)
+        for combo, table in held:  # constant along the home's blocks that combo lacks
+            total += table.reshape(lead + tuple(cells if b in combo else 1 for b in home))
+        rows = () if target is None else slice(target * cells, (target + 1) * cells)
+        gather.setdefault(home, []).append((rows, total.reshape(lead + (-1,))))
+    return list(gather.items())
 
 
 class _SpanBuffers:
     """One span's buffers for gathering the tables over chunks of up to ``rows`` paths.
 
     ``loc`` holds the chunk's local cells, laid out (blocks, paths); ``buf``
-    receives the rows of a part that adds.
+    receives the rows of a part before they are added.
     """
 
     def __init__(self, grid: GridSpec, rows: int, tables: _GatherTables):
-        adding = [table.size // table.shape[-1]
-                  for _, parts in tables for *_, table, add in parts if add]
+        widest = max((table.size // table.shape[-1] for _, parts in tables for _, table in parts),
+                     default=0)
         self.grid = grid
         self.scratch = np.empty((rows, grid.blocks))
         self.loc = np.empty((grid.blocks, rows), dtype=np.int64)
         self.code = np.empty(rows, dtype=np.int64)
-        self.buf = np.empty(max(adding, default=0) * rows)
+        self.buf = np.empty(widest * rows)
 
     def locate(self, u: np.ndarray) -> None:
         """Take the paths u, rows of block uniforms, as the current chunk."""
@@ -441,14 +426,14 @@ class _SpanBuffers:
 
 
 def _gather_sum(tables: _GatherTables, span: _SpanBuffers, out: np.ndarray) -> None:
-    """Read every table at the codes of the current chunk's paths.
+    """Zero ``out``, then add every table read at the codes of the current chunk's paths.
 
-    A part (rows, table, add) writes the table rows gathered at each path's
-    code into ``out[rows]``, whose last axis holds the paths: it takes them,
-    or adds them when ``add``.  Rows that no part writes are left as they
-    are.  Each combination forms its code once.
+    A part (rows, table) adds the table rows gathered at each path's code
+    into ``out[rows]``, whose last axis holds the paths, in part order.
+    Each combination forms its code once.
     """
     c = out.shape[-1]
+    out.fill(0.0)
     loc = span.loc[:, :c]
     cells = span.grid.cells
     views = {}  # the gather buffer as a (lead..., c) array, reshaped once per lead shape
@@ -465,18 +450,15 @@ def _gather_sum(tables: _GatherTables, span: _SpanBuffers, out: np.ndarray) -> N
                 for b in combo[2:]:
                     code *= cells
                     code += loc[b]
-        for rows, table, add in parts:
+        for rows, table in parts:
+            lead = table.shape[:-1]
+            buf = views.get(lead)
+            if buf is None:
+                buf = views[lead] = span.buf[:c * math.prod(lead)].reshape(lead + (c,))
             target = out[rows]
             # the codes are in range by construction; "wrap" writes straight
             # into its out, where the default "raise" fills a temporary first
-            if add:
-                lead = table.shape[:-1]
-                buf = views.get(lead)
-                if buf is None:
-                    buf = views[lead] = span.buf[:c * math.prod(lead)].reshape(lead + (c,))
-                target += table.take(code, axis=-1, out=buf, mode="wrap")
-            else:
-                table.take(code, axis=-1, out=target, mode="wrap")
+            target += table.take(code, axis=-1, out=buf, mode="wrap")
 
 
 def _integral_tables(kernels, grid: GridSpec) -> _GatherTables:
@@ -525,11 +507,8 @@ def _eval_block_sums(grid: GridSpec, tables: _GatherTables, u, constant: float =
         span = _SpanBuffers(grid, min(chunk, hi - lo), tables)
         for a, paths in _row_chunks(u, lo, hi, chunk):
             total = out[a:a + paths.shape[0]]
-            if tables:
-                span.locate(paths)
-                _gather_sum(tables, span, total)
-            else:
-                total.fill(0.0)
+            span.locate(paths)
+            _gather_sum(tables, span, total)
             total *= factor
             total += constant
 
@@ -661,10 +640,10 @@ def _derivative_tables(family: KernelFamily) -> _GatherTables:
 
     Order j adds (j-1)! K_j, with K_j the block tables of kernel_j over its
     first j - 1 axes, into the negated inverse-OU derivative d_inv, and j
-    times that into the derivative d.  The tables write the target-major
-    (cells, 2, paths) accumulator [d, d_inv] of _derivative_span: each block
-    table is the (M, 2, codes) stack [j (j-1)! K_j, (j-1)! K_j] along its
-    middle axis, and _fold adds them up per column block.
+    times that into the derivative d.  The tables add into a target-major
+    (cells, 2, paths) accumulator [d, d_inv]: each block table is the (M, 2,
+    codes) stack [j (j-1)! K_j, (j-1)! K_j] along its middle axis, and _fold
+    adds them up per column block.
     """
     grid = family.grid
     stacked = []
@@ -694,27 +673,6 @@ def _stein_chunk_rows(grid: GridSpec, gathered: _GatherTables) -> int:
     return max(1, STEIN_CHUNK_ENTRIES // (grid.size if gathered else grid.blocks))
 
 
-def _derivative_span(grid: GridSpec, tables: _GatherTables, chunks, rows: int):
-    """Yield (a, d, d_inv) for each chunk (a, paths) of at most ``rows`` paths.
-
-    ``paths`` holds the chunk's rows of block uniforms, the paths a, a + 1, ...
-    d is the derivative and d_inv the negated inverse-OU derivative, both
-    (cells, paths) views of the span's target-major (cells, 2, paths)
-    accumulator, overwritten by the next chunk.  A target's first table takes
-    its rows and later ones add; cells that no table writes keep the zeros of
-    the accumulator's allocation.
-    """
-    span = _SpanBuffers(grid, rows, tables)
-    acc = None
-    for a, paths in chunks:
-        c = paths.shape[0]
-        if acc is None or acc.shape[-1] != c:
-            acc = np.zeros((grid.size, 2, c))
-        span.locate(paths)
-        _gather_sum(tables, span, acc)
-        yield a, acc[:, 0], acc[:, 1]
-
-
 def derivative_values_many(family: KernelFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Finite-difference derivative along each path, and the negated
     derivative of the inverse-OU image, each as a (paths, cells) matrix.
@@ -734,10 +692,15 @@ def derivative_values_many(family: KernelFamily, u: np.ndarray) -> tuple[np.ndar
     chunk = _derivative_chunk_rows(grid)
 
     def work(lo: int, hi: int) -> None:
-        chunks = _row_chunks(u, lo, hi, chunk)
-        for a, d, d_inv in _derivative_span(grid, tables, chunks, min(chunk, hi - lo)):
-            d_out[a:a + d.shape[1]] = d.T
-            inv_out[a:a + d.shape[1]] = d_inv.T
+        rows = min(chunk, hi - lo)
+        span = _SpanBuffers(grid, rows, tables)
+        acc = np.empty((grid.size, 2, rows))  # per chunk, [d, d_inv] per cell
+        for a, paths in _row_chunks(u, lo, hi, chunk):
+            c = paths.shape[0]
+            span.locate(paths)
+            _gather_sum(tables, span, acc[..., :c])
+            d_out[a:a + c] = acc[:, 0, :c].T
+            inv_out[a:a + c] = acc[:, 1, :c].T
 
     rng.map_spans(u.shape[0], chunk, work)
     return d_out, inv_out
@@ -773,7 +736,9 @@ def _sd_with_se(x: np.ndarray) -> tuple[float, float]:
     var = float(d2.sum()) / (n - 1)
     if var == 0.0:
         return 0.0, 0.0
-    m4 = float(d2 @ d2) / n  # a dot of the squares: dev**4 pays a pow per element
+    # the squares squared in place: dev**4 pays a pow per element, and a BLAS
+    # dot of d2 with itself starts its threads for one pass
+    m4 = float(np.square(d2, out=d2).sum()) / n
     sd = math.sqrt(var)
     return sd, math.sqrt(max(m4 - var * var, 0.0) / n) / (2.0 * sd)
 
@@ -803,16 +768,16 @@ def _stein_tables(family: KernelFamily) -> tuple[_GatherTables, _GatherTables]:
 
     A target with one home, (M, 2, codes) over its combination, is reduced by
     _cell_sums to a (2, codes) table of its share of [inner, fourth] at each
-    code; these run in target order, the first taking the rows of a (2,
-    paths) output and later ones adding.  Every other target keeps its homes
-    in the derivative's order, for the (cells, 2, paths) accumulator.
+    code; these add into a (2, paths) output in target order.  Every other
+    target keeps its homes in the derivative's order, for the (cells, 2,
+    paths) accumulator.
     """
     half_w = family.grid.cell_width / 2.0
     tables = _derivative_tables(family)
-    homes = Counter(rows.start for _, parts in tables for rows, _, _ in parts)
+    homes = Counter(rows.start for _, parts in tables for rows, _ in parts)
     single, gathered = [], []
     for combo, parts in tables:
-        for rows, table, _ in parts:
+        for rows, table in parts:
             if homes[rows.start] == 1:
                 sums = np.ascontiguousarray(_cell_sums(table.copy(), half_w))
                 single.append((rows.start, combo, sums))
@@ -820,7 +785,7 @@ def _stein_tables(family: KernelFamily) -> tuple[_GatherTables, _GatherTables]:
         if several:
             gathered.append((combo, several))
     single.sort(key=lambda item: item[0])
-    reduced = [(combo, [((), sums, i > 0)]) for i, (_, combo, sums) in enumerate(single)]
+    reduced = [(combo, [((), sums)]) for _, combo, sums in single]
     return reduced, gathered
 
 
@@ -851,32 +816,27 @@ def stein_bound_terms(family: KernelFamily, n_paths: int, seed: int) -> SteinBou
     ex2 = family.second_moment()
     term1 = abs(1.0 - ex2)
     reduced, gathered = _stein_tables(family)
-    targets = sorted({rows.start // grid.cells for _, parts in gathered for rows, _, _ in parts})
+    targets = sorted({rows.start // grid.cells for _, parts in gathered for rows, _ in parts})
     chunk = _stein_chunk_rows(grid, gathered)
 
     moments = np.empty((2, n_paths))  # per path, [inner, cell sum of derivative^4]
 
     def work(lo: int, hi: int) -> None:
-        span = _SpanBuffers(grid, min(chunk, hi - lo), reduced + gathered)
-        total = acc = None
+        rows = min(chunk, hi - lo)
+        span = _SpanBuffers(grid, rows, reduced + gathered)
+        # only when used: an untouched one still raised the peak RSS
+        acc = np.empty((grid.size, 2, rows)) if gathered else None
         # the rows of random_paths(seed, n_paths, grid.blocks), a chunk at a time
         for a, u in rng.uniform_chunks(seed, grid.blocks, lo, hi, chunk):
             c = u.shape[0]
-            if total is None or total.shape[-1] != c:
-                total = np.empty((2, c))
-                if gathered:  # cells that no table writes stay zero
-                    acc = np.zeros((grid.size, 2, c))
+            total = moments[:, a:a + c]
             span.locate(_to_paths(u))
-            if reduced:
-                _gather_sum(reduced, span, total)
-            else:
-                total.fill(0.0)
+            _gather_sum(reduced, span, total)
             if gathered:
-                _gather_sum(gathered, span, acc)
-                sums = _cell_sums(acc.reshape(grid.blocks, grid.cells, 2, c), half_w)
+                _gather_sum(gathered, span, acc[..., :c])
+                sums = _cell_sums(acc[..., :c].reshape(grid.blocks, grid.cells, 2, c), half_w)
                 for b in targets:
                     total += sums[b]
-            moments[:, a:a + c] = total
 
     rng.map_spans(n_paths, chunk, work)
 

@@ -203,40 +203,33 @@ def stein_terms_by_gather(family, n_paths: int, seed: int) -> dict:
 
 
 def _homes(tables, cells: int) -> list:
-    """The homes the combination gather adds, in input order.
+    """The homes the combination gather adds, in the library's order.
 
     ``tables`` list (combination, [(target, table)]) widest combination
-    first.  A target whose union table, over the codes of the union of its
-    combinations, fits ``chaos.UNION_TABLE_BYTES`` has one home that holds
-    all its block tables.  Any other target puts each table into the first
-    earlier kept table of the target whose combination holds its own, or
-    keeps it as a home of its own.  A home is (target, [(combination,
-    table)]), its first table first.
+    first.  Taken in input order, each table joins the first home of its
+    target whose blocks hold its combination, or whose blocks together with
+    it take a table of at most ``chaos.UNION_TABLE_BYTES``; else it opens a
+    home.  The homes are listed by their final block sets, each set at the
+    first place it takes among the homes in opening order.  A home is
+    (target, [(combination, table)]), its first table first.
     """
-    unions = {}
-    for combo, parts in tables:
-        for target, _ in parts:
-            unions.setdefault(target, set()).update(combo)
-    kept = {}  # target -> [(combination, group)] of its kept tables
-    union_homes = {}  # target -> its one group, for a target whose union fits
-    homes = []
+    opened = []  # (blocks, target, [(combination, table)]) in opening order
     for combo, parts in tables:
         for target, table in parts:
             lead = math.prod(table.shape[:-1])
-            if lead * cells ** len(unions[target]) * 8 <= chaos.UNION_TABLE_BYTES:
-                home = union_homes.get(target)
-                if home is None:
-                    home = union_homes[target] = []
-                    homes.append((target, home))
-            else:
-                home = next((group for wider, group in kept.get(target, [])
-                             if set(combo) < set(wider)), None)
-                if home is None:
-                    home = []
-                    kept.setdefault(target, []).append((combo, home))
-                    homes.append((target, home))
-            home.append((combo, table))
-    return homes
+            home = next((h for h in opened if h[1] == target and (
+                set(combo) <= h[0]
+                or lead * cells ** len(h[0] | set(combo)) * 8 <= chaos.UNION_TABLE_BYTES)), None)
+            if home is None:
+                home = (set(), target, [])
+                opened.append(home)
+            home[0].update(combo)
+            home[2].append((combo, table))
+    place = {}
+    for blocks, _, _ in opened:
+        place.setdefault(frozenset(blocks), len(place))
+    opened.sort(key=lambda home: place[frozenset(home[0])])
+    return [(target, group) for _, target, group in opened]
 
 
 def _combination_gather(homes, grid, u: np.ndarray, out: np.ndarray, index) -> np.ndarray:
@@ -295,6 +288,14 @@ def combination_eval(family, u: np.ndarray) -> np.ndarray:
                         u, out, lambda target: ())
     out += family.constant
     return out
+
+
+def combination_ustat(kernel, u: np.ndarray) -> np.ndarray:
+    """``ustat_eval_many(kernel, u)`` by the per-home gather."""
+    out = np.empty(u.shape[0])
+    homes = _homes(chaos._block_tables(kernel.values, kernel.order, kernel.grid), kernel.grid.cells)
+    _combination_gather(homes, kernel.grid, u, out, lambda target: ())
+    return out * math.factorial(kernel.order)
 
 
 def combination_derivative(family, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

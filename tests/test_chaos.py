@@ -13,6 +13,7 @@ from oracles import (
     combination_eval,
     combination_integral_tables,
     combination_stein_terms,
+    combination_ustat,
     derivative_family,
     gathered_block_sum,
     gathered_derivative,
@@ -505,16 +506,28 @@ BITWISE_FAMILIES = {
         [random_kernel(GridSpec(5, 3), j, seed=2200 + j) for j in (1, 2, 3)]),
     "over-budget": lambda: family_from_kernels(
         [random_kernel(GridSpec(16, 2), j, seed=2210 + j) for j in (1, 2, 3)]),
-    # the top order alone: no table lies in a wider one, so each is its own home
+    # the top order alone: its derivative tables are of one width, so only
+    # the budget packs them
     "over-budget-top": lambda: family_from_kernels([random_kernel(GridSpec(16, 2), 3, seed=2214)]),
     # a graph family over the budget: the union of a host edge's block sets
     # is the other 35 edges
     "path3-n9": lambda: graph_family("path:3", 9, "const:2", 0.5, 2),
     # block 15's target has one home (the order-1 table) and every other
-    # target 14, so the bound reads tabulated and gathered shares together
+    # target 2, so the bound reads tabulated and gathered shares together
     "mixed-homes": lambda: family_from_kernels(
         [random_kernel(GridSpec(16, 2), 1, seed=2220),
          blocks_within(random_kernel(GridSpec(16, 2), 2, seed=2221), set(range(15)))]),
+}
+
+
+FOLD_FAMILIES = {
+    # over-budget-top's block tables have, in order, the blocks and shapes of
+    # the first of over-budget's, so the fold places them alike
+    **{name: make for name, make in BITWISE_FAMILIES.items() if name != "over-budget-top"},
+    # each top derivative table, (32, 2) rows over 32**2 codes, is twice the
+    # byte budget, and every narrower table of its target lies in it
+    "wide-tables": lambda: family_from_kernels(
+        [random_kernel(GridSpec(3, 32), j, seed=2230 + j) for j in (1, 2, 3)]),
 }
 
 
@@ -558,14 +571,17 @@ class TestBlockTableGather:
     @pytest.mark.parametrize("name", sorted(SPARSE_FAMILIES))
     def test_sparse_tables_match_fancy_index(self, name):
         # families with all-zero block tables and zero column blocks; the
-        # plain block sums add the same values in the same order, so they agree
-        # exactly, while the oracle integrals and derivatives scale before summing
+        # plain block sums add the same values in the same order as the
+        # per-home gather, so they agree exactly, while the fancy index adds
+        # them in combination order and the oracle integrals and derivatives
+        # scale before summing
         fam = SPARSE_FAMILIES[name]()
         u = random_paths(2000, 300, fam.grid.blocks)
         idx = path_cells(fam.grid, u)
         for kern in fam.kernels:
-            assert np.array_equal(ustat_eval_many(kern, u),
-                                  gathered_block_sum(kern.values, idx, kern.order))
+            block_sums = ustat_eval_many(kern, u)
+            assert np.array_equal(block_sums, combination_ustat(kern, u))
+            assert_matches_gather(block_sums, gathered_block_sum(kern.values, idx, kern.order))
             assert_matches_gather(integral_eval_many(kern, u), gathered_integral(kern, idx))
         assert_matches_gather(fam.eval_many(u),
                               fam.constant + sum(gathered_integral(k, idx) for k in fam.kernels))
@@ -588,103 +604,135 @@ class TestBlockTableGather:
         assert _block_tables(np.zeros_like(top), 2, fam.grid) == []
 
     @pytest.mark.parametrize("derivative", [False, True])
-    def test_cover_folds_every_narrower_table_once(self, derivative):
+    def test_cover_folds_every_narrower_table_once(self, derivative, monkeypatch):
         # triangle at n = 5: each derivative target's union, the 6 host edges
         # that meet it, fits the byte budget, so its 3 triangle tables and
         # every narrower one fold into one table over that union; the
-        # integral's union, all 10 edges, exceeds it, so every narrower block
-        # set with a nonzero table (a pair of edges, one edge, none) folds
-        # into the first of the 10 triangles that contains it
+        # integral's union, all 10 edges, exceeds it, so its tables (a
+        # triangle, a pair of edges, one edge, none) pack into 3 homes of at
+        # most 7 edges, each within the budget
         fam = SPARSE_FAMILIES["triangle-n5"]()
         cells = fam.grid.cells
-        # the i-th table of a target is the constant 2**i, so a sum of them
-        # says exactly which tables it holds
-        marked, homes = [], {}  # homes[target][i] = combination of table i
-        for kern in reversed(fam.kernels):
-            width = kern.order - 1 if derivative else kern.order
-            for combo, parts in _block_tables(kern.values, width, fam.grid):
-                marked.append((combo, []))
-                for target, table in parts:
-                    own = homes.setdefault(target, [])
-                    # a derivative table is an (M, 2, codes) stack, which the byte budget counts
-                    shape = table.shape[:1] + (2,) + table.shape[1:] if derivative else table.shape
-                    marked[-1][1].append((target, np.full(shape, 2.0 ** len(own))))
-                    own.append(combo)
-        assert max(map(len, homes.values())) <= 53  # every sum of marks is exact
-        seen = dict.fromkeys(homes, 0)
+        inputs = []
+        monkeypatch.setattr(chaos, "_fold", lambda tables, cells: inputs.append(tables) or [])
+        if derivative:
+            _derivative_tables(fam)
+        else:
+            _integral_tables(fam.kernels, fam.grid)
+        monkeypatch.undo()
+        # the i-th table of a target is the integer 2**i, in an object array
+        # (8 bytes an entry, as for float64), so a sum of them says exactly
+        # which tables it holds
+        marked, own, row_bytes = [], {}, {}  # own[target][i] = blocks of table i
+        for combo, parts in inputs[0]:
+            marked.append((combo, []))
+            for target, table in parts:
+                mark = np.full(table.shape, 1 << len(own.setdefault(target, [])), dtype=object)
+                marked[-1][1].append((target, mark))
+                own[target].append(set(combo))
+                row_bytes[target] = table.nbytes // table.shape[-1]
+        seen = dict.fromkeys(own, 0)
         writes = []
         for combo, gathered in _fold(marked, cells):
-            for rows, table, add in gathered:
+            for rows, table in gathered:
                 target = None if rows == () else rows.start // cells
-                mark = int(table.flat[0])
+                mark = table.flat[0]
                 assert np.all(table == mark)
-                assert add == (target in writes)
                 writes.append(target)
-                held = [i for i in range(len(homes[target])) if mark >> i & 1]
-                assert all(set(homes[target][i]) <= set(combo) for i in held)
-                if derivative:  # one table, over the union of its tables' blocks
-                    assert set(combo) == set().union(*(homes[target][i] for i in held))
+                held = [i for i in range(len(own[target])) if mark >> i & 1]
+                # one table, over the union of its tables' blocks
+                assert set(combo) == set().union(*(own[target][i] for i in held))
+                assert row_bytes[target] * cells ** len(combo) <= chaos.UNION_TABLE_BYTES
                 assert seen[target] & mark == 0
                 seen[target] |= mark
-        assert all(seen[target] == 2 ** len(own) - 1 for target, own in homes.items())
+        assert all(seen[target] == 2 ** len(tabs) - 1 for target, tabs in own.items())
         if derivative:
             assert sorted(writes) == list(range(fam.grid.blocks))
         else:
-            assert writes == [None] * 10
-        assert len(_integral_tables(fam.kernels, fam.grid)) == 10
+            assert writes == [None] * 3
         assert sum(len(parts) for _, parts in _derivative_tables(fam)) == 10
+        assert len(_integral_tables(fam.kernels, fam.grid)) == 3
 
-    @pytest.mark.parametrize("name", ["zeroed-tuples", "narrow-top", "over-budget",
-                                      "over-budget-narrow"])
-    def test_uncovered_narrower_tables_stay(self, name):
-        # under the byte budget (zeroed-tuples, narrow-top) the derivative is
-        # one table per column block and the integral one table, whatever
-        # covers what.  Over it a narrower table folds into the first wider
-        # kept table of its target that contains it: over-budget has such a
-        # home for every narrower table; over-budget-narrow, whose top kernel
-        # lives on blocks 0..2, leaves most without one, and they stay
-        if name == "over-budget-narrow":
-            grid = GridSpec(16, 2)
-            fam = family_from_kernels(
-                [random_kernel(grid, j, seed=2160 + j) for j in (1, 2)]
-                + [blocks_within(random_kernel(grid, 3, seed=2163), {0, 1, 2})])
-        else:
-            fam = BITWISE_FAMILIES[name]()
-        tables = _derivative_tables(fam)
-        integral = _integral_tables(fam.kernels, fam.grid)
-        if name.startswith("over-budget"):
-            homes = combination_derivative_tables(fam)
-            uncovered = name == "over-budget-narrow"
-            assert any(len(group[0][0]) < fam.max_order - 1 for _, group in homes) == uncovered
-            assert sorted((combo, rows.start) for combo, parts in tables for rows, _, _ in parts) \
-                == sorted((group[0][0], b * fam.grid.cells) for b, group in homes)
-        else:
-            starts = sorted(rows.start for _, parts in tables for rows, _, _ in parts)
-            assert starts == list(range(0, fam.grid.size, fam.grid.cells))
-            assert [len(parts) for _, parts in integral] == [1]
-        u = random_paths(2010, 300, fam.grid.blocks)
-        idx = path_cells(fam.grid, u)
-        assert_matches_gather(fam.eval_many(u), sum(gathered_integral(k, idx) for k in fam.kernels))
-        d, d_inv = derivative_values_many(fam, u)
-        assert_matches_gather(d, gathered_derivative(fam, idx))
-        assert_matches_gather(d_inv, gathered_derivative(fam, idx, unit_weights=True))
+    @pytest.mark.parametrize("name", sorted(FOLD_FAMILIES))
+    def test_fold_packs_homes_within_budget(self, name, monkeypatch):
+        # in input order, a block table joins the first home of its target
+        # whose blocks hold its own or, joined with them, still fit the byte
+        # budget; else it opens a home.  The i-th table of a target is marked
+        # with the integer 2**i, in an object array of the table's shape (8
+        # bytes an entry, as for float64), so a home's sum says exactly which
+        # tables it holds
+        fam = FOLD_FAMILIES[name]()
+        cells = fam.grid.cells
+        inputs = []  # what the integral and the derivative pass to _fold
+        monkeypatch.setattr(chaos, "_fold", lambda tables, cells: inputs.append(tables) or [])
+        _integral_tables(fam.kernels, fam.grid)
+        _derivative_tables(fam)
+        monkeypatch.undo()
+
+        def fits(row_bytes, blocks):
+            return row_bytes * cells ** len(blocks) <= chaos.UNION_TABLE_BYTES
+
+        for tables in inputs:
+            own, row_bytes, marked = {}, {}, []  # own[target][i] = blocks of its table i
+            for combo, parts in tables:
+                marked.append((combo, []))
+                for target, table in parts:
+                    mark = np.full(table.shape, 1 << len(own.setdefault(target, [])), dtype=object)
+                    marked[-1][1].append((target, mark))
+                    own[target].append(set(combo))
+                    row_bytes[target] = table.nbytes // table.shape[-1]  # one lead per target
+            homes = {target: [] for target in own}  # per target, its homes' table indices
+            for combo, parts in _fold(marked, cells):
+                for rows, table in parts:
+                    target = None if rows == () else rows.start // cells
+                    assert target is None or rows == slice(target * cells, (target + 1) * cells)
+                    mark = table.flat[0]
+                    assert np.all(table == mark)
+                    held = [i for i in range(len(own[target])) if mark >> i & 1]
+                    assert set(combo) == set().union(*(own[target][i] for i in held))
+                    homes[target].append(held)
+            for target, blocks in own.items():
+                row = row_bytes[target]
+                # every table in exactly one home of its own target
+                assert sorted(sum(homes[target], [])) == list(range(len(blocks)))
+                if fits(row, set().union(*blocks)):
+                    assert len(homes[target]) == 1
+                for held in homes[target]:
+                    if len(held) > 1:  # packed within the budget, or into its first table
+                        union = set().union(*(blocks[i] for i in held))
+                        assert fits(row, union) or union == blocks[held[0]]
+                # replay the tables in input order: each joins the first home,
+                # in opening order, that takes it, or opens the next one
+                home_of = {i: k for k, held in enumerate(sorted(homes[target], key=min))
+                           for i in held}
+                now = []  # the blocks of each home opened so far
+                for i, combo in enumerate(blocks):
+                    k = home_of[i]
+                    joins = [held >= combo or fits(row, held | combo) for held in now]
+                    assert not any(joins[:k])
+                    if k < len(now):
+                        assert joins[k]
+                        now[k] |= combo
+                    else:
+                        assert k == len(now)
+                        now.append(set(combo))
 
     @pytest.mark.parametrize("name", sorted(BITWISE_FAMILIES))
     def test_bitwise_equal_to_combination_gather(self, name, monkeypatch):
-        # a union table holds what the target's block tables add up to at
-        # each path, in input order, and a home over the budget what its own
-        # tables do, and the bound reduces each target's cells in the
-        # oracle's order, so every output is bit for bit the oracle's, at
+        # a home holds what its block tables add up to at each path, in
+        # input order, every gather adds the homes into a zeroed output in
+        # the oracle's order, and the bound reduces each target's cells in
+        # the oracle's order, so every output is bit for bit the oracle's, at
         # any thread count and with a partial last chunk
         fam = BITWISE_FAMILIES[name]()
         grid = fam.grid
         # one table per home: a single one for a target whose union fits the
-        # budget, one per kept table for a target over it (2 rows of 2 cells
-        # over the 2**14 or more codes of the other blocks)
+        # budget, and over it as many as the budget packs its tables into (2
+        # rows of 2 cells over at most 2**13 codes)
         homes = Counter(b for b, _ in combination_derivative_tables(fam))
         assert sum(len(p) for _, p in _derivative_tables(fam)) == sum(homes.values())
         if name == "mixed-homes":
-            assert homes == {15: 1, **dict.fromkeys(range(15), 14)}
+            assert homes == {15: 1, **dict.fromkeys(range(15), 2)}
         n_paths = 2 * stein_chunk_rows(fam) + 7
         u = random_paths(2500, n_paths, grid.blocks)
         u_eval = random_paths(2501, 2 * EVAL_CHUNK_ROWS + 7, grid.blocks)

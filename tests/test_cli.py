@@ -88,6 +88,17 @@ class TestBoundCommand:
         assert res.returncode == 2
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("form", [
+        ("--n", "3", "--p", "1e-320"),
+        ("--n", "3", "--p", "1e-320", "--regime"),
+        ("--sweep-n", "3", "--sweep-p", "0.5,1e-320"),
+    ])
+    def test_rate_overflow_names_the_rate_term(self, form):
+        # a subnormal p puts the rate term beyond the largest float
+        res = run_cli("bound", "--pattern", "triangle", "--weights", "exp:1", *form)
+        assert res.returncode == 2
+        assert res.stderr == "error: rate term at n = 3, p = 1e-320 overflows a float\n"
+
     @pytest.mark.parametrize("n", ["0", "-5"])
     @pytest.mark.parametrize("form", [
         ("--n", "{n}", "--p", "0.5"),
