@@ -282,9 +282,15 @@ def contraction_inequality_check(f: Kernel, g: Kernel, k: int, l: int) -> Contra
 
 # -- multiple-integral evaluation -------------------------------------------
 
-# Paths per evaluation chunk: small enough that a chunk's gathers stay in cache,
-# large enough that two threads gain more than their lock handoffs cost.
-EVAL_CHUNK_ROWS = 16384
+# Path entries per chunk of a chaos span, one per cell of a path where the span
+# gathers a derivative, else one per block: small enough that a chunk's buffers
+# stay in cache, large enough that two threads gain more than lock handoffs cost.
+CHUNK_ENTRIES = 100_000
+
+
+def _chunk_paths(grid: GridSpec, per_cell: bool) -> int:
+    """Paths per chunk of a span holding one entry per cell (else per block) of a path."""
+    return max(1, CHUNK_ENTRIES // (grid.size if per_cell else grid.blocks))
 
 
 def _path_matrix(grid: GridSpec, u) -> np.ndarray:
@@ -485,32 +491,24 @@ def _integral_tables(kernels, grid: GridSpec) -> _GatherTables:
     return _fold(scaled, grid.cells)
 
 
-def _row_chunks(u: np.ndarray, lo: int, hi: int, chunk: int):
-    """(a, u[a:b]) for each chunk [a, b) of the rows lo .. hi, ``chunk`` at a time."""
-    for a in range(lo, hi, chunk):
-        yield a, u[a:min(a + chunk, hi)]
+def _eval_block_sums(grid: GridSpec, tables: _GatherTables, u, lead: tuple = ()) -> np.ndarray:
+    """The gathered table sum along each path (row of u), as a (lead..., paths) array.
 
-
-def _eval_block_sums(grid: GridSpec, tables: _GatherTables, u, constant: float = 0.0,
-                     factor: float = 1.0) -> np.ndarray:
-    """constant + factor times the gathered table sum, per path (row of u).
-
-    Runs over fixed chunks of EVAL_CHUNK_ROWS paths, cut into spans that each
-    hold one set of buffers, possibly threaded; each chunk writes only its own
-    rows, so the result does not depend on the thread count.
+    Runs over chunks of _chunk_paths paths, one entry per cell of a path when
+    there is a lead, else one per block, cut into spans that each hold one
+    set of buffers, possibly threaded; each chunk writes only its own paths,
+    so the result does not depend on the thread count.
     """
     u = _path_matrix(grid, u)
-    out = np.empty(u.shape[0])
-    chunk = EVAL_CHUNK_ROWS
+    out = np.empty(lead + (u.shape[0],))
+    chunk = _chunk_paths(grid, bool(lead))
 
     def work(lo: int, hi: int) -> None:
         span = _SpanBuffers(grid, min(chunk, hi - lo), tables)
-        for a, paths in _row_chunks(u, lo, hi, chunk):
-            total = out[a:a + paths.shape[0]]
-            span.locate(paths)
-            _gather_sum(tables, span, total)
-            total *= factor
-            total += constant
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
+            span.locate(u[a:b])
+            _gather_sum(tables, span, out[..., a:b])
 
     rng.map_spans(u.shape[0], chunk, work)
     return out
@@ -530,7 +528,7 @@ def ustat_eval_many(kernel: Kernel, u: np.ndarray) -> np.ndarray:
     """Plain U-statistic: kernel summed at path points over distinct block tuples."""
     r = kernel.order
     tables = _fold(_block_tables(kernel.values, r, kernel.grid), kernel.grid.cells)
-    return _eval_block_sums(kernel.grid, tables, u, factor=math.factorial(r))
+    return math.factorial(r) * _eval_block_sums(kernel.grid, tables, u)
 
 
 def _to_paths(u: np.ndarray) -> np.ndarray:
@@ -586,8 +584,9 @@ class KernelFamily:
 
     def eval_many(self, u: np.ndarray) -> np.ndarray:
         """The constant plus the integral of every kernel, along each path (row of u)."""
-        return _eval_block_sums(self.grid, _integral_tables(self.kernels, self.grid), u,
-                                self.constant)
+        out = _eval_block_sums(self.grid, _integral_tables(self.kernels, self.grid), u)
+        out += self.constant
+        return out
 
 
 def family_from_kernels(kernels, constant: float = 0.0) -> KernelFamily:
@@ -658,24 +657,10 @@ def _derivative_tables(family: KernelFamily) -> _GatherTables:
     return _fold(stacked, grid.cells)
 
 
-# Path entries per chunk of a derivative or bound span, one per cell of a
-# gathered derivative (else one per block): keeps a chunk's buffers in cache.
-STEIN_CHUNK_ENTRIES = 100_000
-
-
-def _derivative_chunk_rows(grid: GridSpec) -> int:
-    return max(1, STEIN_CHUNK_ENTRIES // grid.size)
-
-
-def _stein_chunk_rows(grid: GridSpec, gathered: _GatherTables) -> int:
-    """Paths per chunk of the bound: a span holds one entry per cell of each
-    path when a target is gathered, else one per block."""
-    return max(1, STEIN_CHUNK_ENTRIES // (grid.size if gathered else grid.blocks))
-
-
 def derivative_values_many(family: KernelFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Finite-difference derivative along each path, and the negated
-    derivative of the inverse-OU image, each as a (paths, cells) matrix.
+    derivative of the inverse-OU image, each a (paths, cells) view of one
+    target-major (cells, 2, paths) array.
 
     Entry (p, t) of the derivative is sum over orders j of
     j * I_{j-1}(kernel_j(t, .)) at path p; the inverse-OU one has coefficient
@@ -685,25 +670,8 @@ def derivative_values_many(family: KernelFamily, u: np.ndarray) -> tuple[np.ndar
     if not family.is_block_centered:
         raise ChaosError("derivative needs a block-centered family; apply block_center first")
     grid = family.grid
-    u = _path_matrix(grid, u)
-    d_out = np.empty((u.shape[0], grid.size))
-    inv_out = np.empty((u.shape[0], grid.size))
-    tables = _derivative_tables(family)
-    chunk = _derivative_chunk_rows(grid)
-
-    def work(lo: int, hi: int) -> None:
-        rows = min(chunk, hi - lo)
-        span = _SpanBuffers(grid, rows, tables)
-        acc = np.empty((grid.size, 2, rows))  # per chunk, [d, d_inv] per cell
-        for a, paths in _row_chunks(u, lo, hi, chunk):
-            c = paths.shape[0]
-            span.locate(paths)
-            _gather_sum(tables, span, acc[..., :c])
-            d_out[a:a + c] = acc[:, 0, :c].T
-            inv_out[a:a + c] = acc[:, 1, :c].T
-
-    rng.map_spans(u.shape[0], chunk, work)
-    return d_out, inv_out
+    acc = _eval_block_sums(grid, _derivative_tables(family), u, (grid.size, 2))
+    return acc[:, 0].T, acc[:, 1].T
 
 
 @dataclass(frozen=True)
@@ -817,7 +785,7 @@ def stein_bound_terms(family: KernelFamily, n_paths: int, seed: int) -> SteinBou
     term1 = abs(1.0 - ex2)
     reduced, gathered = _stein_tables(family)
     targets = sorted({rows.start // grid.cells for _, parts in gathered for rows, _ in parts})
-    chunk = _stein_chunk_rows(grid, gathered)
+    chunk = _chunk_paths(grid, bool(gathered))
 
     moments = np.empty((2, n_paths))  # per path, [inner, cell sum of derivative^4]
 

@@ -52,7 +52,8 @@ def normal_cdf(x):
 
 
 def normal_pdf(x):
-    x = np.asarray(x, dtype=float)
+    # |x| clamped at 40, where the pdf is already 0.0, so x * x cannot overflow
+    x = np.minimum(np.abs(np.asarray(x, dtype=float)), 40.0)
     out = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return float(out) if out.ndim == 0 else out
 

@@ -8,6 +8,7 @@ one coupling exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,10 +27,14 @@ class Moments:
 
 
 class WeightModel:
-    """Base class; concrete laws implement the raw moments and the quantile."""
+    """Base class; concrete laws implement the raw and central moments and the quantile."""
 
     def raw_moment(self, k: int) -> float:
         """E[X^k] in closed form."""
+        raise NotImplementedError
+
+    def central_moment(self, k: int) -> float:
+        """E[(X - E[X])^k] in closed form for k = 2 and 4: no raw moments cancel."""
         raise NotImplementedError
 
     @property
@@ -41,26 +46,21 @@ class WeightModel:
         return self.raw_moment(2)
 
     @property
-    def third_raw(self) -> float:
-        return self.raw_moment(3)
-
-    @property
     def fourth_raw(self) -> float:
         return self.raw_moment(4)
 
     @property
     def variance(self) -> float:
-        return self.second_raw - self.mean**2
+        return self.central_moment(2)
 
     @property
     def fourth_central(self) -> float:
-        m1 = self.mean
-        return self.fourth_raw - 4 * m1 * self.third_raw + 6 * m1**2 * self.second_raw - 3 * m1**4
+        return self.central_moment(4)
 
     def moments(self) -> Moments:
         var = self.variance
         c4 = self.fourth_central
-        kurt = c4 / var**2 if var > 0 else math.inf
+        kurt = c4 / var / var if var > 0 else math.inf  # var**2 may underflow to 0
         return Moments(self.mean, var, c4, self.second_raw, kurt)
 
     def quantile(self, u: float) -> float:
@@ -86,6 +86,17 @@ def _check_finite(model: WeightModel) -> None:
                                    f"got {value}")
 
 
+def _check_moments(model: WeightModel) -> None:
+    """Reject a law whose raw moments E[X^k], k = 1..4, are not normal finite floats."""
+    for k in range(1, 5):
+        try:
+            value = model.raw_moment(k)
+        except (OverflowError, ZeroDivisionError):  # a power overflowed, or a divisor underflowed
+            value = math.nan
+        if not sys.float_info.min <= value <= sys.float_info.max:
+            raise WeightModelError(f"weight law {model}: E[X^{k}] leaves the normal float range")
+
+
 @dataclass(frozen=True)
 class Constant(WeightModel):
     value: float
@@ -94,9 +105,13 @@ class Constant(WeightModel):
         _check_finite(self)
         if self.value <= 0:
             raise WeightModelError("constant weight must be positive (zero-mean laws are rejected)")
+        _check_moments(self)
 
     def raw_moment(self, k: int) -> float:
         return self.value**k
+
+    def central_moment(self, k: int) -> float:
+        return 0.0
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(u, dtype=float), self.value)
@@ -115,9 +130,13 @@ class Uniform(WeightModel):
         _check_finite(self)
         if self.high <= 0:
             raise WeightModelError("uniform upper endpoint must be positive")
+        _check_moments(self)
 
     def raw_moment(self, k: int) -> float:
         return self.high**k / (k + 1)
+
+    def central_moment(self, k: int) -> float:
+        return self.high**k / ((k + 1) * 2**k)
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         return self.high * np.asarray(u, dtype=float)
@@ -134,9 +153,13 @@ class Exponential(WeightModel):
         _check_finite(self)
         if self.rate <= 0:
             raise WeightModelError("exponential rate must be positive")
+        _check_moments(self)
 
     def raw_moment(self, k: int) -> float:
         return math.factorial(k) / self.rate**k
+
+    def central_moment(self, k: int) -> float:
+        return {2: 1.0, 4: 9.0}[k] / self.rate**k
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         # -log1p(-u) / rate in one array: a / -b is -a / b exactly
@@ -177,6 +200,7 @@ class TwoPoint(WeightModel):
             object.__setattr__(self, "prob_high", q)
         if self.low_value == 0 and self.high_value == 0:
             raise WeightModelError("two-point law must have positive mean")
+        _check_moments(self)
 
     @property
     def _prob_low(self) -> float:
@@ -184,6 +208,11 @@ class TwoPoint(WeightModel):
 
     def raw_moment(self, k: int) -> float:
         return self._prob_low * self.low_value**k + self.prob_high * self.high_value**k
+
+    def central_moment(self, k: int) -> float:
+        # X - E[X] is (1 - q) d with probability q and -q d otherwise
+        q, d = self.prob_high, self.high_value - self.low_value
+        return q * self._prob_low * d**k * (self._prob_low ** (k - 1) + q ** (k - 1))
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)

@@ -22,7 +22,6 @@ from oracles import (
 )
 from wclt import chaos, rng
 from wclt.chaos import (
-    EVAL_CHUNK_ROWS,
     EXACT_TOL,
     PATHWISE_TOL,
     GridSpec,
@@ -51,11 +50,10 @@ from wclt.chaos import (
     ustat_eval_many,
     zero_kernel,
     _block_tables,
-    _derivative_chunk_rows,
+    _chunk_paths,
     _derivative_tables,
     _fold,
     _integral_tables,
-    _stein_chunk_rows,
     _stein_tables,
 )
 from wclt.errors import ChaosError
@@ -533,7 +531,7 @@ FOLD_FAMILIES = {
 
 def stein_chunk_rows(fam: KernelFamily) -> int:
     """Paths per chunk of ``stein_bound_terms`` on the family."""
-    return _stein_chunk_rows(fam.grid, _stein_tables(fam)[1])
+    return _chunk_paths(fam.grid, bool(_stein_tables(fam)[1]))
 
 
 class TestBlockTableGather:
@@ -735,7 +733,7 @@ class TestBlockTableGather:
             assert homes == {15: 1, **dict.fromkeys(range(15), 2)}
         n_paths = 2 * stein_chunk_rows(fam) + 7
         u = random_paths(2500, n_paths, grid.blocks)
-        u_eval = random_paths(2501, 2 * EVAL_CHUNK_ROWS + 7, grid.blocks)
+        u_eval = random_paths(2501, 2 * _chunk_paths(grid, False) + 7, grid.blocks)
         expected_d = combination_derivative(fam, u)
         centered = KernelFamily(grid, 0.0, fam.kernels)  # the bound needs a zero constant
         expected_terms = combination_stein_terms(centered, n_paths, seed=2502)
@@ -793,8 +791,9 @@ class TestBlockTableGather:
         assert graph.grid == grid
         families = [family_from_kernels([random_kernel(grid, j, seed=1950 + j) for j in (1, 2, 3)]),
                     KernelFamily(grid, 0.0, graph.kernels)]
-        eval_counts = (1, EVAL_CHUNK_ROWS - 1, EVAL_CHUNK_ROWS + 1, 3 * EVAL_CHUNK_ROWS + 1)
-        derivative_count = _derivative_chunk_rows(grid) + 1
+        eval_chunk = _chunk_paths(grid, False)
+        eval_counts = (1, eval_chunk - 1, eval_chunk + 1, 3 * eval_chunk + 1)
+        derivative_count = _chunk_paths(grid, True) + 1
         u = random_paths(1960, eval_counts[-1], grid.blocks)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -819,6 +818,32 @@ class TestBlockTableGather:
                     assert all(map(np.array_equal, derivative, results["1"][2]))
         finally:
             sys.setswitchinterval(interval)
+
+    def test_results_independent_of_chunk_size(self, monkeypatch):
+        # 97 entries cut the 301 paths into chunks of 9 where a span holds
+        # one entry per block and of 2 where it holds one per cell, against
+        # one chunk at the default; every output is bit for bit the same
+        grid = GridSpec(10, 4)
+        graph = SPARSE_FAMILIES["triangle-n5"]()
+        dense = family_from_kernels([random_kernel(grid, j, seed=1970 + j) for j in (1, 2, 3)])
+        assert graph.grid == grid and graph.constant != 0.0
+        assert not _stein_tables(graph)[1] and _stein_tables(dense)[1]
+        u = random_paths(1980, 301, grid.blocks)
+        default = chaos.CHUNK_ENTRIES
+        monkeypatch.setenv("WCLT_THREADS", "2")
+        for fam in (graph, dense):
+            centered = KernelFamily(grid, 0.0, fam.kernels)
+            results = {}
+            for entries in (97, default):
+                monkeypatch.setattr(chaos, "CHUNK_ENTRIES", entries)
+                results[entries] = (
+                    [fam.eval_many(u), ustat_eval_many(fam.kernels[-1], u),
+                     *derivative_values_many(fam, u)],
+                    stein_bound_terms(centered, 203, seed=1981).to_dict(),
+                )
+            arrays, stein = results[97]
+            assert all(map(np.array_equal, arrays, results[default][0]))
+            assert stein == results[default][1]
 
 
 class TestProductExpansion:

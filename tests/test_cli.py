@@ -290,6 +290,43 @@ def test_non_finite_weight_parameter_usage_error(tmp_path, command, weights):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, weights, k", [
+    (("simulate", "--n", "6", "--p", "0.5", "--reps", "10"), "exp:1e-200", 2),
+    (("bound", "--n", "10", "--p", "0.5"), "exp:1e-200", 2),
+    (("bound", "--n", "10", "--p", "0.5"), "unif:1e-100", 4),
+    (("bound", "--n", "10", "--p", "0.5", "--regime"), "const:1e-200", 2),
+    (("bound", "--n", "10", "--p", "0.5", "--regime"), "unif:1e-100", 4),
+    (("bound", "--n", "10", "--p", "0.5", "--regime"), "twopoint:0,1e-90,0.5", 4),
+    (("bound", "--n", "10", "--p", "0.5"), "twopoint:1e200,1e300,0.5", 2),
+    (("bound", "--n", "10", "--p", "0.5"), "unif:1e300", 2),
+])
+def test_weight_moment_outside_float_range_usage_error(tmp_path, command, weights, k):
+    # before, these ended in a ZeroDivisionError traceback, a bare overflow
+    # message, or a silent moment_ratio of 0.0
+    out = tmp_path / "out"
+    res = run_cli(*command, "--pattern", "triangle", "--weights", weights, "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: weight law ") and res.stderr.count("\n") == 1
+    assert f"E[X^{k}] leaves the normal float range" in res.stderr
+    assert not out.exists()
+
+
+def test_small_spread_weight_law_bounds():
+    # the raw-moment expansion made the first ratio 810.6 and the second
+    # variance 0, which exited 3
+    res = run_cli("bound", "--pattern", "triangle", "--weights", "twopoint:1,1.00001,0.5",
+                  "--n", "10", "--p", "0.999999999999")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["report"]["moment_ratio"] == pytest.approx(1.0, rel=1e-12)
+    res = run_cli("bound", "--pattern", "triangle", "--weights", "twopoint:1,1.000000001,0.5",
+                  "--n", "10", "--p", "0.9", "--regime")
+    assert res.returncode == 0
+    spread = 1.000000001 - 1.0
+    fourth_raw = (1.0 + 1.000000001**4) / 2
+    assert json.loads(res.stdout)["report"]["moment_ratio"] == pytest.approx(
+        math.sqrt(fourth_raw) / (spread * spread / 4), rel=1e-12)
+
+
 class TestDistanceCommand:
     def test_single_row(self, tmp_path):
         f = tmp_path / "one.csv"

@@ -92,6 +92,16 @@ class TestNormalPlumbing:
     def test_pdf(self):
         assert normal_pdf(0.0) == pytest.approx(1 / math.sqrt(2 * math.pi))
 
+    def test_pdf_of_huge_values_does_not_overflow(self):
+        # x * x overflows from |x| ~ 1.3e154, and the suite turns the overflow
+        # warning into an error; up to the clamp every value is the plain
+        # formula's, bit for bit
+        huge = np.array([1e200, -1e200, 1.4e154, np.inf, -np.inf, 41.0, -40.0])
+        assert np.array_equal(normal_pdf(huge), np.zeros(huge.size))
+        assert normal_pdf(-1e300) == 0.0
+        x = np.linspace(-40.0, 40.0, 10_001)
+        assert np.array_equal(normal_pdf(x), 1.0 / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * x * x))
+
 
 class TestW1:
     def test_single_sample_zero(self):
@@ -108,6 +118,10 @@ class TestW1:
         xs = normal_quantile((np.arange(1, m + 1) - 0.5) / m)
         res = wasserstein1_to_normal(xs)
         assert 0.0 < res.w1 < 0.002
+
+    def test_huge_sample_value(self):
+        # the far value adds its distance to the normal, and nothing warns
+        assert wasserstein1_to_normal([1e200, -3.0]).w1 == pytest.approx(5e199, rel=1e-15)
 
     def test_positive_for_finite_samples(self):
         res = wasserstein1_to_normal([0.1, -0.4, 2.0])

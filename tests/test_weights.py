@@ -1,6 +1,7 @@
 """Weight laws: closed-form moments, quantiles, and the moment ratio."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +79,56 @@ class TestMoments:
             var_hat = float((centered**2).mean())
             var_se = max(math.sqrt(max(m.fourth_central - m.variance**2, 0.0) / n), 1e-12)
             assert abs(var_hat - m.variance) < 5 * var_se
+
+
+def exact_central_moment(law: TwoPoint, k: int) -> float:
+    """E[(X - E[X])^k] of the two-point law's float parameters, in exact arithmetic."""
+    a, b, q = map(Fraction, (law.low_value, law.high_value, law.prob_high))
+    mean = (1 - q) * a + q * b
+    return float((1 - q) * (a - mean) ** k + q * (b - mean) ** k)
+
+
+class TestClosedFormCentralMoments:
+    def test_benchmark_laws(self):
+        # the raw-moment expansion gave these values exactly; unif:1's
+        # variance is now 1/12 correctly rounded (0.08333333333333331 before)
+        for law, central in [(Exponential(1.0), (1.0, 9.0)), (Exponential(2.0), (0.25, 9 / 16)),
+                             (TwoPoint(1.0, 3.0, 0.5), (1.0, 1.0)),
+                             (Uniform(1.0), (1 / 12, 1 / 80))]:
+            assert (law.variance, law.fourth_central) == central
+
+    @pytest.mark.parametrize("high", [1.00001, 1.000000001, 1.0 + 2**-52, 3.0])
+    @pytest.mark.parametrize("q", [0.5, 0.1])
+    def test_twopoint_small_spread(self, high, q):
+        # raw moments cancel here: E[X^4] - 4 m E[X^3] + ... gave 4.4e-16 for
+        # twopoint:1,1.00001,0.5, whose fourth central moment is 6.25e-22
+        law = TwoPoint(1.0, high, q)
+        assert law.variance == pytest.approx(exact_central_moment(law, 2), rel=1e-14, abs=0.0)
+        assert law.fourth_central == pytest.approx(exact_central_moment(law, 4), rel=1e-14, abs=0.0)
+
+    def test_small_spread_moment_ratio_is_one(self):
+        # sqrt(fourth central) = variance for a symmetric two-point law
+        law = TwoPoint(1.0, 1.00001, 0.5)
+        assert moment_ratio(law, 0.999999999999) == pytest.approx(1.0, rel=1e-12)
+        assert TwoPoint(1.0, 1.000000001, 0.5).variance == pytest.approx(2.5e-19, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("spec, k", [
+        ("exp:1e-200", 2), ("unif:1e-100", 4), ("const:1e-200", 2), ("twopoint:0,1e-90,0.5", 4),
+        ("twopoint:1e200,1e300,0.5", 2), ("unif:1e300", 2), ("exp:1e300", 2), ("const:1e-77", 4),
+    ])
+    def test_rejects_moments_outside_float_range(self, spec, k):
+        with pytest.raises(WeightModelError, match=rf"^weight law \w+\(.*\): E\[X\^{k}\] leaves"):
+            parse_weight_model(spec)
+
+    @pytest.mark.parametrize("law", [
+        Constant(1e-76), Constant(1e77), Uniform(1e-76), Uniform(1e77), Exponential(1e-76),
+        Exponential(1e76), TwoPoint(0.0, 1.0, 1e-300), TwoPoint(1e-70, 1e-70 * (1 + 2**-50), 0.5),
+    ])
+    def test_accepted_laws_have_moments(self, law):
+        # construction accepts these, so the moments and the ratio must not raise
+        m = law.moments()
+        assert all(math.isfinite(v) and v >= 0.0 for v in (m.mean, m.variance, m.fourth_central))
+        assert math.isfinite(moment_ratio(law, 0.5))
 
 
 class TestQuantile:
