@@ -57,6 +57,23 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
+def _check_outputs(args) -> None:
+    """Refuse, before any work, an output path that names a directory, lies in a missing
+    directory or names the same file as another output flag."""
+    seen = {}
+    for flag in ("out", "meta"):
+        if not (path := getattr(args, flag, None)):
+            continue
+        real = os.path.realpath(path)
+        if os.path.isdir(real):
+            raise ValueError(f"--{flag} {path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(real)):
+            raise ValueError(f"--{flag} {path!r} lies in a missing directory")
+        if real in seen:
+            raise ValueError(f"--{flag} {path!r} names the same file as --{seen[real]}")
+        seen[real] = flag
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         _atomic_write(out, text)
@@ -291,25 +308,27 @@ def _chaos_checks(seed: int, grid_spec: tuple[int, int], n_paths: int, corrupt: 
             "passed": bool(max_dev <= tol),
         })
 
+    # every seed below rng.SEED_BOUND runs: the sub-seeds seed + k wrap around the key range
+    sub = [(seed + k) % rng.SEED_BOUND for k in range(6)]
     u = chaos.random_paths(seed, n_paths, blocks)
 
     # centering invariance of the integral
-    raw2 = chaos.random_kernel(grid, 2, seed + 1, centered=False)
+    raw2 = chaos.random_kernel(grid, 2, sub[1], centered=False)
     dev = float(np.max(np.abs(
         chaos.integral_eval_many(raw2, u) - chaos.integral_eval_many(chaos.block_center(raw2), u)
     )))
     record("centering_invariance", dev, chaos.PATHWISE_TOL)
 
     # U-statistic decomposition, optionally corrupted as a negative control
-    kern = chaos.random_kernel(grid, 2, seed + 2, centered=False)
+    kern = chaos.random_kernel(grid, 2, sub[2], centered=False)
     used = chaos.Kernel(grid, 2, kern.values * 1.01, validate=False) if corrupt else kern
     family = chaos.ustat_chaos_decomposition(used)
     dev = float(np.max(np.abs(chaos.ustat_eval_many(kern, u) - family.eval_many(u))))
     record("ustat_decomposition", dev, chaos.PATHWISE_TOL)
 
     # product expansion
-    f1 = chaos.random_kernel(grid, 1, seed + 3)
-    f2 = chaos.random_kernel(grid, 2, seed + 4)
+    f1 = chaos.random_kernel(grid, 1, sub[3])
+    f2 = chaos.random_kernel(grid, 2, sub[4])
     lhs, rhs = chaos.product_check_many(f1, f2, u)
     dev = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
     record("product_expansion", dev, chaos.PATHWISE_TOL)
@@ -328,7 +347,7 @@ def _chaos_checks(seed: int, grid_spec: tuple[int, int], n_paths: int, corrupt: 
     tri = named_pattern("triangle")
     model = Constant(1.0)
     gfam = graph_chaos.graph_weight_family(tri, 3, 0.5, model, cells=2)
-    u3 = chaos.random_paths(seed + 5, min(n_paths, 500), 3)
+    u3 = chaos.random_paths(sub[5], min(n_paths, 500), 3)
     w = np.array([
         combined_weight(tri, HostSample(n=3, p=0.5, model=model, seed=0, replicate=0,
                                         uniforms=graph_chaos.path_host_uniforms(row)))
@@ -446,8 +465,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:  # simulate, chaos-verify, rate-sweep: before any work
-            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+        seed = getattr(args, "seed", 0)  # simulate, chaos-verify, rate-sweep: before any work
+        if seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {seed}")
+        if seed >= rng.SEED_BOUND:
+            raise ValueError(f"--seed must be below 2**128, the Philox key range, got {seed}")
+        _check_outputs(args)
         rng.thread_count()  # a malformed WCLT_THREADS, or one above rng.MAX_THREADS
         return args.func(args)
     except DegenerateConfigError as exc:

@@ -420,32 +420,27 @@ def sampler_layout(pattern: PatternGraph, n: int) -> SamplerLayout:
 
 
 class _Scratch:
-    """One span's plan intermediates, in the count dtype.
-
-    Flat buffers of ``size`` values are lent as arrays of any shape that
-    fits and given back once consumed.  A buffer is allocated only when none
-    is free, so a span holds as many as one term keeps live at once and
-    reuses them over terms and chunks.
+    """One span's plan intermediates, in the count dtype: flat buffers of ``size`` values
+    lent as arrays of any shape that fits.  ``reclaim`` frees every buffer that no live
+    array sits on, so no caller tracks what it was lent, and a span holds as many buffers
+    as one term keeps live at once, reused over terms and chunks.
     """
 
     def __init__(self, size: int, dtype: np.dtype) -> None:
         self.size, self.dtype = size, dtype
-        self._free: list[np.ndarray] = []
-        self._owned: dict[int, np.ndarray] = {}
+        self._owned, self._free = {}, []  # all buffers, keyed by id as .base points; free ones
 
     def lend(self, *shape: int) -> np.ndarray:
-        if self._free:
-            buffer = self._free.pop()
-        else:
-            buffer = np.empty(self.size, self.dtype)
-            self._owned[id(buffer)] = buffer
+        buffer = self._free.pop() if self._free else np.empty(self.size, self.dtype)
+        self._owned[id(buffer)] = buffer
         return buffer[:math.prod(shape)].reshape(shape)
 
-    def give(self, *arrays: np.ndarray) -> None:
-        """Take back the buffers under ``arrays``; an array not lent here (the adjacency) stays."""
-        for arr in arrays:
-            if id(arr.base) in self._owned:
-                self._free.append(arr.base)
+    def reclaim(self, *live: np.ndarray) -> None:
+        """Free every buffer that none of ``live`` sits on; arrays not lent here are ignored."""
+        free = self._owned.copy()
+        for arr in live:
+            free.pop(id(arr.base), None)
+        self._free = [*free.values()]
 
 
 def _oriented(factor: tuple, first: int) -> np.ndarray:
@@ -472,108 +467,80 @@ def _bag_tuples(bag: tuple[int, ...], term: _OpenTerm, n: int, step: int):
         yield t
 
 
-def _eliminate(factors: list, bag: tuple[int, ...], term: _OpenTerm, scratch: _Scratch) -> list:
+def _read(reads: list, t: np.ndarray | None, n: int, scratch: _Scratch) -> np.ndarray:
+    """The product of the reads (array, bag slots) at the value tuples t, [replicate, tuple, ...].
+
+    An array's axis 1 runs over the flat cells of its one or two bag slots, and one
+    ``take`` reads it at the tuples' cells.  t None stands for a single vertex's tuples,
+    the n host vertices in order: every array reads as stored, and is never written.
+    """
+    out = None
+    for arr, slots in reads:
+        if t is not None:
+            cells = t[:, slots[0]] if len(slots) == 1 else t[:, slots[0]] * n + t[:, slots[1]]
+            arr = arr.take(cells, axis=1, out=scratch.lend(len(arr), len(t), *arr.shape[2:]),
+                           mode="wrap")  # "wrap": straight into the buffer, no temporary
+        out = arr if out is None else np.multiply(
+            out, arr, out=scratch.lend(*out.shape) if out is reads[0][0] else out)
+    return out
+
+
+def _contract(s: np.ndarray | None, ends: list, stored: bool, scratch: _Scratch) -> np.ndarray:
+    """The sum over the tuples of s times the outer product of the ends' rows, [replicate, *ends].
+
+    s is indexed [replicate, tuple], None when all 1, each end [replicate, tuple, end].
+    ``stored``: the first of two ends is its own transpose and goes in as stored.
+    """
+    if not ends:
+        return s.sum(axis=1, out=scratch.lend(len(s)))
+    c, t, n = ends[0].shape
+    if len(ends) == 1:  # column sums by one product: numpy sums a middle axis far slower
+        weights = np.ones((1, 1, t), ends[0].dtype) if s is None else s[:, None, :]
+        return np.matmul(weights, ends[0], out=scratch.lend(c, 1, n))[:, 0]
+    left = ends[0] if s is None else np.multiply(ends[0], s[:, :, None], out=scratch.lend(c, t, n))
+    return np.matmul(left if stored else left.transpose(0, 2, 1), ends[1],
+                     out=scratch.lend(c, n, n))
+
+
+def _eliminate(factors: list, bag: tuple[int, ...], term: _OpenTerm, n: int,
+               scratch: _Scratch) -> list:
     """Sum out the vertices of ``bag`` from factors (scope, array indexed [replicate, *scope],
     symmetric), by one batched matmul per block of the bag's value tuples t.
 
-    s_t is the product of the factors within the bag, and an outside end's
-    row at t the product of the rows of the factors to it.  The new factor
-    sums s_t times the outer product of the two ends' rows over t, so the
-    tuples are the contraction axis.  A single vertex's tuples are the host
-    vertices in order, so its factor arrays serve as they are.  The new
-    factor's array is lent by ``scratch``, and the arrays of the spent
-    factors go back to it.
+    s_t is the product of the factors within the bag, read at their flat cells, and an
+    outside end's row at t the product of the factors to it, read at their bag vertex.
+    The new factor sums s_t times the outer product of the ends' rows over t.
     """
     slot = {v: i for i, v in enumerate(bag)}
-    groups: dict = {}  # outside end, or None within the bag -> the factors on the bag
-    rest = []
+    rest, inside, ends, mixed = [], [], {}, set()  # mixed: ends with a factor not symmetric
     for factor in factors:
-        outside = [w for w in factor[0] if w not in slot]
-        if len(outside) == len(factor[0]):
+        scope, arr, symmetric = factor
+        inner = [v for v in scope if v in slot]
+        if not inner:
             rest.append(factor)
+        elif len(inner) == len(scope):
+            inside.append((arr.reshape(len(arr), -1), tuple(slot[v] for v in scope)))
         else:
-            groups.setdefault(outside[0] if outside else None, []).append(factor)
-    inside = groups.pop(None, [])
-    ws = sorted(groups)
-    spent = [f[1] for fs in (inside, *groups.values()) for f in fs]
-    c, n = spent[0].shape[0], spent[0].shape[-1]
-    # a final bag gathers each factor within it by flat cell, and its ends'
-    # rows once per factor array and bag vertex: ends with equal keys share them
-    flat = [(arr.reshape(c, -1), [slot[v] for v in scope]) for scope, arr, _ in inside]
-    sides = {w: [(f, f[0][0] + f[0][1] - w) for f in groups[w]] for w in ws}
-    keys = {w: tuple(sorted((id(f[1]), x) for f, x in sides[w])) for w in ws}
-
-    def lend(*shape: int) -> np.ndarray:
-        lent.append(scratch.lend(*shape))
-        return lent[-1]
-
-    def within() -> np.ndarray | None:
-        """s at the tuples, [replicate, tuple]."""
-        if not inside:
-            return None
-        if t is None:
-            return multiplied([f[1] for f in inside])
-        s, gathered, tn = lend(c, len(t)), lend(c, len(t)), t * n
-        for i, (arr, vs) in enumerate(flat):
-            cells = t[:, vs[0]] if len(vs) == 1 else tn[:, vs[0]] + t[:, vs[1]]
-            arr.take(cells, axis=1, out=gathered if i else s, mode="wrap")
-            if i:
-                s *= gathered
-        return s
-
-    def row(factor: tuple, x: int) -> np.ndarray:
-        """A factor on bag vertex x and an outside end at the tuples, [replicate, tuple, end]."""
-        arr = _oriented(factor, x)
-        return arr if t is None else arr.take(t[:, slot[x]], axis=1, out=lend(c, len(t), n),
-                                              mode="wrap")
-
-    def multiplied(arrays: list) -> np.ndarray:
-        if len(arrays) == 1:
-            return arrays[0]
-        out = lend(*arrays[0].shape)
-        np.multiply(arrays[0], arrays[1], out=out)
-        for arr in arrays[2:]:
-            np.multiply(out, arr, out=out)
-        return out
-
-    def end(w: int) -> np.ndarray:
-        """The product of the rows to w."""
-        if keys[w] not in products:
-            products[keys[w]] = multiplied([row(f, x) for f, x in sides[w]])
-        return products[keys[w]]
-
+            w = sum(scope) - inner[0]
+            ends.setdefault(w, []).append((_oriented(factor, inner[0]), (slot[inner[0]],)))
+            if not symmetric:
+                mixed.add(w)
+    ws = sorted(ends)
+    groups = [inside, *(ends[w] for w in ws)]
+    keys = [tuple(sorted((id(arr), slots) for arr, slots in reads)) for reads in groups]
+    unique = dict(zip(keys, groups))  # equal reads: one product per block
+    # a product of symmetric factors at the n host vertices in order is its own transpose
+    stored = len(bag) == 1 and not inside and not mixed.intersection(ws[:1])
+    inputs = [f[1] for f in factors]
     new = None
-    step = _chunk_rows(scratch.dtype, c * n)
-    # None stands for a single vertex's tuples: the n host vertices in order
-    for t in _bag_tuples(bag, term, n, step) if len(bag) > 1 else [None]:
-        lent, products = [], {}  # per block: the helpers above read these names at call time
-        s = within()
-        fresh = scratch.lend if new is None else lend
-        if not ws:
-            part = s.sum(axis=1, out=fresh(c))
-        elif len(ws) == 1:
-            m = end(ws[0])
-            if s is None:  # column sums by one product: numpy sums a middle axis far slower
-                part = np.matmul(np.ones(m.shape[1], m.dtype), m, out=fresh(c, n))
-            else:
-                part = np.matmul(s[:, None, :], m, out=fresh(c, 1, n))[:, 0]
-        else:
-            left, right = end(ws[0]), end(ws[1])
-            if s is not None:
-                left = multiplied([left, s[:, :, None]])
-            # a product of symmetric factors at the n host vertices in order is
-            # its own transpose, so it goes in as stored
-            if s is not None or t is not None or not all(f[2] for f in groups[ws[0]]):
-                left = left.transpose(0, 2, 1)
-            part = np.matmul(left, right, out=fresh(c, n, n))
-        if new is None:
-            new = part
-        else:
-            new += part
-        scratch.give(*lent)
-    rest.append((tuple(ws), new, len(ws) < 2))
-    scratch.give(*spent)
-    return rest
+    for t in (_bag_tuples(bag, term, n, _chunk_rows(scratch.dtype, len(inputs[0]) * n))
+              if len(bag) > 1 else [None]):
+        if new is not None:  # the last block's reads go back with the bag's reclaim
+            scratch.reclaim(new, *inputs)
+        memo = {key: _read(reads, t, n, scratch) for key, reads in unique.items() if reads}
+        part = _contract(memo.get(keys[0]), [memo[key] for key in keys[1:]], stored, scratch)
+        new = part if new is None else np.add(new, part, out=new)
+    return [*rest, (tuple(ws), new, len(ws) < 2)]
 
 
 def _on_open_edge(factor: tuple, a: int) -> np.ndarray:
@@ -592,14 +559,12 @@ def _add_eliminated(term: _OpenTerm, adjacency: np.ndarray, cube: np.ndarray, fi
     per replicate [r, i, j]; the first term writes the cube instead."""
     factors = [(edge, adjacency, True) for edge in term.edges]
     for bag in term.bags:
-        factors = _eliminate(factors, bag, term, scratch)
+        factors = _eliminate(factors, bag, term, adjacency.shape[-1], scratch)
+        scratch.reclaim(*(f[1] for f in factors))
     factors.sort(key=lambda f: len(f[0]))  # vectors first: one full-size product fewer
     parts = [_on_open_edge(f, term.open_edge[0]) for f in factors]
     if not parts:  # no edge left: the count is 1 on every cell
-        if first:
-            cube.fill(term.coefficient)
-        else:
-            cube += term.coefficient
+        cube[...] = term.coefficient if first else cube + term.coefficient
         return
     out = cube if first else scratch.lend(*np.broadcast_shapes(*(f.shape for f in parts)))
     np.multiply(parts[0], term.coefficient, out=out)
@@ -607,8 +572,7 @@ def _add_eliminated(term: _OpenTerm, adjacency: np.ndarray, cube: np.ndarray, fi
         np.multiply(out, part, out=out)
     if not first:
         cube += out
-        scratch.give(out)
-    scratch.give(*(f[1] for f in factors))
+    scratch.reclaim()
 
 
 @lru_cache(maxsize=None)

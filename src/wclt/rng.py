@@ -22,6 +22,8 @@ _BLOCK = 4
 # the cores only costs thread starts.
 MAX_THREADS = 256
 
+SEED_BOUND = 1 << 128  # a seed is a Philox key, which has 128 bits
+
 
 def uniform_stream(seed: int, start: int) -> np.random.Generator:
     """A generator whose draws, read forward, are values start, start + 1, ...

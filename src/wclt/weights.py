@@ -37,6 +37,8 @@ class WeightModel:
         """E[(X - E[X])^k] in closed form for k = 2 and 4: no raw moments cancel."""
         raise NotImplementedError
 
+    kurtosis = math.inf  # E[(X - E[X])^4] / Var[X]^2, per law in closed form free of scale
+
     @property
     def mean(self) -> float:
         return self.raw_moment(1)
@@ -58,10 +60,8 @@ class WeightModel:
         return self.central_moment(4)
 
     def moments(self) -> Moments:
-        var = self.variance
-        c4 = self.fourth_central
-        kurt = c4 / var / var if var > 0 else math.inf  # var**2 may underflow to 0
-        return Moments(self.mean, var, c4, self.second_raw, kurt)
+        return Moments(self.mean, self.variance, self.fourth_central, self.second_raw,
+                       self.kurtosis)
 
     def quantile(self, u: float) -> float:
         """Generalized inverse of the CDF, left-continuous convention."""
@@ -138,6 +138,8 @@ class Uniform(WeightModel):
     def central_moment(self, k: int) -> float:
         return self.high**k / ((k + 1) * 2**k)
 
+    kurtosis = 9 / 5
+
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         return self.high * np.asarray(u, dtype=float)
 
@@ -160,6 +162,8 @@ class Exponential(WeightModel):
 
     def central_moment(self, k: int) -> float:
         return {2: 1.0, 4: 9.0}[k] / self.rate**k
+
+    kurtosis = 9.0
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         # -log1p(-u) / rate in one array: a / -b is -a / b exactly
@@ -213,6 +217,12 @@ class TwoPoint(WeightModel):
         # X - E[X] is (1 - q) d with probability q and -q d otherwise
         q, d = self.prob_high, self.high_value - self.low_value
         return q * self._prob_low * d**k * (self._prob_low ** (k - 1) + q ** (k - 1))
+
+    @property
+    def kurtosis(self) -> float:
+        # ((1 - q)^3 + q^3) / (q (1 - q)), and (1 - q)^3 + q^3 = 1 - 3 q (1 - q)
+        q = self.prob_high
+        return 1.0 / (q * self._prob_low) - 3.0 if self.low_value < self.high_value else math.inf
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)

@@ -544,6 +544,64 @@ def test_negative_seed_rejected_at_entry(tmp_path, command):
     assert not out.exists() and not meta.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ("simulate", "--pattern", "triangle", "--weights", "unif:1", "--n", "6", "--p", "0.5",
+     "--reps", "10", "--meta", "{meta}"),
+    ("rate-sweep", "--pattern", "triangle", "--weights", "unif:1", "--sweep-n", "6,8",
+     "--p", "0.5", "--reps", "10"),
+    ("chaos-verify",),
+])
+def test_seed_past_philox_key_rejected_at_entry(tmp_path, command):
+    # a Philox key has 128 bits; numpy refused such a seed only at the first uniform
+    out, meta = tmp_path / "out", tmp_path / "meta.json"
+    res = run_cli(*(arg.format(meta=meta) for arg in command), "--seed", str(2**128),
+                  "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr == f"error: --seed must be below 2**128, the Philox key range, got {2**128}\n"
+    assert not out.exists() and not meta.exists()
+
+
+def test_chaos_verify_runs_at_the_top_of_the_key_range():
+    # its sub-seeds seed + 1 .. seed + 5 wrap around the key range
+    for seed in (2**128 - 3, 2**128 - 1):
+        res = run_cli("chaos-verify", "--seed", str(seed), "--paths", "300")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["passed"] is True
+
+
+@pytest.mark.parametrize("outputs, message", [
+    (("--out", "{d}/x", "--meta", "{d}/x"), "--meta '{d}/x' names the same file as --out"),
+    (("--out", "{d}/x", "--meta", "{d}/sub/../x"),
+     "--meta '{d}/sub/../x' names the same file as --out"),
+    (("--out", "{d}"), "--out '{d}' is a directory"),
+    (("--out", "{d}/missing/x"), "--out '{d}/missing/x' lies in a missing directory"),
+    (("--out", "{d}/y", "--meta", "{d}/missing/x"),
+     "--meta '{d}/missing/x' lies in a missing directory"),
+])
+def test_output_paths_checked_at_entry(tmp_path, outputs, message):
+    # the unknown pattern would fail first if the paths were checked after any work
+    (tmp_path / "sub").mkdir()
+    args = [arg.format(d=tmp_path) for arg in outputs]
+    res = run_cli("simulate", "--pattern", "nonagon", "--weights", "unif:1", "--n", "6",
+                  "--p", "0.5", "--reps", "10", *args)
+    assert res.returncode == 2
+    assert res.stderr == f"error: {message.format(d=tmp_path)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
+@pytest.mark.parametrize("command", [
+    ("bound", "--pattern", "triangle", "--weights", "unif:1", "--n", "10", "--p", "0.1"),
+    ("distance", "--samples", "{d}/none.csv"),
+    ("chaos-verify", "--paths", "300"),
+    ("rate-sweep", "--pattern", "triangle", "--weights", "unif:1", "--sweep-n", "6",
+     "--p", "0.5", "--reps", "10"),
+])
+def test_every_out_flag_checked(tmp_path, command):
+    res = run_cli(*(arg.format(d=tmp_path) for arg in command), "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert res.stderr == f"error: --out {str(tmp_path)!r} is a directory\n"
+
+
 def test_import_leaves_chaos_unloaded():
     # only chaos-verify runs chaos code, so the other commands do not pay its import
     env = dict(os.environ)

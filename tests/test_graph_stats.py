@@ -396,24 +396,50 @@ class TestNormalizedSamples:
         pytest.param("cycle:4", Exponential(1.0), 10, id="cycle:4-n10"),
         # counts past float32's integers: the float64 side of the precision rule
         pytest.param("star:5", Exponential(1.0), 80, id="star:5-n80-float64"),
+        # final bags after single vertices, over several tuple blocks in a chunk
+        # of 327 replicates and one block in a chunk of one
+        pytest.param("path:9", Exponential(1.0), 10, id="path:9-n10"),
+        # the triangle's last vertex is summed out with no outside end
+        pytest.param("K3+K2", Exponential(1.0), 9, id="triangle+edge"),
     ])
     def test_raw_bitwise_chunk_invariant(self, name, model, n, monkeypatch):
         # one chunk for all replicates or one chunk per replicate: same bits;
         # and the sampler's four chunks in one, two or three spans: same bits
-        pattern, p = named_pattern(name), 0.6
+        pattern, p = DISJOINT_UNIONS.get(name) or named_pattern(name), 0.6
         plan = _weight_plan(pattern)
         chunk = _chunk_rows(_count_dtype(plan, n), n * n)
         assert sampler_layout(pattern, n).chunk_rows == chunk
         reps = 3 * chunk + max(1, chunk // 10)  # the fourth chunk is partial
         whole = np.empty(reps)
         _accumulate_weights(plan, n, p, model, 4, whole, 0, reps, reps)
+        # path:9 has 621 plan terms, about 70 ms per chunk: a chunk per replicate
+        # over the first 12 replicates only
+        singles = 12 if name == "path:9" else reps
         single = np.empty(reps)
-        _accumulate_weights(plan, n, p, model, 4, single, 0, reps, 1)
-        assert whole.tobytes() == single.tobytes()
+        _accumulate_weights(plan, n, p, model, 4, single, 0, singles, 1)
+        assert whole[:singles].tobytes() == single[:singles].tobytes()
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("WCLT_THREADS", threads)
             batch = normalized_samples(pattern, n, p, model, reps=reps, seed=4)
             assert batch.raw.tobytes() == whole.tobytes(), f"WCLT_THREADS={threads}"
+
+    @pytest.mark.parametrize("name, n", [("complete:4", 9), ("path:8", 10)])
+    def test_scratch_does_not_grow_with_chunks(self, name, n, monkeypatch):
+        # a lent buffer that is never reclaimed makes every chunk allocate afresh
+        spans = []
+
+        class Recorded(graph_stats._Scratch):
+            def __init__(self, *args):
+                super().__init__(*args)
+                spans.append(self)
+
+        monkeypatch.setattr(graph_stats, "_Scratch", Recorded)
+        plan, buffers = _weight_plan(named_pattern(name)), []
+        for chunks in (1, 5):
+            _accumulate_weights(plan, n, 0.6, Exponential(1.0), 4, np.empty(4 * chunks),
+                                0, 4 * chunks, 4)
+            buffers.append(len(spans[-1]._owned))
+        assert len(spans) == 2 and buffers[0] == buffers[1] > 0
 
     def test_count_dtype_boundary(self):
         # star:4 forms at most 2 (24 + 44 n + 24 n^2 + 4 n^3) in its counts:

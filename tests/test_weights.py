@@ -45,6 +45,18 @@ class TestMoments:
             assert m.fourth_central == pytest.approx(q * (1 - q) * (1 - 3 * q + 3 * q * q))
             assert m.second_raw == pytest.approx(q)
 
+    @pytest.mark.parametrize("law, kurtosis", [
+        # d^4 underflows for this spread, where the ratio of central moments read 0.0
+        (TwoPoint(1e-70, 1e-70 * (1 + 2**-50), 0.5), 1.0),
+        (TwoPoint(0.0, 1.0, 0.2), 1 / 0.16 - 3), (TwoPoint(2.0, 7.0, 0.9), 1 / 0.09 - 3),
+        (TwoPoint(1.0, 1.0, 0.3), math.inf),  # one atom: degenerate
+    ])
+    def test_twopoint_kurtosis_scale_free(self, law, kurtosis):
+        m = law.moments()
+        assert m.kurtosis == pytest.approx(kurtosis, rel=1e-12)
+        if 0.0 < m.fourth_central < math.inf:
+            assert m.kurtosis == pytest.approx(m.fourth_central / m.variance**2, rel=1e-12)
+
     def test_exponential(self):
         m = Exponential(2.0).moments()
         assert m.mean == pytest.approx(0.5)
