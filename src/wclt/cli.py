@@ -59,8 +59,11 @@ def _atomic_write(path: str, data: str) -> None:
 
 def _check_outputs(args) -> None:
     """Refuse, before any work, an output path that names a directory, lies in a missing
-    directory or names the same file as another output flag."""
+    directory or names the same file as an input file or another output flag."""
     seen = {}
+    for flag in ("samples", "pattern"):  # a pattern is read from a file when one exists
+        if (path := getattr(args, flag, None)) and os.path.exists(path):
+            seen[os.path.realpath(path)] = flag
     for flag in ("out", "meta"):
         if not (path := getattr(args, flag, None)):
             continue
@@ -83,8 +86,22 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _json_dumps(payload: dict) -> str:
+def _json(config: dict, **body) -> str:
+    """A JSON artifact: the format version, the run configuration and the body's fields."""
+    payload = {"format_version": FORMAT_VERSION, "config": config, **body}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _csv(config: dict, header: list[str], rows) -> str:
+    """A CSV artifact: the format version and the run configuration as two comment
+    lines, then the header and the rows."""
+    buf = io.StringIO()
+    buf.write(f"# format_version: {FORMAT_VERSION}\n"
+              f"# config: {json.dumps(config, sort_keys=True)}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _load_pattern(spec: str) -> PatternGraph:
@@ -102,11 +119,12 @@ def _parse_grid(spec: str) -> tuple[int, int]:
         raise ChaosError(f"grid must be 'K,M', got {spec!r}") from None
 
 
-def _parse_n_list(spec: str) -> list[int]:
+def _parse_list(spec: str, kind, name: str) -> list:
+    """The comma-separated values of `spec` as `kind`; blank items are skipped."""
     items = [s for s in spec.split(",") if s.strip()]
     if not items:
-        raise PatternError("empty n-list")
-    return [int(s) for s in items]
+        raise PatternError(f"empty {name}-list")
+    return [kind(s) for s in items]
 
 
 def _p_for(n: int, p: float | None, p_rule: str | None) -> float:
@@ -126,12 +144,6 @@ def _p_for(n: int, p: float | None, p_rule: str | None) -> float:
 # -- subcommands --------------------------------------------------------------
 
 
-def _config_comment(config: dict) -> str:
-    """Two comment lines embedding the run configuration into a CSV artifact."""
-    return (f"# format_version: {FORMAT_VERSION}\n"
-            f"# config: {json.dumps(config, sort_keys=True)}\n")
-
-
 def _cmd_bound(args) -> int:
     if args.cutoff_c is not None and not args.regime:  # only the regime formula reads it
         raise PatternError("--cutoff-c needs --regime")
@@ -149,50 +161,29 @@ def _cmd_bound(args) -> int:
         "sweep_n": args.sweep_n,
         "sweep_p": args.sweep_p,
     }
+
+    def report(n: int, p: float):
+        if args.regime:
+            return regime_bound(pattern, n, p, model, cutoff=cutoff)
+        return wasserstein_bound(pattern, n, p, model)
+
     if args.sweep_n or args.sweep_p:
         if not (args.sweep_n and args.sweep_p):
             raise PatternError("--sweep-n and --sweep-p must be given together")
         if args.n is not None or args.p is not None:
             raise PatternError("--n and --p cannot be given with --sweep-n/--sweep-p")
-        n_list = _parse_n_list(args.sweep_n)
-        p_list = [float(s) for s in args.sweep_p.split(",") if s.strip()]
-        if not p_list:
-            raise PatternError("empty p-list")
-        buf = io.StringIO()
-        buf.write(_config_comment(config))
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "p", "rate_term", "moment_ratio", "bound_value", "regime", "family"])
-        for n in n_list:
-            for p in p_list:
-                rep = (regime_bound(pattern, n, p, model, cutoff=cutoff)
-                       if args.regime else wasserstein_bound(pattern, n, p, model))
-                writer.writerow([n, repr(p), repr(rep.rate_term), repr(rep.moment_ratio),
-                                 repr(rep.bound_value), rep.regime or "", rep.family])
-        _emit(buf.getvalue(), args.out)
+        n_list = _parse_list(args.sweep_n, int, "n")
+        p_list = _parse_list(args.sweep_p, float, "p")
+        points = ((n, p, report(n, p)) for n in n_list for p in p_list)
+        rows = ([n, repr(p), repr(r.rate_term), repr(r.moment_ratio), repr(r.bound_value),
+                 r.regime or "", r.family] for n, p, r in points)
+        header = ["n", "p", "rate_term", "moment_ratio", "bound_value", "regime", "family"]
+        _emit(_csv(config, header, rows), args.out)
         return EXIT_OK
     if args.n is None or args.p is None:
         raise PatternError("--n and --p are required without --sweep-n/--sweep-p")
-    if args.regime:
-        report = regime_bound(pattern, args.n, args.p, model, cutoff=cutoff)
-    else:
-        report = wasserstein_bound(pattern, args.n, args.p, model)
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "config": config,
-        "report": report.to_dict(),
-    }
-    _emit(_json_dumps(payload), args.out)
+    _emit(_json(config, report=report(args.n, args.p).to_dict()), args.out)
     return EXIT_OK
-
-
-def _samples_csv(batch, config: dict) -> str:
-    buf = io.StringIO()
-    buf.write(_config_comment(config))
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["replicate", "raw_w", "normalized"])
-    writer.writerows(zip(range(batch.reps), map(repr, batch.raw.tolist()),
-                         map(repr, batch.normalized.tolist())))
-    return buf.getvalue()
 
 
 def _cmd_simulate(args) -> int:
@@ -208,20 +199,18 @@ def _cmd_simulate(args) -> int:
         "seed": args.seed,
     }
     batch = normalized_samples(pattern, args.n, args.p, model, args.reps, args.seed)
-    _emit(_samples_csv(batch, config), args.out)
+    rows = zip(range(batch.reps), map(repr, batch.raw.tolist()),
+               map(repr, batch.normalized.tolist()))
+    _emit(_csv(config, ["replicate", "raw_w", "normalized"], rows), args.out)
     if args.meta:
         census = intersection_pair_census(pattern, args.n)
         layout = sampler_layout(pattern, args.n)
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "config": config,
-            "exact_mean": batch.exact_mean,
-            "exact_variance": batch.exact_variance,
-            "census": {str(h): c for h, c in census.items()},
-            "sampler": {"count_dtype": layout.count_dtype.name, "chunk_rows": layout.chunk_rows,
-                        "plan_terms": layout.plan_terms},
-        }
-        _atomic_write(args.meta, _json_dumps(payload))
+        sampler = {"count_dtype": layout.count_dtype.name, "chunk_rows": layout.chunk_rows,
+                   "plan_terms": layout.plan_terms}
+        _atomic_write(args.meta, _json(config, exact_mean=batch.exact_mean,
+                                       exact_variance=batch.exact_variance,
+                                       census={str(h): c for h, c in census.items()},
+                                       sampler=sampler))
     return EXIT_OK
 
 
@@ -248,13 +237,8 @@ def _cmd_distance(args) -> int:
     values = _read_normalized_column(args.samples)
     if not values:
         raise PatternError(f"samples file {args.samples!r} contains no rows")
-    result = wasserstein1_to_normal(values)
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "config": {"subcommand": "distance", "samples": args.samples},
-        "result": result.to_dict(),
-    }
-    _emit(_json_dumps(payload), args.out)
+    result = wasserstein1_to_normal(values).to_dict()
+    _emit(_json({"subcommand": "distance", "samples": args.samples}, result=result), args.out)
     return EXIT_OK
 
 
@@ -263,7 +247,7 @@ def _cmd_rate_sweep(args) -> int:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
     pattern = _load_pattern(args.pattern)
     model = parse_weight_model(args.weights)
-    n_list = _parse_n_list(args.sweep_n)
+    n_list = _parse_list(args.sweep_n, int, "n")
     p_list = [_p_for(n, args.p, args.p_rule) for n in n_list]
     rates = []
     for n, p in zip(n_list, p_list):  # every cap and rate term before the first sample
@@ -279,15 +263,14 @@ def _cmd_rate_sweep(args) -> int:
         "reps": args.reps,
         "seed": args.seed,
     }
-    buf = io.StringIO()
-    buf.write(_config_comment(config))
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "p", "d_w", "rate_term", "ratio"])
-    for n, p, rate in zip(n_list, p_list, rates):
+
+    def row(n: int, p: float, rate: float) -> list:
         batch = normalized_samples(pattern, n, p, model, args.reps, args.seed)
         d_w = wasserstein1_to_normal(batch.normalized).w1
-        writer.writerow([n, repr(p), repr(d_w), repr(rate), repr(d_w / rate)])
-    _emit(buf.getvalue(), args.out)
+        return [n, repr(p), repr(d_w), repr(rate), repr(d_w / rate)]
+
+    rows = map(row, n_list, p_list, rates)
+    _emit(_csv(config, ["n", "p", "d_w", "rate_term", "ratio"], rows), args.out)
     return EXIT_OK
 
 
@@ -373,19 +356,9 @@ def _cmd_chaos_verify(args) -> int:
     blocks, cells = _parse_grid(args.grid)
     checks = _chaos_checks(args.seed, (blocks, cells), args.paths, args.corrupt)
     passed = all(c["passed"] for c in checks)
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "config": {
-            "subcommand": "chaos-verify",
-            "seed": args.seed,
-            "grid": args.grid,
-            "paths": args.paths,
-            "corrupt": bool(args.corrupt),
-        },
-        "checks": checks,
-        "passed": passed,
-    }
-    _emit(_json_dumps(payload), args.out)
+    config = {"subcommand": "chaos-verify", "seed": args.seed, "grid": args.grid,
+              "paths": args.paths, "corrupt": bool(args.corrupt)}
+    _emit(_json(config, checks=checks, passed=passed), args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

@@ -610,3 +610,76 @@ def test_import_leaves_chaos_unloaded():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command, inputs, message", [
+    (("distance", "--samples", "{d}/s.csv", "--out", "{d}/s.csv"), ["s.csv"],
+     "--out '{d}/s.csv' names the same file as --samples"),
+    (("distance", "--samples", "{d}/s.csv", "--out", "{d}/sub/../s.csv"), ["s.csv"],
+     "--out '{d}/sub/../s.csv' names the same file as --samples"),
+    (("bound", "--pattern", "{d}/tri.txt", "--weights", "unif:1", "--n", "10", "--p", "0.1",
+      "--out", "{d}/tri.txt"), ["tri.txt"], "--out '{d}/tri.txt' names the same file as --pattern"),
+    (("simulate", "--pattern", "{d}/tri.txt", "--weights", "unif:1", "--n", "6", "--p", "0.5",
+      "--reps", "10", "--out", "{d}/tri.txt"), ["tri.txt"],
+     "--out '{d}/tri.txt' names the same file as --pattern"),
+    (("simulate", "--pattern", "{d}/tri.txt", "--weights", "unif:1", "--n", "6", "--p", "0.5",
+      "--reps", "10", "--out", "{d}/s.csv", "--meta", "{d}/tri.txt"), ["s.csv", "tri.txt"],
+     "--meta '{d}/tri.txt' names the same file as --pattern"),
+    (("rate-sweep", "--pattern", "{d}/tri.txt", "--weights", "unif:1", "--sweep-n", "6",
+      "--p", "0.5", "--reps", "10", "--out", "{d}/tri.txt"), ["tri.txt"],
+     "--out '{d}/tri.txt' names the same file as --pattern"),
+])
+def test_output_may_not_overwrite_an_input(tmp_path, command, inputs, message):
+    # the paths are checked before any work, so the input file keeps its bytes
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "tri.txt").write_text("3\n0 1\n1 2\n0 2\n")
+    (tmp_path / "s.csv").write_text("replicate,raw_w,normalized\n0,1.0,0.5\n")
+    before = {name: (tmp_path / name).read_bytes() for name in inputs}
+    res = run_cli(*(arg.format(d=tmp_path) for arg in command))
+    assert res.returncode == 2
+    assert res.stderr == f"error: {message.format(d=tmp_path)}\n"
+    assert {name: (tmp_path / name).read_bytes() for name in inputs} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "sub", "tri.txt"]
+
+
+@pytest.mark.parametrize("regime", [(), ("--regime",)])
+@pytest.mark.parametrize("pattern", ["triangle", "cycle:4"])
+def test_bound_point_equals_its_sweep_row(tmp_path, pattern, regime):
+    # at n = 100 each p lies in one regime for both patterns (cutoff 0.5; thresholds
+    # 100^-1/2 for the triangle and 100^-2/3 for cycle:4)
+    points = {"0.8": "dense", "0.3": "sparse-mid", "0.01": "sparse-low"}
+    common = ("bound", "--pattern", pattern, "--weights", "exp:1", *regime)
+    out = tmp_path / "grid.csv"
+    res = run_cli(*common, "--sweep-n", "100", "--sweep-p", ",".join(points), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    lines = out.read_text().splitlines()[2:]  # the header, then one row per p
+    rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+    assert [(row["n"], row["p"]) for row in rows] == [("100", p) for p in points]
+    for row, (p, regime_name) in zip(rows, points.items()):
+        res = run_cli(*common, "--n", "100", "--p", p)
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)["report"]
+        assert report["regime"] == regime_name
+        for key in ("rate_term", "moment_ratio", "bound_value"):
+            assert repr(report[key]) == row[key] and float(row[key]) == report[key]
+        assert (report["regime"] or "") == row["regime"]
+        assert report["family"] == row["family"]
+
+
+@pytest.mark.parametrize("command, header", [
+    (("simulate", "--pattern", "triangle", "--weights", "unif:1", "--n", "6", "--p", "0.5",
+      "--reps", "10"), "replicate,raw_w,normalized"),
+    (("rate-sweep", "--pattern", "triangle", "--weights", "unif:1", "--sweep-n", "6,8",
+      "--p", "0.5", "--reps", "10"), "n,p,d_w,rate_term,ratio"),
+    (("bound", "--pattern", "triangle", "--weights", "unif:1", "--sweep-n", "10,20",
+      "--sweep-p", "0.2,0.5"), "n,p,rate_term,moment_ratio,bound_value,regime,family"),
+])
+def test_csv_header_contract(tmp_path, command, header):
+    out = tmp_path / "out.csv"
+    res = run_cli(*command, "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    lines = out.read_text().splitlines()
+    assert lines[0] == "# format_version: 1"
+    assert lines[1].startswith("# config: ")
+    assert json.loads(lines[1][len("# config: "):])["subcommand"] == command[0]
+    assert lines[2] == header
