@@ -19,15 +19,12 @@ from .errors import (
     WeightModelError,
 )
 from .graph_stats import (
-    HostSample,
     SampleBatch,
     asymptotic_variance,
-    combined_weight,
     exact_mean,
     exact_variance,
     intersection_pair_census,
     normalized_samples,
-    sample_host,
 )
 from .patterns import (
     PatternGraph,
@@ -36,13 +33,12 @@ from .patterns import (
     beta,
     copies_in_complete,
     edge_subgraph_profiles,
-    enumerate_copies,
     is_balanced,
     max_variance_term,
     min_subgraph_term,
     named_pattern,
     parse_pattern,
 )
-from .weights import Constant, Exponential, Moments, TwoPoint, Uniform, WeightModel, moment_ratio, parse_weight_model
+from .weights import Constant, Exponential, TwoPoint, Uniform, WeightModel, moment_ratio, parse_weight_model
 
 __version__ = "0.1.0"

@@ -315,15 +315,6 @@ def _local_cells(grid: GridSpec, u: np.ndarray, scratch: np.ndarray, loc: np.nda
     np.clip(loc, 0, grid.cells - 1, out=loc)
 
 
-def path_cells(grid: GridSpec, u: np.ndarray) -> np.ndarray:
-    """Global cell index hit by each block coordinate 2k + 1 + u_k."""
-    u = np.asarray(u, dtype=float)
-    rows = _path_matrix(grid, u).reshape(-1, grid.blocks)
-    loc = np.empty((grid.blocks, rows.shape[0]), dtype=np.int64)
-    _local_cells(grid, rows, np.empty_like(rows), loc)
-    return (loc.T + np.arange(grid.blocks, dtype=np.int64) * grid.cells).reshape(u.shape)
-
-
 # (block combination, [(target, table)]): the target of a table is a column
 # block or None.
 _BlockTables = list[tuple[tuple[int, ...], list[tuple[object, np.ndarray]]]]
@@ -387,6 +378,8 @@ def _fold(tables: _BlockTables, cells: int) -> _GatherTables:
     opened = []  # (blocks, target, [(combination, table)]) per home, in opening order
     homes: dict = {}  # target -> its homes, in opening order
     for combo, parts in tables:
+        if cells == 1:  # every code is 0, so a home needs no block axes
+            combo = ()
         for target, table in parts:
             row_bytes = table.nbytes // table.shape[-1]
             for blocks, _, held in homes.setdefault(target, []):
@@ -538,10 +531,10 @@ def _to_paths(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def random_paths(seed: int, n_paths: int, blocks: int, first: int = 0) -> np.ndarray:
+def random_paths(seed: int, n_paths: int, blocks: int) -> np.ndarray:
     """Rows of path uniforms in [-1, 1), position-stable in the seed's stream
     (_to_paths maps a uniform of 0.0 to -1)."""
-    return _to_paths(rng.uniform_matrix(seed, n_paths, blocks, first_row=first))
+    return _to_paths(rng.uniform_matrix(seed, n_paths, blocks))
 
 
 # -- kernel families ---------------------------------------------------------
@@ -665,7 +658,8 @@ def derivative_values_many(family: KernelFamily, u: np.ndarray) -> tuple[np.ndar
     Entry (p, t) of the derivative is sum over orders j of
     j * I_{j-1}(kernel_j(t, .)) at path p; the inverse-OU one has coefficient
     1 in place of j.  Requires a block-centered family, for which the
-    correction term of the derivative vanishes.
+    correction term of the derivative vanishes.  The tests and the benchmark
+    call it; ``stein_bound_terms`` gathers its own tables.
     """
     if not family.is_block_centered:
         raise ChaosError("derivative needs a block-centered family; apply block_center first")

@@ -25,11 +25,10 @@ from .bounds import DEFAULT_CUTOFF, regime_bound, wasserstein_bound, rate_term
 from .distance import wasserstein1_to_normal
 from .errors import ChaosError, DegenerateConfigError, PatternError, ResourceLimitError
 from .graph_stats import (
-    HostSample,
     check_sample_config,
-    combined_weight,
     intersection_pair_census,
     normalized_samples,
+    retained_weights,
     sampler_layout,
 )
 from .patterns import PatternGraph, named_pattern, parse_pattern
@@ -326,16 +325,12 @@ def _chaos_checks(seed: int, grid_spec: tuple[int, int], n_paths: int, corrupt: 
     dev = abs(chaos.second_moment_product_route(fam) - fam.second_moment())
     record("second_moment_dual_route", dev, chaos.EXACT_TOL * (1.0 + fam.second_moment()))
 
-    # graph-weight identity (triangle in the smallest host, aligned constant weights)
-    tri = named_pattern("triangle")
+    # graph-weight identity: K_3's one triangle weighs its edges when all 3 are present
     model = Constant(1.0)
-    gfam = graph_chaos.graph_weight_family(tri, 3, 0.5, model, cells=2)
+    gfam = graph_chaos.graph_weight_family(named_pattern("triangle"), 3, 0.5, model, cells=2)
     u3 = chaos.random_paths(sub[5], min(n_paths, 500), 3)
-    w = np.array([
-        combined_weight(tri, HostSample(n=3, p=0.5, model=model, seed=0, replicate=0,
-                                        uniforms=graph_chaos.path_host_uniforms(row)))
-        for row in u3
-    ])
+    present, weights = retained_weights(graph_chaos.path_host_uniforms(u3), 0.5, model)
+    w = np.where(present.all(axis=1), weights.sum(axis=1), 0.0)
     dev = float(np.max(np.abs(w - gfam.eval_many(u3))))
     record("graph_weight_identity", dev, chaos.PATHWISE_TOL)
 

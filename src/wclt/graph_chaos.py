@@ -20,9 +20,9 @@ from itertools import permutations
 import numpy as np
 
 from .chaos import MAX_DENSE_ELEMENTS, GridSpec, Kernel, KernelFamily
-from .errors import AlignmentError, ResourceLimitError
-from .graph_stats import _edge_index, exact_mean
-from .patterns import PatternGraph, enumerate_copies
+from .errors import AlignmentError, PatternError, ResourceLimitError
+from .graph_stats import exact_mean
+from .patterns import PatternGraph, _normalize_edge, complete_graph_edges
 from .weights import TwoPoint, WeightModel
 
 
@@ -76,9 +76,14 @@ def local_weight_kernel(model: WeightModel, p: float, cells: int,
 
 @lru_cache(maxsize=None)
 def _copies_in_kn(pattern: PatternGraph, n: int) -> tuple[tuple[int, ...], ...]:
-    """Copies of the pattern in the complete host, as tuples of edge indices."""
-    index = _edge_index(n)
-    return tuple(tuple(index[e] for e in copy) for copy in enumerate_copies(pattern, index))
+    """Copies of the pattern in the complete host, as sorted tuples of edge indices:
+    the distinct edge sets of the injective maps of its vertices into the host's."""
+    if pattern.has_isolated_vertices:  # an edge set does not say where such a vertex went
+        raise PatternError("copy enumeration requires a pattern without isolated vertices")
+    index = {e: i for i, e in enumerate(complete_graph_edges(n))}
+    return tuple(sorted({
+        tuple(sorted(index[_normalize_edge(phi[u], phi[v])] for u, v in pattern.edges))
+        for phi in permutations(range(n), pattern.num_vertices)}))
 
 
 def _completion_counts(copies, n_blocks: int, e_g: int, k: int) -> np.ndarray:
@@ -169,12 +174,12 @@ def local_kernel_rates(model: WeightModel, p: float, pattern_edges: int,
     rate1: p^{2 e_G - k} (1-p)^{k-1} (Var[X] + (1-p) E[X]^2)
     rate2: p^{4 e_G - 3k + l} (1-p)^{k+l-2} (E[(X-E[X])^4] + (1-p)^2 E[X]^4)
     """
-    m = model.moments()
     e_g = pattern_edges
-    rate1 = p ** (2 * e_g - k) * (1.0 - p) ** (k - 1) * (m.variance + (1.0 - p) * m.mean**2)
+    mean = model.mean
+    rate1 = p ** (2 * e_g - k) * (1.0 - p) ** (k - 1) * (model.variance + (1.0 - p) * mean**2)
     rate2 = (
         p ** (4 * e_g - 3 * k + l)
         * (1.0 - p) ** (k + l - 2)
-        * (m.fourth_central + (1.0 - p) ** 2 * m.mean**4)
+        * (model.fourth_central + (1.0 - p) ** 2 * mean**4)
     )
     return rate1, rate2

@@ -39,11 +39,6 @@ from .weights import WeightModel
 Edge = tuple[int, int]
 
 
-@lru_cache(maxsize=None)
-def _edge_index(n: int) -> dict[Edge, int]:
-    return {e: i for i, e in enumerate(complete_graph_edges(n))}
-
-
 def retained_weights(uniforms: np.ndarray, p: float, model: WeightModel,
                      out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The mask u < p and the weights quantile(u / p) where u < p, else 0.
@@ -69,7 +64,10 @@ def retained_weights(uniforms: np.ndarray, p: float, model: WeightModel,
 
 @dataclass(frozen=True)
 class HostSample:
-    """One realization of the weighted random graph, determined by its uniforms."""
+    """One realization of the weighted random graph, determined by its uniforms.
+
+    With ``sample_host`` and ``combined_weight``, the copy-search oracle of the
+    tests and the benchmark checks: no library path calls them."""
 
     n: int
     p: float
@@ -152,11 +150,10 @@ def combined_weight(pattern: PatternGraph, host: HostSample) -> float:
     present = host.present_edges()
     if len(present) < pattern.num_edges:
         return 0.0
-    weights = host.edge_weights()
-    index = _edge_index(host.n)
+    weight = dict(zip(complete_graph_edges(host.n), host.edge_weights()))
     total = 0.0
     for copy in enumerate_copies(pattern, present):
-        total += sum(weights[index[e]] for e in copy)
+        total += sum(weight[e] for e in copy)
     return total
 
 
@@ -202,11 +199,11 @@ def exact_variance(pattern: PatternGraph, n: int, p: float, model: WeightModel) 
     independent.
     """
     _check_np(pattern, n, p)
-    m = model.moments()
+    variance, mean = model.variance, model.mean
     e_g = pattern.num_edges
     total = 0.0
     for h, count in intersection_pair_census(pattern, n).items():
-        total += count * p ** (2 * e_g - h) * (h * m.variance + e_g**2 * (1.0 - p**h) * m.mean**2)
+        total += count * p ** (2 * e_g - h) * (h * variance + e_g**2 * (1.0 - p**h) * mean**2)
     return total
 
 
@@ -224,13 +221,12 @@ def asymptotic_variance(pattern: PatternGraph, n: int, p: float, model: WeightMo
     largest variance term, with constants depending on the pattern only.
     """
     _check_np(pattern, n, p)
-    m = model.moments()
     v_g, e_g = pattern.num_vertices, pattern.num_edges
     overlaps = sum(
         prof.multiplicity * math.perm(n, 2 * v_g - prof.v_h) * p ** (2 * e_g - prof.e_h)
         for prof in edge_subgraph_profiles(pattern)
     )
-    return (m.variance + (1.0 - p) * m.mean**2) * overlaps
+    return (model.variance + (1.0 - p) * model.mean**2) * overlaps
 
 
 # Bytes in one dense (chunk, n, n) array of the sampler, and in one per-block

@@ -21,7 +21,7 @@ from .errors import DegenerateConfigError, PatternError, ResourceLimitError
 # counts, copy counts, the pair census and the sampler plan, is refused.
 MAX_PATTERN_VERTICES = 10
 MAX_PROFILE_EDGES = 20
-MAX_HOST_VERTICES = 64
+MAX_HOST_VERTICES = 64  # host cap of the copy search, an oracle that no library path calls
 
 Edge = tuple[int, int]
 
@@ -361,6 +361,8 @@ def enumerate_copies(pattern: PatternGraph, host_edges) -> list[tuple[Edge, ...]
 
     Copies are non-induced: the host may contain extra edges among the copy's
     vertices.  Output is deterministic (sorted edge tuples, sorted list).
+    The copy search is the oracle of the tests and the benchmark checks; no
+    library path calls it.
     """
     if pattern.has_isolated_vertices:
         raise PatternError("copy enumeration requires a pattern without isolated vertices")

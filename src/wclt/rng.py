@@ -39,13 +39,6 @@ def uniform_stream(seed: int, start: int) -> np.random.Generator:
     return gen
 
 
-def uniform_slice(seed: int, start: int, count: int) -> np.ndarray:
-    """Values [start, start + count) of the uniform stream keyed by ``seed``."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return uniform_stream(seed, start).random(count)
-
-
 def uniform_matrix(seed: int, rows: int, cols: int, first_row: int = 0, *,
                    stream: np.random.Generator | None = None,
                    out: np.ndarray | None = None) -> np.ndarray:

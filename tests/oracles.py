@@ -13,7 +13,7 @@ import numpy as np
 from scipy import special
 
 from wclt import chaos, rng
-from wclt.chaos import Kernel, KernelFamily, family_from_kernels, path_cells, random_paths
+from wclt.chaos import Kernel, KernelFamily, family_from_kernels, random_paths
 from wclt.errors import ChaosError
 from wclt.graph_stats import HostSample
 from wclt.patterns import complete_graph_edges, enumerate_copies
@@ -37,6 +37,17 @@ def _complete_host_copies(pattern, n: int) -> np.ndarray:
     index = {e: i for i, e in enumerate(edges)}
     return np.array([[index[e] for e in copy] for copy in enumerate_copies(pattern, edges)],
                     dtype=np.int64)
+
+
+def path_cells(grid, u: np.ndarray) -> np.ndarray:
+    """Global cell index hit by each block coordinate 2k + 1 + u_k.
+
+    Block k's cells cut [2k, 2k + 2) into M intervals of width 2 / M, and
+    u_k = 1 lies in the last of them.
+    """
+    u = np.asarray(u, dtype=float)
+    local = np.minimum(np.floor((u + 1.0) * grid.cells / 2.0), grid.cells - 1).astype(np.int64)
+    return local + np.arange(grid.blocks, dtype=np.int64) * grid.cells
 
 
 def masked_weights(u: np.ndarray, p: float, model) -> np.ndarray:

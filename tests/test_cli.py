@@ -439,6 +439,16 @@ class TestChaosVerifyCommand:
         assert res.returncode == 0
         assert json.loads(out.read_text())["passed"] is True
 
+    @pytest.mark.parametrize("grid", ["65,1", "256,1"])
+    def test_one_cell_grid_past_64_blocks_passes(self, grid):
+        # one cell per block: every code is 0, so no gather table has more axes
+        # than numpy's 64, and grids up to the 256-cell cap run
+        res = run_cli("chaos-verify", "--seed", "3", "--paths", "50", "--grid", grid)
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        assert payload["passed"] is True
+        assert all(c["passed"] for c in payload["checks"])
+
     def test_reproducible(self):
         a = run_cli("chaos-verify", "--seed", "3", "--paths", "300").stdout
         b = run_cli("chaos-verify", "--seed", "3", "--paths", "300").stdout

@@ -74,7 +74,7 @@ class TestNormalPlumbing:
     @pytest.mark.parametrize("size", [0, 1, distance._MAP_SLICE - 1, distance._MAP_SLICE,
                                       distance._MAP_SLICE + 1])
     def test_sliced_map_matches_whole_array_map(self, size):
-        x = rng.uniform_slice(80, 0, 2 * size).reshape(size, 2)
+        x = rng.uniform_stream(80, 0).random(2 * size).reshape(size, 2)
         for fn in (math.erfc, distance._inv_cdf):
             for arr in (x[:, 0].copy(), x):  # 1-D, and 2-D input
                 whole = np.fromiter(map(fn, arr.ravel().tolist()), float, arr.size)

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from wclt import graph_chaos
-from wclt.chaos import PATHWISE_TOL, Kernel, block_center, random_paths
-from wclt.errors import AlignmentError, ResourceLimitError
+from wclt.chaos import (
+    MAX_DENSE_ELEMENTS,
+    MAX_GRID_SIZE,
+    PATHWISE_TOL,
+    Kernel,
+    block_center,
+    random_paths,
+)
+from wclt.errors import AlignmentError, PatternError, ResourceLimitError
 from wclt.graph_chaos import (
     _completion_counts,
     _copies_in_kn,
@@ -19,7 +26,13 @@ from wclt.graph_chaos import (
     path_host_uniforms,
 )
 from wclt.graph_stats import HostSample, combined_weight, exact_mean, exact_variance
-from wclt.patterns import named_pattern
+from wclt.patterns import (
+    PatternGraph,
+    complete_graph_edges,
+    copies_in_complete,
+    enumerate_copies,
+    named_pattern,
+)
 from wclt.weights import Constant, TwoPoint, Uniform
 
 TRIANGLE = named_pattern("triangle")
@@ -130,6 +143,39 @@ class TestGraphFamily:
             dense = np.multiply.outer(counts, local).transpose(interleaved)
             centered = block_center(Kernel(fam.grid, k, dense.reshape((fam.grid.size,) * k)))
             assert np.array_equal(kern.values, centered.values)
+
+
+def largest_family_host(pattern) -> int:
+    """Largest n whose family passes the grid and dense-array caps at 2 cells
+    per block, the fewest that align a retention window (0, 2p) with p < 1:
+    16 for up to 3 edges, 8 for cycle:4, 4 for complete:4."""
+    n = pattern.num_vertices
+    while ((size := (n + 1) * n) <= MAX_GRID_SIZE
+           and size**pattern.num_edges <= MAX_DENSE_ELEMENTS):
+        n += 1
+    return n
+
+
+class TestCopyList:
+    @pytest.mark.parametrize("pattern", [
+        *map(named_pattern, ["triangle", "path:3", "star:3", "cycle:4", "path:4", "complete:4"]),
+        PatternGraph(4, ((0, 1), (2, 3))),  # two disjoint edges
+    ], ids=str)
+    def test_copies_match_the_copy_search(self, pattern):
+        # the family lists copies from injective maps; the copy search is the oracle
+        for n in (pattern.num_vertices, largest_family_host(pattern)):
+            edges = complete_graph_edges(n)
+            index = {e: i for i, e in enumerate(edges)}
+            oracle = [tuple(index[e] for e in copy) for copy in enumerate_copies(pattern, edges)]
+            copies = _copies_in_kn(pattern, n)
+            assert list(copies) == oracle
+            assert len(copies) == copies_in_complete(pattern, n)
+
+    def test_isolated_vertex_refused(self):
+        # a triangle plus an isolated vertex: refused before any array is built
+        pattern = PatternGraph(4, ((0, 1), (1, 2), (0, 2)))
+        with pytest.raises(PatternError, match="without isolated vertices"):
+            graph_weight_family(pattern, 4, 0.5, Constant(1.0), cells=2)
 
 
 class TestLocalKernels:

@@ -295,10 +295,9 @@ class TestExactMoments:
         pattern = named_pattern(name)
         v_g, e_g = pattern.num_vertices, pattern.num_edges
         model = Uniform(1.0)
-        m = model.moments()
         for n in (2 * v_g, 2 * v_g + 3, 20):
             for p in (0.1, 0.5, 0.9):
-                factor = m.variance + (1.0 - p) * m.mean**2
+                factor = model.variance + (1.0 - p) * model.mean**2
                 value = asymptotic_variance(pattern, n, p, model) / factor
                 lower = max(
                     math.prod(range(n - (2 * v_g - prof.v_h) + 1, n + 1)) * p ** (2 * e_g - prof.e_h)

@@ -4,12 +4,27 @@ The tracer looks up every traced library name with ``getattr``, so a renamed
 or deleted function breaks a traced benchmark run; this catches it here.
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 
-LAUNCH = os.path.join(os.path.dirname(__file__), "..", "perfbench", "launch.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+LAUNCH = os.path.join(PERFBENCH, "launch.py")
+
+
+def test_benchmark_pins_resolve(monkeypatch):
+    # the checks import the copy-search oracle at load and the tracer looks up
+    # each traced name with getattr, so a name that leaves the library would
+    # fail every benchmark workload; no workload runs here
+    monkeypatch.syspath_prepend(PERFBENCH)
+    checks = importlib.import_module("checks")
+    tracing = importlib.import_module("tracing")
+    for module, attr, _, _ in tracing._targets():
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    model = checks.parse_weight_model("unif:1")  # the simulate check reads moments()
+    assert (model.moments().mean, model.moments().variance) == (model.mean, model.variance)
 
 
 def test_traced_chaos_verify_runs(tmp_path):

@@ -17,7 +17,7 @@ def test_stream_read_forward_matches_fresh_slices(start):
     position = start
     for count in (1, 3, 4, 7, 0, 13):
         drawn = stream.random(count)
-        assert drawn.tobytes() == rng.uniform_slice(5, position, count).tobytes()
+        assert drawn.tobytes() == rng.uniform_stream(5, position).random(count).tobytes()
         position += count
 
 
@@ -34,8 +34,6 @@ def test_matrix_from_stream_into_buffer_matches_fresh_matrix():
 def test_negative_position_refused():
     with pytest.raises(ValueError, match="nonnegative"):
         rng.uniform_stream(1, -1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        rng.uniform_slice(1, 0, -1)
 
 
 def _record(monkeypatch, threads, total, chunk):

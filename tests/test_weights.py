@@ -25,12 +25,12 @@ ALL_MODELS = [
 
 class TestMoments:
     def test_constant(self):
-        m = Constant(2.0).moments()
+        m = Constant(2.0)
         assert (m.mean, m.variance, m.fourth_central, m.second_raw) == (2.0, 0.0, 0.0, 4.0)
         assert m.kurtosis == math.inf
 
     def test_uniform01(self):
-        m = Uniform(1.0).moments()
+        m = Uniform(1.0)
         assert m.mean == pytest.approx(0.5)
         assert m.variance == pytest.approx(1 / 12)
         assert m.fourth_central == pytest.approx(1 / 80)
@@ -39,7 +39,7 @@ class TestMoments:
 
     def test_twopoint_bernoulli(self):
         for q in (0.2, 0.5, 0.8):
-            m = TwoPoint(0.0, 1.0, q).moments()
+            m = TwoPoint(0.0, 1.0, q)
             assert m.mean == pytest.approx(q)
             assert m.variance == pytest.approx(q * (1 - q))
             assert m.fourth_central == pytest.approx(q * (1 - q) * (1 - 3 * q + 3 * q * q))
@@ -52,13 +52,13 @@ class TestMoments:
         (TwoPoint(1.0, 1.0, 0.3), math.inf),  # one atom: degenerate
     ])
     def test_twopoint_kurtosis_scale_free(self, law, kurtosis):
-        m = law.moments()
+        m = law
         assert m.kurtosis == pytest.approx(kurtosis, rel=1e-12)
         if 0.0 < m.fourth_central < math.inf:
             assert m.kurtosis == pytest.approx(m.fourth_central / m.variance**2, rel=1e-12)
 
     def test_exponential(self):
-        m = Exponential(2.0).moments()
+        m = Exponential(2.0)
         assert m.mean == pytest.approx(0.5)
         assert m.variance == pytest.approx(0.25)
         assert m.fourth_central == pytest.approx(9 / 16)
@@ -83,7 +83,7 @@ class TestMoments:
         u = rng.uniform_matrix(2024, 1, 1_000_000)[0]
         for model in ALL_MODELS:
             x = model.quantile_array(u)
-            m = model.moments()
+            m = model
             n = x.size
             mean_se = max(math.sqrt(m.variance / n), 1e-12)
             assert abs(x.mean() - m.mean) < 5 * mean_se
@@ -138,7 +138,7 @@ class TestClosedFormCentralMoments:
     ])
     def test_accepted_laws_have_moments(self, law):
         # construction accepts these, so the moments and the ratio must not raise
-        m = law.moments()
+        m = law
         assert all(math.isfinite(v) and v >= 0.0 for v in (m.mean, m.variance, m.fourth_central))
         assert math.isfinite(moment_ratio(law, 0.5))
 
