@@ -336,6 +336,15 @@ class TestDistanceCommand:
         payload = json.loads(res.stdout)
         assert payload["result"]["w1"] == pytest.approx(2 / math.sqrt(2 * math.pi), rel=1e-9)
 
+    def test_result_counts_cdf_evaluations(self, tmp_path):
+        f = tmp_path / "two.csv"
+        f.write_text("replicate,raw_w,normalized\n0,1.0,-1.0\n1,2.0,1.0\n")
+        result = json.loads(run_cli("distance", "--samples", str(f)).stdout)["result"]
+        assert set(result) == {"w1", "sample_size", "estimated_statistical_error",
+                               "cdf_evaluations"}
+        # each half decides its one piece from the cdf at its two ends, -1 and 0
+        assert result["cdf_evaluations"] == 4
+
     def test_missing_column_schema_error(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("replicate,raw\n0,1.0\n")

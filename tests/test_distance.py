@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from oracles import w1_quantile_space
-from wclt import distance, rng
+from oracles import w1_every_piece, w1_quantile_space
+from wclt import chaos, distance, graph_chaos, patterns, rng, weights
 from wclt.distance import normal_cdf, normal_pdf, normal_quantile, wasserstein1_to_normal
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -190,6 +191,85 @@ class TestQuantileSpaceOracle:
         xs = np.random.default_rng(2020).standard_normal(300_000)
         assert wasserstein1_to_normal(xs).w1 == pytest.approx(w1_quantile_space(xs),
                                                               rel=0, abs=3e-14)
+
+
+def stratified(m: int) -> np.ndarray:
+    """Normal quantiles at (i - 1/2)/m: the empirical CDF crosses the normal on every piece."""
+    return normal_quantile((np.arange(1, m + 1) - 0.5) / m)
+
+
+@lru_cache(maxsize=None)
+def unit_triangle_sample(n: int) -> np.ndarray:
+    """eval_many on 300k paths of the unit-variance triangle family on K_n.
+
+    Two-point weights 1 or 3 and p = 1/2, so the sample is a lattice (76
+    distinct values at n = 4).
+    """
+    family = graph_chaos.graph_weight_family(patterns.named_pattern("triangle"), n, 0.5,
+                                             weights.parse_weight_model("twopoint:1,3,0.5"), 4)
+    scale = math.sqrt(family.second_moment() - family.constant**2)
+    unit = chaos.KernelFamily(family.grid, 0.0, [
+        chaos.Kernel(family.grid, k.order, k.values / scale, validate=False)
+        for k in family.kernels
+    ])
+    return unit.eval_many(chaos.random_paths(42, 300_000, family.grid.blocks))
+
+
+def every_piece_evaluations(samples) -> int:
+    """Normal CDF values computed piece by piece: each end of both halves, one per crossing."""
+    xs = np.sort(np.asarray(samples, dtype=float))
+    count = 0
+    for neg in (xs[xs <= 0.0], -xs[xs >= 0.0][::-1]):
+        cdf = normal_cdf(np.append(neg, 0.0))
+        q = np.arange(1, cdf.size) / xs.size
+        count += cdf.size + int(np.count_nonzero((cdf[:-1] < q) & (cdf[1:] > q)))
+    return count
+
+
+BISECTION_SAMPLES = {
+    "m1-zero": lambda: [0.0],
+    "m1": lambda: [-2.5],
+    "m2": lambda: [-1.0, 1.0],
+    "all-tied": lambda: [0.3] * 400,
+    "rounded": lambda: np.round(rng.uniform_matrix(11, 1, 2000)[0] * 6.0 - 3.0, 1),
+    "pm30": lambda: [-30.0, 30.0],
+    "to30-tied": lambda: [-30.0, -1.0, 0.0, 0.0, 2.0, 30.0],
+    "right-of-0": lambda: [25.0, 30.0],
+    "huge": lambda: [1e200, -3.0],
+    "all-crossing-10k": lambda: stratified(10_000),
+    "normal-300k": lambda: np.random.default_rng(2020).standard_normal(300_000),
+    "gamma-300k": lambda: np.random.default_rng(2020).gamma(4.0, size=300_000) / 2.0 - 2.0,
+    "triangle-n4-lattice": lambda: unit_triangle_sample(4),
+}
+
+
+class TestBisection:
+    """The bisecting integrator against the piece-by-piece one, and its CDF count."""
+
+    @pytest.mark.parametrize("name", BISECTION_SAMPLES)
+    def test_matches_every_piece(self, name):
+        samples = BISECTION_SAMPLES[name]()
+        w1 = wasserstein1_to_normal(samples).w1
+        assert w1 == pytest.approx(w1_every_piece(samples), rel=0, abs=1e-14 * max(1.0, w1))
+
+    @pytest.mark.parametrize("xs", [
+        pytest.param(BISECTION_SAMPLES["gamma-300k"], id="gamma-300k"),
+        pytest.param(lambda: unit_triangle_sample(4), id="triangle-n4"),
+        pytest.param(lambda: unit_triangle_sample(5), id="triangle-n5"),
+    ])
+    def test_few_cdf_evaluations(self, xs):
+        xs = xs()
+        assert wasserstein1_to_normal(xs).cdf_evaluations <= xs.size / 100
+
+    def test_all_crossing_evaluations_at_most_every_piece(self):
+        xs = stratified(10_000)
+        assert wasserstein1_to_normal(xs).cdf_evaluations <= every_piece_evaluations(xs)
+
+    def test_single_point_counts(self):
+        # each half of [0] evaluates the cdf at its two ends, both 0
+        assert wasserstein1_to_normal([0.0]).cdf_evaluations == 4
+        # [-2.5]: ends -2.5 and 0 on the left; the empty right half needs the cdf at 0 only
+        assert wasserstein1_to_normal([-2.5]).cdf_evaluations == 3
 
 
 def test_runtime_loads_no_scipy():
