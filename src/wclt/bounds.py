@@ -133,7 +133,7 @@ def regime_bound(pattern: PatternGraph, n: int, p: float, model: WeightModel,
         raise UnsupportedPatternError(
             "pattern is outside the balance class; use wasserstein_bound instead"
         )
-    sqrt_m4 = math.sqrt(model.fourth_raw)
+    sqrt_m4 = math.sqrt(model.raw_moment(4))
     if regime == "dense":
         if model.variance <= 0.0:
             raise DegenerateConfigError("dense-regime bound divides by Var[X] = 0")
@@ -141,11 +141,11 @@ def regime_bound(pattern: PatternGraph, n: int, p: float, model: WeightModel,
         ratio = sqrt_m4 / model.variance
     elif regime == "sparse-mid":
         rate = 1.0 / (n * math.sqrt(p))
-        ratio = sqrt_m4 / model.second_raw
+        ratio = sqrt_m4 / model.raw_moment(2)
     else:
         v_g, e_g = pattern.num_vertices, pattern.num_edges
         rate = _rate_exp(-0.5 * (v_g * math.log(n) + e_g * math.log(p)), n, p)
-        ratio = sqrt_m4 / model.second_raw
+        ratio = sqrt_m4 / model.raw_moment(2)
     return BoundReport(
         rate_term=rate,
         moment_ratio=ratio,

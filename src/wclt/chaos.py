@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 import string
 from collections import Counter
-from dataclasses import asdict, dataclass
-from functools import lru_cache
+from dataclasses import KW_ONLY, InitVar, asdict, dataclass, field
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -74,48 +74,48 @@ def _off_diagonal_mask(blocks: int, cells: int, order: int) -> np.ndarray:
     return mask
 
 
+@dataclass(frozen=True, eq=False)
 class Kernel:
     """Symmetric piecewise-constant kernel supported off the block diagonal."""
 
-    __slots__ = ("grid", "order", "values", "_marginals", "_centered")
+    grid: GridSpec
+    order: int
+    values: np.ndarray = field(repr=False)
+    _: KW_ONLY
+    validate: InitVar[bool] = True
+    _marginals: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __init__(self, grid: GridSpec, order: int, values, *, validate: bool = True):
+    def __post_init__(self, validate: bool) -> None:
+        order = self.order
         if order < 0:
             raise ChaosError("kernel order must be nonnegative")
-        values = np.asarray(values, dtype=float)
-        expected = (grid.size,) * order
+        values = np.asarray(self.values, dtype=float)
+        expected = (self.grid.size,) * order
         if values.shape != expected:
             raise ChaosError(f"kernel of order {order} needs shape {expected}, got {values.shape}")
-        if validate and order >= 2:
+        if validate:
+            # a NaN propagates through the max, where it would fail every comparison below
             scale = float(np.max(np.abs(values))) if values.size else 0.0
+            if not math.isfinite(scale):
+                raise ChaosError("kernel values must be finite")
+        if validate and order >= 2:
             tol = EXACT_TOL * (1.0 + scale)
             for i in range(order - 1):
                 swapped = np.swapaxes(values, i, order - 1)
                 if np.max(np.abs(values - swapped)) > tol:
                     raise ChaosError("kernel values are not symmetric")
-            off = _off_diagonal_mask(grid.blocks, grid.cells, order)
+            off = _off_diagonal_mask(self.grid.blocks, self.grid.cells, order)
             if np.max(np.abs(values[~off])) > tol:
                 raise ChaosError("kernel has mass on the block diagonal")
         values = values.copy()
         values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "order", order)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_marginals", {})
-        object.__setattr__(self, "_centered", None)
-
-    def __setattr__(self, name, value):  # immutable after construction
-        raise AttributeError("Kernel is immutable")
 
     # -- structural flags ------------------------------------------------
 
-    @property
+    @cached_property
     def is_block_centered(self) -> bool:
-        cached = self._centered
-        if cached is None:
-            cached = is_block_centered(self)
-            object.__setattr__(self, "_centered", cached)
-        return cached
+        return is_block_centered(self)
 
     # -- exact integrals ---------------------------------------------------
 
@@ -540,28 +540,23 @@ def random_paths(seed: int, n_paths: int, blocks: int) -> np.ndarray:
 # -- kernel families ---------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class KernelFamily:
     """A constant plus kernels of orders 1..N, representing their integral sum."""
 
-    __slots__ = ("grid", "constant", "kernels")
+    grid: GridSpec
+    constant: float
+    kernels: tuple[Kernel, ...]
 
-    def __init__(self, grid: GridSpec, constant: float, kernels):
-        kernels = tuple(kernels)
+    def __post_init__(self) -> None:
+        kernels = tuple(self.kernels)
         for i, kern in enumerate(kernels):
             if kern.order != i + 1:
                 raise ChaosError(f"kernel at slot {i} must have order {i + 1}")
-            if kern.grid != grid:
+            if kern.grid != self.grid:
                 raise ChaosError("family kernels must share one grid")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "constant", float(constant))
+        object.__setattr__(self, "constant", float(self.constant))
         object.__setattr__(self, "kernels", kernels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KernelFamily is immutable")
-
-    @property
-    def max_order(self) -> int:
-        return len(self.kernels)
 
     @property
     def is_block_centered(self) -> bool:

@@ -335,7 +335,7 @@ def _chaos_checks(seed: int, grid_spec: tuple[int, int], n_paths: int, corrupt: 
     record("graph_weight_identity", dev, chaos.PATHWISE_TOL)
 
     # Monte Carlo isometry in standard-error units
-    prod = chaos.integral_eval_many(f2, u) * chaos.integral_eval_many(f2, u)
+    prod = np.square(chaos.integral_eval_many(f2, u))
     target = 2.0 * f2.half_norm_sq()
     se = float(np.std(prod, ddof=1)) / math.sqrt(n_paths)
     dev = abs(float(np.mean(prod)) - target) / max(se, 1e-30)

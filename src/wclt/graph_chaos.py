@@ -22,12 +22,13 @@ import numpy as np
 from .chaos import MAX_DENSE_ELEMENTS, GridSpec, Kernel, KernelFamily
 from .errors import AlignmentError, PatternError, ResourceLimitError
 from .graph_stats import exact_mean
-from .patterns import PatternGraph, _normalize_edge, complete_graph_edges
+from .patterns import PatternGraph, _check_np, _normalize_edge, check_p, complete_graph_edges
 from .weights import TwoPoint, WeightModel
 
 
 def _support_cells(model: WeightModel, p: float, cells: int) -> int:
     """Number of cells covered by the retention window (0, 2p); must be exact."""
+    check_p(p)
     s = p * cells
     s_int = round(s)
     if abs(s - s_int) > 1e-9 or s_int < 1:
@@ -110,6 +111,7 @@ def graph_weight_family(pattern: PatternGraph, n: int, p: float, model: WeightMo
     centering the factor centers the product.  The constant term is the
     exact mean.
     """
+    _check_np(pattern, n, p)
     e_g = pattern.num_edges
     n_blocks = n * (n - 1) // 2
     grid = GridSpec(n_blocks, cells)
@@ -174,6 +176,7 @@ def local_kernel_rates(model: WeightModel, p: float, pattern_edges: int,
     rate1: p^{2 e_G - k} (1-p)^{k-1} (Var[X] + (1-p) E[X]^2)
     rate2: p^{4 e_G - 3k + l} (1-p)^{k+l-2} (E[(X-E[X])^4] + (1-p)^2 E[X]^4)
     """
+    check_p(p)
     e_g = pattern_edges
     mean = model.mean
     rate1 = p ** (2 * e_g - k) * (1.0 - p) ** (k - 1) * (model.variance + (1.0 - p) * mean**2)

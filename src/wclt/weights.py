@@ -1,6 +1,6 @@
 """Nonnegative edge-weight laws with closed-form moments and quantile functions.
 
-All sampling is inverse-transform: a weight is always quantile(u) of a
+All sampling is inverse-transform: a weight is always the quantile of a
 supplied uniform, which lets the graph sampler and the chaos kernels share
 one coupling exactly.
 """
@@ -18,49 +18,41 @@ from .patterns import check_p
 
 
 class WeightModel:
-    """Base class; concrete laws implement the raw and central moments and the quantile."""
+    """Base of the frozen-dataclass laws: each states E[X^k], the variance and the
+    fourth central moment in closed form, and the quantile function."""
+
+    def __post_init__(self) -> None:
+        _check_finite(self)
+        self._check()
+        _check_moments(self)
+
+    def _check(self) -> None:
+        """The law's own parameter rule; a law may normalize its fields here."""
 
     def raw_moment(self, k: int) -> float:
         """E[X^k] in closed form."""
         raise NotImplementedError
-
-    def central_moment(self, k: int) -> float:
-        """E[(X - E[X])^k] in closed form for k = 2 and 4: no raw moments cancel."""
-        raise NotImplementedError
-
-    kurtosis = math.inf  # E[(X - E[X])^4] / Var[X]^2, per law in closed form free of scale
 
     @property
     def mean(self) -> float:
         return self.raw_moment(1)
 
     @property
-    def second_raw(self) -> float:
-        return self.raw_moment(2)
-
-    @property
-    def fourth_raw(self) -> float:
-        return self.raw_moment(4)
-
-    @property
     def variance(self) -> float:
-        return self.central_moment(2)
+        """E[(X - E[X])^2] in closed form: no raw moments cancel."""
+        raise NotImplementedError
 
     @property
     def fourth_central(self) -> float:
-        return self.central_moment(4)
+        """E[(X - E[X])^4] in closed form."""
+        raise NotImplementedError
 
     def moments(self) -> WeightModel:
         """The law itself, whose properties are its moments: the benchmark checks call this."""
         return self
 
-    def quantile(self, u: float) -> float:
-        """Generalized inverse of the CDF, left-continuous convention."""
-        if not (0.0 <= u < 1.0):
-            raise WeightModelError(f"quantile argument must lie in [0, 1), got {u}")
-        return float(self.quantile_array(np.array(u)))
-
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
+        """Generalized inverse of the CDF, left-continuous convention, at each u in [0, 1)."""
         raise NotImplementedError
 
     def quantile_mean(self, a: float, b: float) -> float:
@@ -92,17 +84,14 @@ def _check_moments(model: WeightModel) -> None:
 class Constant(WeightModel):
     value: float
 
-    def __post_init__(self) -> None:
-        _check_finite(self)
+    def _check(self) -> None:
         if self.value <= 0:
             raise WeightModelError("constant weight must be positive (zero-mean laws are rejected)")
-        _check_moments(self)
 
     def raw_moment(self, k: int) -> float:
         return self.value**k
 
-    def central_moment(self, k: int) -> float:
-        return 0.0
+    variance = fourth_central = 0.0
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(u, dtype=float), self.value)
@@ -117,19 +106,20 @@ class Uniform(WeightModel):
 
     high: float
 
-    def __post_init__(self) -> None:
-        _check_finite(self)
+    def _check(self) -> None:
         if self.high <= 0:
             raise WeightModelError("uniform upper endpoint must be positive")
-        _check_moments(self)
 
     def raw_moment(self, k: int) -> float:
         return self.high**k / (k + 1)
 
-    def central_moment(self, k: int) -> float:
-        return self.high**k / ((k + 1) * 2**k)
+    @property
+    def variance(self) -> float:
+        return self.high**2 / 12
 
-    kurtosis = 9 / 5
+    @property
+    def fourth_central(self) -> float:
+        return self.high**4 / 80
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         return self.high * np.asarray(u, dtype=float)
@@ -142,19 +132,20 @@ class Uniform(WeightModel):
 class Exponential(WeightModel):
     rate: float
 
-    def __post_init__(self) -> None:
-        _check_finite(self)
+    def _check(self) -> None:
         if self.rate <= 0:
             raise WeightModelError("exponential rate must be positive")
-        _check_moments(self)
 
     def raw_moment(self, k: int) -> float:
         return math.factorial(k) / self.rate**k
 
-    def central_moment(self, k: int) -> float:
-        return {2: 1.0, 4: 9.0}[k] / self.rate**k
+    @property
+    def variance(self) -> float:
+        return 1.0 / self.rate**2
 
-    kurtosis = 9.0
+    @property
+    def fourth_central(self) -> float:
+        return 9.0 / self.rate**4
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         # -log1p(-u) / rate in one array: a / -b is -a / b exactly
@@ -181,8 +172,7 @@ class TwoPoint(WeightModel):
     high_value: float
     prob_high: float
 
-    def __post_init__(self) -> None:
-        _check_finite(self)
+    def _check(self) -> None:
         if self.low_value < 0 or self.high_value < 0:
             raise WeightModelError("two-point atoms must be nonnegative")
         if not (0.0 < self.prob_high < 1.0):
@@ -195,7 +185,6 @@ class TwoPoint(WeightModel):
             object.__setattr__(self, "prob_high", q)
         if self.low_value == 0 and self.high_value == 0:
             raise WeightModelError("two-point law must have positive mean")
-        _check_moments(self)
 
     @property
     def _prob_low(self) -> float:
@@ -204,16 +193,17 @@ class TwoPoint(WeightModel):
     def raw_moment(self, k: int) -> float:
         return self._prob_low * self.low_value**k + self.prob_high * self.high_value**k
 
-    def central_moment(self, k: int) -> float:
-        # X - E[X] is (1 - q) d with probability q and -q d otherwise
+    @property
+    def variance(self) -> float:
+        # X - E[X] is (1 - q) d with probability q and -q d otherwise; the factor
+        # (1 - q) + q is not always 1.0 in floats, and dropping it moves the variance
         q, d = self.prob_high, self.high_value - self.low_value
-        return q * self._prob_low * d**k * (self._prob_low ** (k - 1) + q ** (k - 1))
+        return q * (1 - q) * d**2 * ((1 - q) + q)
 
     @property
-    def kurtosis(self) -> float:
-        # ((1 - q)^3 + q^3) / (q (1 - q)), and (1 - q)^3 + q^3 = 1 - 3 q (1 - q)
-        q = self.prob_high
-        return 1.0 / (q * self._prob_low) - 3.0 if self.low_value < self.high_value else math.inf
+    def fourth_central(self) -> float:
+        q, d = self.prob_high, self.high_value - self.low_value
+        return q * (1 - q) * d**4 * ((1 - q)**3 + q**3)
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)

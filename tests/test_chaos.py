@@ -107,6 +107,18 @@ class TestKernelBasics:
         with pytest.raises(ChaosError):
             Kernel(grid, 2, raw)
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_validation_rejects_non_finite(self, order, bad):
+        # every comparison with NaN is false, so a symmetric off-diagonal NaN pair
+        # passed the symmetry and diagonal checks; an unchecked kernel is kept as is
+        raw = np.zeros((2,) * order)
+        raw[(0, 1)[:order]] = raw[(1, 0)[:order]] = bad
+        with pytest.raises(ChaosError, match="kernel values must be finite"):
+            Kernel(GridSpec(2, 1), order, raw)
+        assert np.array_equal(Kernel(GridSpec(2, 1), order, raw, validate=False).values, raw,
+                              equal_nan=True)
+
     def test_cached_marginals_are_read_only(self):
         # every later integral reads the cached marginals, so an in-place edit
         # of one would silently change them
@@ -966,5 +978,5 @@ class TestFamilyValidation:
     def test_family_from_kernels_pads(self):
         grid = GridSpec(3, 2)
         fam = family_from_kernels([random_kernel(grid, 2, seed=1400)])
-        assert fam.max_order == 2
+        assert len(fam.kernels) == 2
         assert np.all(fam.kernels[0].values == 0)

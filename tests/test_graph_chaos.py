@@ -1,6 +1,7 @@
 """Graph-weight chaos families: pathwise identity, alignment, local-kernel rates."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from wclt.graph_chaos import (
 from wclt.graph_stats import HostSample, combined_weight, exact_mean, exact_variance
 from wclt.patterns import (
     PatternGraph,
+    _check_np,
+    check_p,
     complete_graph_edges,
     copies_in_complete,
     enumerate_copies,
@@ -113,6 +116,23 @@ class TestGraphFamily:
         with pytest.raises(ResourceLimitError, match="grid size capped at 256 cells"):
             graph_weight_family(TRIANGLE, 17, 0.5, Constant(1.0), cells=2)
 
+    @pytest.mark.parametrize("n, p", [(4, 1.5), (4, 1.0), (4, 0.0), (4, -0.5), (4, math.nan),
+                                      (1, 0.5), (2, 0.5), (2, 1.0)])
+    def test_host_and_p_rules_come_first(self, monkeypatch, n, p):
+        # the family refuses a bad host size or p with the rule's own error, before
+        # any grid, copy list or kernel array is built
+        with pytest.raises(ValueError) as expected:
+            _check_np(TRIANGLE, n, p)
+
+        def built(*args, **kwargs):
+            raise AssertionError("built before the host and p rules")
+
+        for name in ("GridSpec", "_copies_in_kn", "local_weight_kernel"):
+            monkeypatch.setattr(graph_chaos, name, built)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$") as got:
+            graph_weight_family(TRIANGLE, n, p, Constant(1.0), cells=2)
+        assert type(got.value) is type(expected.value)
+
     def test_cycle4_constant_pathwise(self):
         # four pattern edges on 10 blocks: an order-4 kernel on 20 cells
         pattern, model = named_pattern("cycle:4"), Constant(1.0)
@@ -186,6 +206,17 @@ class TestLocalKernels:
         lhs1, lhs2 = local_kernel_norms(center_local_kernel(g0), 0, 4)
         assert lhs1 == pytest.approx(float(g0) ** 2)
         assert lhs2 == pytest.approx(float(g0) ** 4)
+
+    @pytest.mark.parametrize("p", [1.5, 1.0, 0.0, -0.5, math.nan])
+    def test_p_rule(self, p):
+        # p = 1.5 read past the cell grid, and the rates had no p rule at all
+        with pytest.raises(ValueError) as expected:
+            check_p(p)
+        for call in (lambda: local_weight_kernel(Constant(1.0), p, 2, 3, 1),
+                     lambda: local_kernel_rates(Constant(1.0), p, 3, 1, 0)):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$") as got:
+                call()
+            assert type(got.value) is type(expected.value)
 
     def test_constant_model_closed_form(self):
         # centered local kernel integrals have the closed form
