@@ -103,6 +103,13 @@ def _csv(config: dict, header: list[str], rows) -> str:
     return buf.getvalue()
 
 
+def _config(args, **resolved) -> dict:
+    """An artifact's run configuration: the subcommand and every option it parsed but the
+    output paths, with the values the run resolved in place of their defaults."""
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out", "meta")}
+    return {"subcommand": args.command, **options, **resolved}
+
+
 def _load_pattern(spec: str) -> PatternGraph:
     if os.path.exists(spec):
         with open(spec, "r") as handle:
@@ -144,25 +151,15 @@ def _p_for(n: int, p: float | None, p_rule: str | None) -> float:
 
 
 def _cmd_bound(args) -> int:
-    if args.cutoff_c is not None and not args.regime:  # only the regime formula reads it
+    if args.cutoff_c is not None and not args.regime_formula:  # only the regime formula reads it
         raise PatternError("--cutoff-c needs --regime")
     cutoff = DEFAULT_CUTOFF if args.cutoff_c is None else args.cutoff_c
     pattern = _load_pattern(args.pattern)
     model = parse_weight_model(args.weights)
-    config = {
-        "subcommand": "bound",
-        "pattern": args.pattern,
-        "n": args.n,
-        "p": args.p,
-        "weights": args.weights,
-        "cutoff_c": cutoff,
-        "regime_formula": bool(args.regime),
-        "sweep_n": args.sweep_n,
-        "sweep_p": args.sweep_p,
-    }
+    config = _config(args, cutoff_c=cutoff)
 
     def report(n: int, p: float):
-        if args.regime:
+        if args.regime_formula:
             return regime_bound(pattern, n, p, model, cutoff=cutoff)
         return wasserstein_bound(pattern, n, p, model)
 
@@ -188,15 +185,7 @@ def _cmd_bound(args) -> int:
 def _cmd_simulate(args) -> int:
     pattern = _load_pattern(args.pattern)
     model = parse_weight_model(args.weights)
-    config = {
-        "subcommand": "simulate",
-        "pattern": args.pattern,
-        "n": args.n,
-        "p": args.p,
-        "weights": args.weights,
-        "reps": args.reps,
-        "seed": args.seed,
-    }
+    config = _config(args)
     batch = normalized_samples(pattern, args.n, args.p, model, args.reps, args.seed)
     rows = zip(range(batch.reps), map(repr, batch.raw.tolist()),
                map(repr, batch.normalized.tolist()))
@@ -204,8 +193,7 @@ def _cmd_simulate(args) -> int:
     if args.meta:
         census = intersection_pair_census(pattern, args.n)
         layout = sampler_layout(pattern, args.n)
-        sampler = {"count_dtype": layout.count_dtype.name, "chunk_rows": layout.chunk_rows,
-                   "plan_terms": layout.plan_terms}
+        sampler = {**layout._asdict(), "count_dtype": layout.count_dtype.name}
         _atomic_write(args.meta, _json(config, exact_mean=batch.exact_mean,
                                        exact_variance=batch.exact_variance,
                                        census={str(h): c for h, c in census.items()},
@@ -237,7 +225,7 @@ def _cmd_distance(args) -> int:
     if not values:
         raise PatternError(f"samples file {args.samples!r} contains no rows")
     result = wasserstein1_to_normal(values).to_dict()
-    _emit(_json({"subcommand": "distance", "samples": args.samples}, result=result), args.out)
+    _emit(_json(_config(args), result=result), args.out)
     return EXIT_OK
 
 
@@ -252,16 +240,6 @@ def _cmd_rate_sweep(args) -> int:
     for n, p in zip(n_list, p_list):  # every cap and rate term before the first sample
         check_sample_config(pattern, n, p)
         rates.append(rate_term(pattern, n, p))
-    config = {
-        "subcommand": "rate-sweep",
-        "pattern": args.pattern,
-        "weights": args.weights,
-        "sweep_n": args.sweep_n,
-        "p": args.p,
-        "p_rule": args.p_rule,
-        "reps": args.reps,
-        "seed": args.seed,
-    }
 
     def row(n: int, p: float, rate: float) -> list:
         batch = normalized_samples(pattern, n, p, model, args.reps, args.seed)
@@ -269,7 +247,7 @@ def _cmd_rate_sweep(args) -> int:
         return [n, repr(p), repr(d_w), repr(rate), repr(d_w / rate)]
 
     rows = map(row, n_list, p_list, rates)
-    _emit(_csv(config, ["n", "p", "d_w", "rate_term", "ratio"], rows), args.out)
+    _emit(_csv(_config(args), ["n", "p", "d_w", "rate_term", "ratio"], rows), args.out)
     return EXIT_OK
 
 
@@ -351,9 +329,7 @@ def _cmd_chaos_verify(args) -> int:
     blocks, cells = _parse_grid(args.grid)
     checks = _chaos_checks(args.seed, (blocks, cells), args.paths, args.corrupt)
     passed = all(c["passed"] for c in checks)
-    config = {"subcommand": "chaos-verify", "seed": args.seed, "grid": args.grid,
-              "paths": args.paths, "corrupt": bool(args.corrupt)}
-    _emit(_json(config, checks=checks, passed=passed), args.out)
+    _emit(_json(_config(args), checks=checks, passed=passed), args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -380,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--p", type=float, default=None)
     p_bound.add_argument("--cutoff-c", type=float, default=None, dest="cutoff_c",
                          help=f"with --regime: the dense-regime cutoff (default {DEFAULT_CUTOFF})")
-    p_bound.add_argument("--regime", action="store_true",
+    p_bound.add_argument("--regime", action="store_true", dest="regime_formula",
                          help="use the three-regime formula (balanced patterns only)")
     p_bound.add_argument("--sweep-n", default=None, dest="sweep_n",
                          help="with --sweep-p: emit a CSV over the (n, p) grid")

@@ -87,21 +87,6 @@ def _copies_in_kn(pattern: PatternGraph, n: int) -> tuple[tuple[int, ...], ...]:
         for phi in permutations(range(n), pattern.num_vertices)}))
 
 
-def _completion_counts(copies, n_blocks: int, e_g: int, k: int) -> np.ndarray:
-    """counts[b_1..b_k] = ordered ways to extend the k distinct edges b to a copy.
-
-    Each copy containing all k edges contributes (e_G - k)! orderings of its
-    remaining edges; tuples with repeated edges never occur (they cannot be
-    part of a copy's edge set).
-    """
-    counts = np.zeros((n_blocks,) * k)
-    remaining = math.factorial(e_g - k)
-    for copy in copies:
-        for perm in permutations(copy, k):
-            counts[perm] += remaining
-    return counts
-
-
 def graph_weight_family(pattern: PatternGraph, n: int, p: float, model: WeightModel,
                         cells: int) -> KernelFamily:
     """Chaos family of the combined pattern weight on the host with n vertices.
@@ -118,18 +103,24 @@ def graph_weight_family(pattern: PatternGraph, n: int, p: float, model: WeightMo
     if grid.size**e_g > MAX_DENSE_ELEMENTS:  # the order-e_G kernel, before any array
         raise ResourceLimitError(f"graph kernel of order {e_g} on {grid.size} cells exceeds "
                                  f"the dense-array cap of {MAX_DENSE_ELEMENTS} entries")
-    copies = _copies_in_kn(pattern, n)
+    # counts[b_1..b_k] = ordered ways to extend the k distinct edges b to a copy:
+    # 1 per ordering of a copy at k = e_G, and each order below sums the last axis
+    counts = np.zeros((n_blocks,) * e_g)
+    for copy in _copies_in_kn(pattern, n):
+        for perm in permutations(copy):
+            counts[perm] = 1.0
     kernels = []
-    for k in range(1, e_g + 1):
+    for k in range(e_g, 0, -1):
         local = center_local_kernel(local_weight_kernel(model, p, cells, e_g, k))
-        counts = _completion_counts(copies, n_blocks, e_g, k)
-        outer = np.multiply.outer(counts, local)
+        outer = counts.reshape(counts.shape + (1,) * k) * local
         # interleave (block, cell) axis pairs, then flatten to global cell indices
         axes = []
         for i in range(k):
             axes.extend([i, k + i])
         full = outer.transpose(axes).reshape((grid.size,) * k)
         kernels.append(Kernel(grid, k, full))
+        counts = counts.sum(axis=-1)
+    kernels.reverse()
     constant = exact_mean(pattern, n, p, model)
     return KernelFamily(grid, constant, kernels)
 

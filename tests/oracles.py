@@ -7,7 +7,7 @@ code path on purpose and are only fast enough for small hosts.
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 from scipy import special
@@ -38,6 +38,22 @@ def _complete_host_copies(pattern, n: int) -> np.ndarray:
     index = {e: i for i, e in enumerate(edges)}
     return np.array([[index[e] for e in copy] for copy in enumerate_copies(pattern, edges)],
                     dtype=np.int64)
+
+
+def completion_counts(copies, n_blocks: int, e_g: int, k: int) -> np.ndarray:
+    """counts[b_1..b_k] = ordered ways to extend the k distinct edges b to a copy.
+
+    Each copy containing all k edges contributes (e_G - k)! orderings of its
+    remaining edges; tuples with repeated edges never occur (they cannot be
+    part of a copy's edge set).  The graph family derives every order from the
+    top one by summing the last axis; this enumerates each order on its own.
+    """
+    counts = np.zeros((n_blocks,) * k)
+    remaining = math.factorial(e_g - k)
+    for copy in copies:
+        for perm in permutations(copy, k):
+            counts[perm] += remaining
+    return counts
 
 
 def path_cells(grid, u: np.ndarray) -> np.ndarray:

@@ -77,6 +77,13 @@ class TestClassify:
         assert classify_family(TRIANGLE) == ("cycle", 3)
         assert classify_family(EDGE) == ("tree", 1)
         assert classify_family(TRIANGLE_PENDANT) == ("general", None)
+        assert classify_family(PatternGraph(4, ((0, 1), (2, 3)))) == ("general", None)
+
+    def test_balanced_general_label(self):
+        # K4 minus an edge: (e - 1)/(v - 2) = 2, which its triangles reach and none exceeds
+        k4_minus = PatternGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))
+        assert classify_family(k4_minus) == ("general", None)
+        assert regime_bound(k4_minus, 20, 0.3, Uniform(1.0)).family == "general-balanced"
 
 
 class TestRegimeBound:
@@ -140,6 +147,16 @@ class TestRegimeBound:
         # the n and p rule of wasserstein_bound, checked before the regime threshold
         with pytest.raises(ValueError, match=f"need n >= 3, got {n}"):
             regime_bound(TRIANGLE, n, 0.5, Uniform(1.0))
+
+    @pytest.mark.parametrize("cutoff", [0.0, 1.0, -0.5, 2.0, math.nan])
+    def test_cutoff_range(self, cutoff):
+        with pytest.raises(ValueError, match=r"^cutoff must lie in \(0, 1\)$"):
+            regime_bound(TRIANGLE, 100, 0.5, Uniform(1.0), cutoff=cutoff)
+
+    def test_isolated_vertex_rejected(self):
+        with pytest.raises(PatternError,
+                           match="^bound requires a pattern without isolated vertices$"):
+            regime_bound(PatternGraph(4, ((0, 1), (1, 2), (0, 2))), 10, 0.5, Uniform(1.0))
 
     def test_unbalanced_rejected(self):
         with pytest.raises(UnsupportedPatternError):

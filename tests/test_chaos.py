@@ -1,6 +1,7 @@
 """Kernel algebra, integral evaluation, operators, and the explicit normal bound."""
 
 import math
+import re
 import sys
 from collections import Counter
 
@@ -11,7 +12,6 @@ from oracles import (
     combination_derivative,
     combination_derivative_tables,
     combination_eval,
-    combination_integral_tables,
     combination_stein_terms,
     combination_ustat,
     derivative_family,
@@ -56,7 +56,7 @@ from wclt.chaos import (
     _integral_tables,
     _stein_tables,
 )
-from wclt.errors import ChaosError
+from wclt.errors import ChaosError, ResourceLimitError
 from wclt.graph_chaos import graph_weight_family
 from wclt.patterns import named_pattern
 from wclt.weights import parse_weight_model
@@ -980,3 +980,49 @@ class TestFamilyValidation:
         fam = family_from_kernels([random_kernel(grid, 2, seed=1400)])
         assert len(fam.kernels) == 2
         assert np.all(fam.kernels[0].values == 0)
+
+
+def uncentered_family() -> KernelFamily:
+    """A zero-constant family whose order-1 kernel is not block centered."""
+    return family_from_kernels([Kernel(GridSpec(2, 2), 1, np.array([1.0, 2.0, 0.0, 0.0]))])
+
+
+G2, G3 = GridSpec(2, 2), GridSpec(3, 2)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Kernel(G2, -1, np.zeros(())), ChaosError, "kernel order must be nonnegative"),
+        (lambda: Kernel(G2, 1, np.zeros(3)), ChaosError,
+         "kernel of order 1 needs shape (4,), got (3,)"),
+        (lambda: half_inner(zero_kernel(G2, 1), zero_kernel(G2, 2)), ChaosError,
+         "inner product needs kernels of equal order on one grid"),
+        (lambda: half_inner(zero_kernel(G2, 1), zero_kernel(G3, 1)), ChaosError,
+         "inner product needs kernels of equal order on one grid"),
+        (lambda: contract(zero_kernel(G2, 1), zero_kernel(G3, 1), 1, 1), ChaosError,
+         "contraction needs kernels on the same grid"),
+        # 256 cells: the order-4 result of two order-2 kernels has 2^32 entries
+        (lambda: contract(zero_kernel(GridSpec(128, 2), 2), zero_kernel(GridSpec(128, 2), 2),
+                          0, 0), ResourceLimitError,
+         "contraction result exceeds the dense-array cap"),
+        (lambda: KernelFamily(G2, 0.0, [zero_kernel(G3, 1)]), ChaosError,
+         "family kernels must share one grid"),
+        (lambda: family_from_kernels([]), ChaosError, "family needs at least one kernel"),
+        (lambda: slice_kernel(zero_kernel(G2, 0), 0), ChaosError,
+         "cannot slice an order-0 kernel"),
+        (lambda: uncentered_family().second_moment(), ChaosError,
+         "second moment via the norm identity needs block-centered kernels"),
+        (lambda: stein_bound_terms(uncentered_family(), 10, seed=0), ChaosError,
+         "bound needs block-centered kernels"),
+        (lambda: derivative_energy_identity(uncentered_family()), ChaosError,
+         "identity needs a block-centered family"),
+    ])
+    def test_message(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_order_zero_kernel_folds_into_the_constant(self):
+        f1 = random_kernel(G2, 1, seed=1500)
+        fam = family_from_kernels([Kernel(G2, 0, np.array(1.5)), f1], constant=0.25)
+        assert fam.constant == 1.75
+        assert len(fam.kernels) == 1 and fam.kernels[0] is f1

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from wclt import cli
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
@@ -702,3 +704,43 @@ def test_csv_header_contract(tmp_path, command, header):
     assert lines[1].startswith("# config: ")
     assert json.loads(lines[1][len("# config: "):])["subcommand"] == command[0]
     assert lines[2] == header
+
+
+BOUND_KEYS = {"subcommand", "pattern", "weights", "n", "p", "cutoff_c", "regime_formula",
+              "sweep_n", "sweep_p"}
+RUN_KEYS = {"subcommand", "pattern", "weights", "reps", "seed"}
+
+
+def read_config(path) -> dict:
+    """The run configuration of a JSON or a CSV artifact."""
+    text = path.read_text()
+    if text.startswith("# format_version"):
+        return json.loads(text.splitlines()[1][len("# config: "):])
+    return json.loads(text)["config"]
+
+
+@pytest.mark.parametrize("command, keys", [
+    (("bound", "--pattern", "triangle", "--weights", "unif:1", "--n", "10", "--p", "0.1"),
+     BOUND_KEYS),
+    (("bound", "--pattern", "triangle", "--weights", "unif:1", "--sweep-n", "10,20",
+      "--sweep-p", "0.2,0.5", "--regime"), BOUND_KEYS),
+    (("simulate", "--pattern", "triangle", "--weights", "unif:1", "--n", "6", "--p", "0.5",
+      "--reps", "10", "--meta", "{d}/run.json"), RUN_KEYS | {"n", "p"}),
+    (("distance", "--samples", "{d}/s.csv"), {"subcommand", "samples"}),
+    (("chaos-verify", "--paths", "50"), {"subcommand", "seed", "grid", "paths", "corrupt"}),
+    (("rate-sweep", "--pattern", "triangle", "--weights", "unif:1", "--sweep-n", "6",
+      "--p", "0.5", "--reps", "10"), RUN_KEYS | {"sweep_n", "p", "p_rule"}),
+])
+def test_config_records_every_parsed_option(tmp_path, command, keys):
+    # every option but the output paths, so a new option is recorded without a config edit
+    (tmp_path / "s.csv").write_text("replicate,raw_w,normalized\n0,1.0,0.5\n")
+    out = tmp_path / "artifact"
+    assert cli.main([arg.format(d=tmp_path) for arg in command] + ["--out", str(out)]) == 0
+    config = read_config(out)
+    assert set(config) == keys
+    assert config["subcommand"] == command[0]
+    if command[0] == "bound":  # the default cutoff is recorded with its resolved value
+        assert config["cutoff_c"] == 0.5
+        assert config["regime_formula"] is ("--regime" in command)
+    if "--meta" in command:
+        assert read_config(tmp_path / "run.json") == config

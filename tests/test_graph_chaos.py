@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import completion_counts
 from wclt import graph_chaos
 from wclt.chaos import (
     MAX_DENSE_ELEMENTS,
@@ -17,7 +18,6 @@ from wclt.chaos import (
 )
 from wclt.errors import AlignmentError, PatternError, ResourceLimitError
 from wclt.graph_chaos import (
-    _completion_counts,
     _copies_in_kn,
     center_local_kernel,
     graph_weight_family,
@@ -157,7 +157,7 @@ class TestGraphFamily:
         e_g = pattern.num_edges
         fam = graph_weight_family(pattern, n, p, model, cells)
         for k, kern in enumerate(fam.kernels, start=1):
-            counts = _completion_counts(_copies_in_kn(pattern, n), fam.grid.blocks, e_g, k)
+            counts = completion_counts(_copies_in_kn(pattern, n), fam.grid.blocks, e_g, k)
             local = local_weight_kernel(model, p, cells, e_g, k)
             interleaved = [a for i in range(k) for a in (i, k + i)]
             dense = np.multiply.outer(counts, local).transpose(interleaved)
@@ -217,6 +217,17 @@ class TestLocalKernels:
             with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$") as got:
                 call()
             assert type(got.value) is type(expected.value)
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_order_range(self, k):
+        with pytest.raises(ValueError, match=r"^order must lie in \[0, 3\]$"):
+            local_weight_kernel(Constant(1.0), 0.5, 2, 3, k)
+
+    @pytest.mark.parametrize("l", [-1, 3])
+    def test_norm_index_range(self, l):
+        centered = center_local_kernel(local_weight_kernel(Constant(1.0), 0.5, 2, 3, 2))
+        with pytest.raises(ValueError, match="^need 0 <= l <= 2$"):
+            local_kernel_norms(centered, l, 2)
 
     def test_constant_model_closed_form(self):
         # centered local kernel integrals have the closed form

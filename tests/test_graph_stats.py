@@ -155,6 +155,7 @@ class TestExactMoments:
         assert intersection_pair_census(EDGE, 3) == {1: 3}
         assert intersection_pair_census(TRIANGLE, 3) == {3: 1}
         assert intersection_pair_census(TRIANGLE, 4) == {1: 12, 3: 4}
+        assert intersection_pair_census(TRIANGLE, 2) == {}  # below v_G: no copy, no pair
 
     def test_census_symmetry(self):
         for pattern, n in ((TRIANGLE, 6), (P3, 5), (named_pattern("cycle:4"), 6)):

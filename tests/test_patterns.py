@@ -2,13 +2,14 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from wclt.errors import PatternError
+from wclt.errors import PatternError, ResourceLimitError
 from wclt.patterns import (
     PatternGraph,
     _partial_self_maps,
@@ -244,3 +245,33 @@ class TestCopies:
         copies = enumerate_copies(TRIANGLE, complete_graph_edges(5))
         assert len(set(copies)) == len(copies)
         assert copies == sorted(copies)
+
+
+class TestDirectConstruction:
+    # parse_pattern checks each line first, so only a direct construction reaches these
+    @pytest.mark.parametrize("vertices, edges, message", [
+        (0, (), "pattern needs at least one vertex"),
+        (3, ((1, 1),), "self-loop at vertex 1"),
+        (3, ((0, 3),), "edge (0, 3) out of range for 3 vertices"),
+        (3, ((-1, 2),), "edge (-1, 2) out of range for 3 vertices"),
+        (3, ((0, 1), (1, 0)), "duplicate edge (0, 1)"),
+    ])
+    def test_pattern_rules(self, vertices, edges, message):
+        with pytest.raises(PatternError, match=f"^{re.escape(message)}$"):
+            PatternGraph(vertices, edges)
+
+    @pytest.mark.parametrize("call, message", [
+        (edge_subgraph_profiles, "pattern needs at least one edge"),
+        (is_balanced, "balance test needs at least one edge"),
+    ])
+    def test_edgeless_pattern(self, call, message):
+        with pytest.raises(PatternError, match=f"^{message}$"):
+            call(PatternGraph(3, ()))
+
+    def test_no_profile_of_three_vertices_is_unbalanced(self):
+        # one edge among three vertices: every profile has two vertices
+        assert not is_balanced(PatternGraph(3, ((0, 1),)))
+
+    def test_copy_search_host_cap(self):
+        with pytest.raises(ResourceLimitError, match="^host capped at 64 vertices$"):
+            enumerate_copies(EDGE, [(0, 64)])

@@ -1,6 +1,7 @@
 """Weight laws: closed-form moments, quantiles, and the moment ratio."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -151,6 +152,13 @@ class TestQuantile:
             vals = model.quantile_array(grid)
             assert np.all(np.diff(vals) >= -1e-15)
 
+    @pytest.mark.parametrize("a", [0.0, 0.5])
+    def test_exponential_quantile_mean_up_to_one(self, a):
+        # the antiderivative (1-u) log(1-u) + u is 1 at u = 1, where log(1-u) has no
+        # value; the average of -log(1-u)/2 over (a, 1) is (1 - log(1-a)) / 2
+        expected = (1.0 - math.log1p(-a)) / 2.0
+        assert Exponential(2.0).quantile_mean(a, 1.0) == pytest.approx(expected, rel=1e-12)
+
     def test_quantile_mean_matches_numeric(self):
         # closed-form partial averages against midpoint-rule integration
         for model in ALL_MODELS:
@@ -196,6 +204,22 @@ class TestValidationAndParsing:
     def test_rejects_non_finite(self, law, params):
         with pytest.raises(WeightModelError, match="must be finite"):
             law(*params)
+
+    @pytest.mark.parametrize("params, message", [
+        ((-1.0, 1.0, 0.5), "two-point atoms must be nonnegative"),
+        ((1.0, -1.0, 0.5), "two-point atoms must be nonnegative"),
+        ((1.0, 3.0, 0.0), "two-point probability must lie in (0, 1)"),
+        ((1.0, 3.0, 1.0), "two-point probability must lie in (0, 1)"),
+    ])
+    def test_twopoint_rules(self, params, message):
+        with pytest.raises(WeightModelError, match=f"^{re.escape(message)}$"):
+            TwoPoint(*params)
+
+    @pytest.mark.parametrize("spec", ["unif:one", "twopoint:1,x,0.5"])
+    def test_parse_rejects_non_numeric_parameter(self, spec):
+        with pytest.raises(WeightModelError,
+                           match=f"^bad numeric parameter in weight model {re.escape(repr(spec))}$"):
+            parse_weight_model(spec)
 
     def test_twopoint_normalizes_order(self):
         m = TwoPoint(3.0, 1.0, 0.25)  # 3 with prob 0.75
