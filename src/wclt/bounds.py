@@ -43,6 +43,13 @@ def _rate_exp(log_rate: float, n: int, p: float) -> float:
         raise OverflowError(f"rate term at n = {n}, p = {p!r} overflows a float") from None
 
 
+def _bound_value(rate: float, ratio: float, n: int, p: float) -> float:
+    """rate * ratio for a bound at (n, p), naming both when it overflows."""
+    if math.isinf(rate * ratio):
+        raise OverflowError(f"bound value at n = {n}, p = {p!r} overflows a float")
+    return rate * ratio
+
+
 def rate_term(pattern: PatternGraph, n: int, p: float) -> float:
     """((1 - p) * min subgraph term)^(-1/2), evaluated in log scale."""
     log_min = log_min_subgraph_term(pattern, n, p)
@@ -104,7 +111,7 @@ def wasserstein_bound(pattern: PatternGraph, n: int, p: float, model: WeightMode
     return BoundReport(
         rate_term=rt,
         moment_ratio=ratio,
-        bound_value=ratio * rt,
+        bound_value=_bound_value(rt, ratio, n, p),
         regime=regime,
         regime_threshold=threshold,
         family=family,
@@ -149,7 +156,7 @@ def regime_bound(pattern: PatternGraph, n: int, p: float, model: WeightModel,
     return BoundReport(
         rate_term=rate,
         moment_ratio=ratio,
-        bound_value=rate * ratio,
+        bound_value=_bound_value(rate, ratio, n, p),
         regime=regime,
         regime_threshold=threshold,
         family=family,

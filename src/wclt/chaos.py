@@ -22,7 +22,7 @@ import math
 import string
 from collections import Counter
 from dataclasses import KW_ONLY, InitVar, asdict, dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
@@ -58,32 +58,27 @@ class GridSpec:
         return 2.0 / self.cells
 
 
-@lru_cache(maxsize=None)
-def _off_diagonal_mask(blocks: int, cells: int, order: int) -> np.ndarray:
-    """Boolean mask of index tuples whose blocks are pairwise distinct."""
-    size = blocks * cells
-    block_of = np.arange(size) // cells
-    mask = np.ones((size,) * order, dtype=bool)
-    for i in range(order):
-        for j in range(i + 1, order):
-            shape_i = [1] * order
-            shape_i[i] = size
-            shape_j = [1] * order
-            shape_j[j] = size
-            mask &= block_of.reshape(shape_i) != block_of.reshape(shape_j)
-    return mask
+def _block_diagonal(values: np.ndarray, grid: GridSpec):
+    """For each coordinate pair i < j, the view of a C-contiguous kernel array where
+    coordinates i and j share a block (writable when the array is)."""
+    k, s, b, m = values.ndim, grid.size, grid.blocks, grid.cells
+    for i, j in combinations(range(k), 2):
+        split = values.reshape(s**i, b, m, s**(j - i - 1), b, m, s**(k - j - 1))
+        yield np.einsum("abcdbfg->abcdfg", split)
 
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """Symmetric piecewise-constant kernel supported off the block diagonal."""
+    """Symmetric piecewise-constant kernel supported off the block diagonal.
+
+    A checked kernel copies its values; an unchecked one (validate=False, for
+    arrays the caller has just made) takes them as given, read-only."""
 
     grid: GridSpec
     order: int
     values: np.ndarray = field(repr=False)
     _: KW_ONLY
     validate: InitVar[bool] = True
-    _marginals: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self, validate: bool) -> None:
         order = self.order
@@ -95,19 +90,17 @@ class Kernel:
             raise ChaosError(f"kernel of order {order} needs shape {expected}, got {values.shape}")
         if validate:
             # a NaN propagates through the max, where it would fail every comparison below
-            scale = float(np.max(np.abs(values))) if values.size else 0.0
+            scale = float(np.max(np.abs(values)))
             if not math.isfinite(scale):
                 raise ChaosError("kernel values must be finite")
-        if validate and order >= 2:
             tol = EXACT_TOL * (1.0 + scale)
             for i in range(order - 1):
-                swapped = np.swapaxes(values, i, order - 1)
-                if np.max(np.abs(values - swapped)) > tol:
+                if np.max(np.abs(values - np.swapaxes(values, i, order - 1))) > tol:
                     raise ChaosError("kernel values are not symmetric")
-            off = _off_diagonal_mask(self.grid.blocks, self.grid.cells, order)
-            if np.max(np.abs(values[~off])) > tol:
+            if any(np.max(np.abs(part)) > tol for part in _block_diagonal(values, self.grid)):
                 raise ChaosError("kernel has mass on the block diagonal")
-        values = values.copy()
+        # copied after the checks, so the copy never sits beside their temporaries
+        values = np.array(values, order="C", copy=True if validate else None)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -123,14 +116,8 @@ class Kernel:
         """Integrate out the last (order - keep) coordinates with Lebesgue measure."""
         if keep == self.order:
             return self.values
-        cached = self._marginals.get(keep)
-        if cached is None:
-            drop = self.order - keep
-            cached = self.values.sum(axis=tuple(range(keep, self.order)))
-            cached = cached * self.grid.cell_width**drop
-            cached.setflags(write=False)  # shared by every later call
-            self._marginals[keep] = cached
-        return cached
+        drop = self.order - keep
+        return self.values.sum(axis=tuple(range(keep, self.order))) * self.grid.cell_width**drop
 
     def half_norm_sq(self) -> float:
         """Squared norm with the (dx/2) reference measure."""
@@ -147,27 +134,22 @@ def symmetrize(grid: GridSpec, order: int, raw) -> Kernel:
     raw = np.asarray(raw, dtype=float)
     if order == 0:
         return Kernel(grid, 0, raw)
-    acc = np.zeros_like(raw)
-    perms = list(permutations(range(order)))
-    for perm in perms:
+    acc = np.zeros(raw.shape)
+    for perm in permutations(range(order)):
         acc += np.transpose(raw, perm)
-    acc /= len(perms)
-    acc *= _off_diagonal_mask(grid.blocks, grid.cells, order)
+    acc /= math.factorial(order)
+    for part in _block_diagonal(acc, grid):
+        part *= 0.0  # keeps the sign of each zeroed value
     return Kernel(grid, order, acc, validate=False)
 
 
 def is_block_centered(kernel: Kernel) -> bool:
     """True when every per-block cell average vanishes in every coordinate."""
-    if kernel.order == 0:
-        return True
     g = kernel.grid
-    scale = float(np.max(np.abs(kernel.values))) if kernel.values.size else 0.0
-    tol = EXACT_TOL * (1.0 + scale)
-    v = kernel.values
+    tol = EXACT_TOL * (1.0 + float(np.max(np.abs(kernel.values))))  # a kernel has an entry
     for axis in range(kernel.order):
-        moved = np.moveaxis(v, axis, -1)
-        blocked = moved.reshape(moved.shape[:-1] + (g.blocks, g.cells))
-        if np.max(np.abs(blocked.sum(axis=-1))) > tol * g.cells:
+        cell_sums = kernel.values.reshape(g.size**axis, g.blocks, g.cells, -1).sum(axis=2)
+        if np.max(np.abs(cell_sums)) > tol * g.cells:
             return False
     return True
 
@@ -178,15 +160,11 @@ def block_center(kernel: Kernel) -> Kernel:
     This is the projection onto block-centered kernels; it leaves the
     multiple integral unchanged pathwise.
     """
-    if kernel.order == 0:
-        return kernel
     g = kernel.grid
-    v = kernel.values
+    v = kernel.values.copy()
     for axis in range(kernel.order):
-        moved = np.moveaxis(v, axis, -1)
-        blocked = moved.reshape(moved.shape[:-1] + (g.blocks, g.cells))
-        blocked = blocked - blocked.mean(axis=-1, keepdims=True)
-        v = np.moveaxis(blocked.reshape(moved.shape), -1, axis)
+        blocked = v.reshape(g.size**axis, g.blocks, g.cells, -1)
+        blocked -= blocked.mean(axis=2, keepdims=True)
     return Kernel(kernel.grid, kernel.order, v, validate=False)
 
 
@@ -466,9 +444,7 @@ def _integral_tables(kernels, grid: GridSpec) -> _GatherTables:
     The integrals add up to the sum over r of r! times the distinct-block-set
     sum of A_r, where A_r adds (-1)^{n-r} 2^{r-n} C(n, r) times the
     (n - r)-fold marginal of each order-n kernel; all-zero kernels are
-    skipped.  The block tables hold r! A_r and are folded by _fold.  The
-    marginals are computed here, so their caches are filled before any
-    evaluation thread starts.
+    skipped.  The block tables hold r! A_r and are folded by _fold.
     """
     arrays: dict[int, np.ndarray] = {}
     for kern in kernels:

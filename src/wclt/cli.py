@@ -88,7 +88,7 @@ def _emit(text: str, out: str | None) -> None:
 def _json(config: dict, **body) -> str:
     """A JSON artifact: the format version, the run configuration and the body's fields."""
     payload = {"format_version": FORMAT_VERSION, "config": config, **body}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv(config: dict, header: list[str], rows) -> str:

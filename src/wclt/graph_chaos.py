@@ -112,13 +112,10 @@ def graph_weight_family(pattern: PatternGraph, n: int, p: float, model: WeightMo
     kernels = []
     for k in range(e_g, 0, -1):
         local = center_local_kernel(local_weight_kernel(model, p, cells, e_g, k))
-        outer = counts.reshape(counts.shape + (1,) * k) * local
-        # interleave (block, cell) axis pairs, then flatten to global cell indices
-        axes = []
-        for i in range(k):
-            axes.extend([i, k + i])
-        full = outer.transpose(axes).reshape((grid.size,) * k)
-        kernels.append(Kernel(grid, k, full))
+        # axes (block_1, cell_1, ..., block_k, cell_k) are global cell order; unchecked,
+        # as the product is symmetric and off the block diagonal (the tests check it)
+        full = counts.reshape((n_blocks, 1) * k) * local.reshape((1, cells) * k)
+        kernels.append(Kernel(grid, k, full.reshape((grid.size,) * k), validate=False))
         counts = counts.sum(axis=-1)
     kernels.reverse()
     constant = exact_mean(pattern, n, p, model)

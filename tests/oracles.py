@@ -179,6 +179,83 @@ def _every_piece_half_line(neg: np.ndarray, m: int) -> float:
     return float(anti[0]) + float(piece.sum())    # anti[0]: integral of cdf left of ends[0]
 
 
+@lru_cache(maxsize=None)
+def _off_diagonal_mask(blocks: int, cells: int, order: int) -> np.ndarray:
+    """Boolean mask of index tuples whose blocks are pairwise distinct."""
+    size = blocks * cells
+    block_of = np.arange(size) // cells
+    mask = np.ones((size,) * order, dtype=bool)
+    for i in range(order):
+        for j in range(i + 1, order):
+            shape_i = [1] * order
+            shape_i[i] = size
+            shape_j = [1] * order
+            shape_j[j] = size
+            mask &= block_of.reshape(shape_i) != block_of.reshape(shape_j)
+    return mask
+
+
+def masked_symmetrize(grid, order: int, raw) -> np.ndarray:
+    """Average over coordinate permutations, then multiply by the full 0/1 mask."""
+    raw = np.asarray(raw, dtype=float)
+    acc = np.zeros_like(raw)
+    perms = list(permutations(range(order)))
+    for perm in perms:
+        acc += np.transpose(raw, perm)
+    acc /= len(perms)
+    acc *= _off_diagonal_mask(grid.blocks, grid.cells, order)
+    return acc
+
+
+def masked_verdict(grid, order: int, values) -> str | None:
+    """The refusal a checked kernel of these values raises (None when accepted),
+    found through swapped copies and the full mask."""
+    values = np.asarray(values, dtype=float)
+    scale = float(np.max(np.abs(values))) if values.size else 0.0
+    if not math.isfinite(scale):
+        return "kernel values must be finite"
+    if order >= 2:
+        tol = chaos.EXACT_TOL * (1.0 + scale)
+        for i in range(order - 1):
+            swapped = np.swapaxes(values, i, order - 1)
+            if np.max(np.abs(values - swapped)) > tol:
+                return "kernel values are not symmetric"
+        off = _off_diagonal_mask(grid.blocks, grid.cells, order)
+        if np.max(np.abs(values[~off])) > tol:
+            return "kernel has mass on the block diagonal"
+    return None
+
+
+def is_block_centered_moveaxis(kernel) -> bool:
+    """The centering check with each axis moved last and split into (block, cell)."""
+    if kernel.order == 0:
+        return True
+    g = kernel.grid
+    scale = float(np.max(np.abs(kernel.values))) if kernel.values.size else 0.0
+    tol = chaos.EXACT_TOL * (1.0 + scale)
+    v = kernel.values
+    for axis in range(kernel.order):
+        moved = np.moveaxis(v, axis, -1)
+        blocked = moved.reshape(moved.shape[:-1] + (g.blocks, g.cells))
+        if np.max(np.abs(blocked.sum(axis=-1))) > tol * g.cells:
+            return False
+    return True
+
+
+def block_center_moveaxis(kernel) -> np.ndarray:
+    """The centered values, each axis moved last, split and centered in a new array."""
+    if kernel.order == 0:
+        return kernel.values
+    g = kernel.grid
+    v = kernel.values
+    for axis in range(kernel.order):
+        moved = np.moveaxis(v, axis, -1)
+        blocked = moved.reshape(moved.shape[:-1] + (g.blocks, g.cells))
+        blocked = blocked - blocked.mean(axis=-1, keepdims=True)
+        v = np.moveaxis(blocked.reshape(moved.shape), -1, axis)
+    return v
+
+
 def gathered_block_sum(values: np.ndarray, idx: np.ndarray, r: int) -> np.ndarray:
     """Sum of a symmetric order-r array over ordered distinct block tuples.
 

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _off_diagonal_mask,
+    block_center_moveaxis,
     combination_derivative,
     combination_derivative_tables,
     combination_eval,
@@ -18,6 +20,9 @@ from oracles import (
     gathered_block_sum,
     gathered_derivative,
     gathered_integral,
+    is_block_centered_moveaxis,
+    masked_symmetrize,
+    masked_verdict,
     path_cells,
     stein_terms_by_gather,
 )
@@ -119,18 +124,126 @@ class TestKernelBasics:
         assert np.array_equal(Kernel(GridSpec(2, 1), order, raw, validate=False).values, raw,
                               equal_nan=True)
 
-    def test_cached_marginals_are_read_only(self):
-        # every later integral reads the cached marginals, so an in-place edit
-        # of one would silently change them
+    def test_marginals_are_fresh_arrays(self):
+        # nothing is cached beside the values: editing a returned marginal in place
+        # never reaches a later integral, and the full marginal is the read-only values
         grid = GridSpec(4, 2)
         k = random_kernel(grid, 2, seed=2, centered=False)
         u = random_paths(3, 20, 4)
         before = integral_eval_many(k, u)
-        for keep in (1, 2):
-            marginal = k.marginal(keep)
-            with pytest.raises(ValueError, match="read-only"):
-                marginal += 1.0
+        marginal = k.marginal(1)
+        marginal += 1.0
         assert np.array_equal(integral_eval_many(k, u), before)
+        assert k.marginal(2) is k.values
+        assert not k.values.flags.writeable
+
+
+def formulation_cases():
+    """(grid, order) for orders 1-4 and M in {1, 2, 3, 8, 9, 16} on up to 3 blocks,
+    each kernel at most 2**16 entries."""
+    return [(GridSpec(blocks, cells), order)
+            for order in range(1, 5) for cells in (1, 2, 3, 8, 9, 16) for blocks in (1, 2, 3)
+            if (blocks * cells) ** order <= 1 << 16]
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestInPlaceFormulations:
+    """The block-diagonal views and the in-place (block, cell) splits against the full
+    mask and the moveaxis passes they replace (tests/oracles.py), bit for bit."""
+
+    @pytest.mark.parametrize("grid, order", formulation_cases(), ids=str)
+    def test_symmetrize_matches_mask(self, grid, order):
+        raw = rng.uniform_matrix(order, 1, grid.size**order)[0] - 0.5
+        raw = raw.reshape((grid.size,) * order)
+        for case in (raw, -np.abs(raw)):
+            got = symmetrize(grid, order, case).values
+            assert_bitwise(got, masked_symmetrize(grid, order, case))
+        if order >= 2:  # the negative values zeroed on the block diagonal keep their sign
+            assert got[(0,) * order] == 0.0 and np.signbit(got[(0,) * order])
+
+    @pytest.mark.parametrize("grid, order", formulation_cases(), ids=str)
+    def test_validation_matches_mask(self, grid, order):
+        values = random_kernel(grid, order, seed=5, centered=False).values
+        tol = EXACT_TOL * (1.0 + float(np.max(np.abs(values))))
+        on_diagonal = 1.0 - _off_diagonal_mask(grid.blocks, grid.cells, order)
+        skewed = values.copy()
+        skewed.flat[values.size // 2] += 4.0 * tol
+        cases = [values, skewed] + [values + eps * tol * on_diagonal for eps in (0.5, 4.0)]
+        for case in cases:
+            expected = masked_verdict(grid, order, case)
+            try:
+                Kernel(grid, order, case)
+                verdict = None
+            except ChaosError as exc:
+                verdict = str(exc)
+            assert verdict == expected
+        if order >= 2:
+            assert masked_verdict(grid, order, cases[-1]) is not None
+
+    @pytest.mark.parametrize("grid, order", formulation_cases(), ids=str)
+    def test_centering_matches_moveaxis(self, grid, order):
+        raw = random_kernel(grid, order, seed=7, centered=False)
+        centered = block_center(raw)
+        assert_bitwise(centered.values, block_center_moveaxis(raw))
+        for kern in (raw, centered, zero_kernel(grid, order)):
+            assert is_block_centered(kern) == is_block_centered_moveaxis(kern)
+
+    def test_order_forty_on_one_cell(self):
+        # every coordinate shares the one block: only the zero kernel is valid,
+        # and the 780 coordinate pairs each give a one-entry view
+        grid = GridSpec(1, 1)
+        shape = (1,) * 40
+        message = "kernel has mass on the block diagonal"
+        with pytest.raises(ChaosError, match=message):
+            Kernel(grid, 40, np.full(shape, 0.5))
+        assert masked_verdict(grid, 40, np.full(shape, 0.5)) == message
+        zero = Kernel(grid, 40, np.zeros(shape))
+        assert masked_verdict(grid, 40, np.zeros(shape)) is None
+        raw = Kernel(grid, 40, np.full(shape, -0.5), validate=False)
+        assert_bitwise(block_center(raw).values, block_center_moveaxis(raw))
+        for kern in (raw, zero):
+            assert is_block_centered(kern) == is_block_centered_moveaxis(kern)
+
+
+class TestOwnership:
+    def test_unchecked_kernel_takes_its_array(self):
+        grid = GridSpec(3, 2)
+        raw = random_kernel(grid, 2, seed=4).values.copy()
+        kern = Kernel(grid, 2, raw, validate=False)
+        assert np.shares_memory(kern.values, raw)
+        assert not raw.flags.writeable
+
+    def test_checked_kernel_copies(self):
+        grid = GridSpec(3, 2)
+        raw = random_kernel(grid, 2, seed=4).values.copy()
+        kern = Kernel(grid, 2, raw)
+        assert not np.shares_memory(kern.values, raw)
+        assert raw.flags.writeable
+        raw[0, 2] += 1.0
+        assert kern.values[0, 2] != raw[0, 2]
+
+    def test_non_contiguous_unchecked_input_is_copied(self):
+        grid = GridSpec(3, 2)
+        base = rng.uniform_matrix(9, 1, grid.size**3)[0].reshape((grid.size,) * 3)
+        transposed = base.transpose(2, 0, 1)
+        kern = Kernel(grid, 3, transposed, validate=False)
+        assert kern.values.flags.c_contiguous
+        assert np.array_equal(kern.values, transposed)
+        assert not np.shares_memory(kern.values, base)
+        assert base.flags.writeable
+
+    def test_builders_hand_over_their_arrays(self):
+        # a kernel built by the library owns one array; a slice reads its parent's
+        grid = GridSpec(3, 2)
+        kern = random_kernel(grid, 3, seed=6)
+        sliced = slice_kernel(kern, 1)
+        assert np.shares_memory(sliced.values, kern.values)
+        assert not sliced.values.flags.writeable
+
 
 class TestCentering:
     def test_zero_kernel_centered(self):

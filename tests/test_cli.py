@@ -744,3 +744,45 @@ def test_config_records_every_parsed_option(tmp_path, command, keys):
         assert config["regime_formula"] is ("--regime" in command)
     if "--meta" in command:
         assert read_config(tmp_path / "run.json") == config
+
+
+def strict_json(text: str):
+    """The JSON document, refusing the NaN and Infinity that RFC 8259 does not allow."""
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in a JSON artifact")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command, code", [
+    (("bound", "--pattern", "triangle", "--weights", "unif:1", "--n", "10", "--p", "0.1"), 0),
+    (("bound", "--pattern", "triangle", "--weights", "exp:1", "--n", "100", "--p", "0.9",
+      "--regime"), 0),
+    (("simulate", "--pattern", "triangle", "--weights", "unif:1", "--n", "6", "--p", "0.5",
+      "--reps", "10", "--out", "{d}/run.csv", "--meta"), 0),
+    (("distance", "--samples", "{d}/s.csv", "--out"), 0),
+    (("chaos-verify", "--paths", "50", "--out"), 0),
+    (("chaos-verify", "--paths", "50", "--corrupt", "--out"), 1),
+])
+def test_json_artifacts_parse_strictly(tmp_path, command, code):
+    (tmp_path / "s.csv").write_text("replicate,raw_w,normalized\n0,1.0,0.5\n1,2.0,-0.5\n")
+    out = tmp_path / "artifact.json"
+    argv = [arg.format(d=tmp_path) for arg in command]
+    if argv[-1] not in ("--out", "--meta"):
+        argv.append("--out")
+    assert cli.main(argv + [str(out)]) == code
+    payload = strict_json(out.read_text())
+    assert payload["config"]["subcommand"] == command[0]
+
+
+@pytest.mark.parametrize("form", [
+    ("--n", "3", "--p", "1e-203"),
+    ("--n", "3", "--p", "1e-203", "--regime"),
+    ("--sweep-n", "3", "--sweep-p", "0.5,1e-203"),
+])
+def test_bound_value_overflow_usage_error(tmp_path, capsys, form):
+    # the rate term and the moment ratio are finite, their product is not
+    out = tmp_path / "bound.out"
+    argv = ["bound", "--pattern", "triangle", "--weights", "twopoint:0,1,1e-10", *form]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: bound value at n = 3, p = 1e-203 overflows a float\n"
+    assert not out.exists()

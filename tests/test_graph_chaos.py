@@ -163,6 +163,8 @@ class TestGraphFamily:
             dense = np.multiply.outer(counts, local).transpose(interleaved)
             centered = block_center(Kernel(fam.grid, k, dense.reshape((fam.grid.size,) * k)))
             assert np.array_equal(kern.values, centered.values)
+            # the family builds its kernels unchecked: a checked copy must pass
+            assert np.array_equal(Kernel(fam.grid, k, kern.values).values, kern.values)
 
 
 def largest_family_host(pattern) -> int:
