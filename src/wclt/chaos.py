@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import string
-from collections import Counter
 from dataclasses import KW_ONLY, InitVar, asdict, dataclass, field
 from functools import cached_property
 from itertools import combinations, permutations
@@ -89,14 +88,17 @@ class Kernel:
         if values.shape != expected:
             raise ChaosError(f"kernel of order {order} needs shape {expected}, got {values.shape}")
         if validate:
+            buf = np.abs(values)  # the one scratch array of the checks
             # a NaN propagates through the max, where it would fail every comparison below
-            scale = float(np.max(np.abs(values)))
+            scale = float(buf.max())
             if not math.isfinite(scale):
                 raise ChaosError("kernel values must be finite")
             tol = EXACT_TOL * (1.0 + scale)
             for i in range(order - 1):
-                if np.max(np.abs(values - np.swapaxes(values, i, order - 1))) > tol:
+                np.subtract(values, np.swapaxes(values, i, order - 1), out=buf)
+                if np.abs(buf, out=buf).max() > tol:
                     raise ChaosError("kernel values are not symmetric")
+            del buf
             if any(np.max(np.abs(part)) > tol for part in _block_diagonal(values, self.grid)):
                 raise ChaosError("kernel has mass on the block diagonal")
         # copied after the checks, so the copy never sits beside their temporaries
@@ -260,15 +262,15 @@ def contraction_inequality_check(f: Kernel, g: Kernel, k: int, l: int) -> Contra
 
 # -- multiple-integral evaluation -------------------------------------------
 
-# Path entries per chunk of a chaos span, one per cell of a path where the span
-# gathers a derivative, else one per block: small enough that a chunk's buffers
-# stay in cache, large enough that two threads gain more than lock handoffs cost.
+# Path entries per chunk of a chaos span, one per block of a path: small enough
+# that a chunk's buffers stay in cache, large enough that two threads gain more
+# than lock handoffs cost.
 CHUNK_ENTRIES = 100_000
 
 
-def _chunk_paths(grid: GridSpec, per_cell: bool) -> int:
-    """Paths per chunk of a span holding one entry per cell (else per block) of a path."""
-    return max(1, CHUNK_ENTRIES // (grid.size if per_cell else grid.blocks))
+def _chunk_paths(grid: GridSpec) -> int:
+    """Paths per chunk of a chaos span."""
+    return max(1, CHUNK_ENTRIES // grid.blocks)
 
 
 def _path_matrix(grid: GridSpec, u) -> np.ndarray:
@@ -293,12 +295,12 @@ def _local_cells(grid: GridSpec, u: np.ndarray, scratch: np.ndarray, loc: np.nda
     np.clip(loc, 0, grid.cells - 1, out=loc)
 
 
-# (block combination, [(target, table)]): the target of a table is a column
+# (block combination, target, table): the target of a block table is a column
 # block or None.
-_BlockTables = list[tuple[tuple[int, ...], list[tuple[object, np.ndarray]]]]
-# (block combination, [(rows, table)]): the gather reads a table at each path's
-# code and adds it into out[rows].
-_GatherTables = list[tuple[tuple[int, ...], list[tuple[object, np.ndarray]]]]
+_BlockTables = list[tuple[tuple[int, ...], object, np.ndarray]]
+# (block combination, rows, table): the gather reads a home's table at each
+# path's code and adds it into out[rows].
+_Homes = list[tuple[tuple[int, ...], object, np.ndarray]]
 
 # Largest table, in bytes, that _fold packs several block tables into: exactly
 # the triangle family's derivative home at n = 5, 2 rows of 4 cells over the
@@ -315,9 +317,8 @@ def _block_tables(values: np.ndarray, r: int, grid: GridSpec) -> _BlockTables:
     holding values[b_1 M + c_1, ..., b_r M + c_r].  An array with one more
     axis (the cell t of a derivative) puts t first and is cut along it into
     column blocks of M cells, each a contiguous (M, cells**r) table whose
-    target is its column block; an array without one has the target None.
-    All-zero tables are dropped: a combination keeps (target, table) pairs
-    for its nonzero parts only, and one with none is left out.
+    target is its column block, in block order; an array without one has
+    the target None.  All-zero tables are dropped.
     """
     m = grid.cells
     if values.ndim == r:
@@ -328,15 +329,14 @@ def _block_tables(values: np.ndarray, r: int, grid: GridSpec) -> _BlockTables:
     for combo in combinations(range(grid.blocks), r):
         codes = values[tuple(slice(b * m, (b + 1) * m) for b in combo)]
         codes = codes.reshape((m**r,) + values.shape[r:]).T
-        parts = [(target, np.ascontiguousarray(codes[cols]))
+        kept += [(combo, target, np.ascontiguousarray(codes[cols]))
                  for target, cols in column_blocks if codes[cols].any()]
-        if parts:
-            kept.append((combo, parts))
     return kept
 
 
-def _fold(tables: _BlockTables, cells: int) -> _GatherTables:
-    """Gather tables that add up each target's block tables in input order.
+def _fold(tables: _BlockTables, cells: int) -> dict:
+    """Each target's homes, in opening order: (combination, table) gather
+    tables that add up the target's block tables in input order.
 
     ``tables`` run widest combination first.  In input order, each block
     table joins the first home of its own target whose combination already
@@ -346,51 +346,42 @@ def _fold(tables: _BlockTables, cells: int) -> _GatherTables:
     the home of the narrower tables it contains.  Each table is added into
     its home's zeroed table in input order, constant along the home's other
     blocks, so each code of a home holds what its tables add up to at a
-    path with that code.
-
-    The homes come out as (rows, table) parts grouped by their final
-    combination, the combinations in the order in which the first home to
-    end with each opened; rows are all of them for the target None, else its
-    column block of ``cells`` cells.
+    path with that code.  A home's combination is its blocks in order.
     """
-    opened = []  # (blocks, target, [(combination, table)]) per home, in opening order
-    homes: dict = {}  # target -> its homes, in opening order
-    for combo, parts in tables:
+    homes: dict = {}  # target -> [(blocks, [(combination, table)])], in opening order
+    for combo, target, table in tables:
         if cells == 1:  # every code is 0, so a home needs no block axes
             combo = ()
-        for target, table in parts:
-            row_bytes = table.nbytes // table.shape[-1]
-            for blocks, _, held in homes.setdefault(target, []):
-                wider = blocks.union(combo)
-                if wider == blocks or row_bytes * cells ** len(wider) <= UNION_TABLE_BYTES:
-                    blocks.update(combo)
-                    held.append((combo, table))
-                    break
-            else:
-                opened.append((set(combo), target, [(combo, table)]))
-                homes[target].append(opened[-1])
-    gather: dict = {}
-    for blocks, target, held in opened:
-        home = tuple(sorted(blocks))
-        lead = held[0][1].shape[:-1]
-        total = np.zeros(lead + (cells,) * len(home), held[0][1].dtype)
-        for combo, table in held:  # constant along the home's blocks that combo lacks
-            total += table.reshape(lead + tuple(cells if b in combo else 1 for b in home))
-        rows = () if target is None else slice(target * cells, (target + 1) * cells)
-        gather.setdefault(home, []).append((rows, total.reshape(lead + (-1,))))
-    return list(gather.items())
+        row_bytes = table.nbytes // table.shape[-1]
+        for blocks, held in homes.setdefault(target, []):
+            wider = blocks.union(combo)
+            if wider == blocks or row_bytes * cells ** len(wider) <= UNION_TABLE_BYTES:
+                blocks.update(combo)
+                held.append((combo, table))
+                break
+        else:
+            homes[target].append((set(combo), [(combo, table)]))
+    folded: dict = {}
+    for target, opened in homes.items():
+        for blocks, held in opened:
+            home = tuple(sorted(blocks))
+            lead = held[0][1].shape[:-1]
+            total = np.zeros(lead + (cells,) * len(home), held[0][1].dtype)
+            for combo, table in held:  # constant along the home's blocks that combo lacks
+                total += table.reshape(lead + tuple(cells if b in combo else 1 for b in home))
+            folded.setdefault(target, []).append((home, total.reshape(lead + (-1,))))
+    return folded
 
 
 class _SpanBuffers:
-    """One span's buffers for gathering the tables over chunks of up to ``rows`` paths.
+    """One span's buffers for gathering the homes over chunks of up to ``rows`` paths.
 
     ``loc`` holds the chunk's local cells, laid out (blocks, paths); ``buf``
-    receives the rows of a part before they are added.
+    receives the rows of a home before they are added.
     """
 
-    def __init__(self, grid: GridSpec, rows: int, tables: _GatherTables):
-        widest = max((table.size // table.shape[-1] for _, parts in tables for _, table in parts),
-                     default=0)
+    def __init__(self, grid: GridSpec, rows: int, homes: _Homes):
+        widest = max((table.size // table.shape[-1] for _, _, table in homes), default=0)
         self.grid = grid
         self.scratch = np.empty((rows, grid.blocks))
         self.loc = np.empty((grid.blocks, rows), dtype=np.int64)
@@ -402,19 +393,19 @@ class _SpanBuffers:
         _local_cells(self.grid, u, self.scratch[:u.shape[0]], self.loc[:, :u.shape[0]])
 
 
-def _gather_sum(tables: _GatherTables, span: _SpanBuffers, out: np.ndarray) -> None:
-    """Zero ``out``, then add every table read at the codes of the current chunk's paths.
+def _gather_sum(homes: _Homes, span: _SpanBuffers, out: np.ndarray) -> None:
+    """Zero ``out``, then add every home read at the codes of the current chunk's paths.
 
-    A part (rows, table) adds the table rows gathered at each path's code
-    into ``out[rows]``, whose last axis holds the paths, in part order.
-    Each combination forms its code once.
+    A home (combination, rows, table) adds the table rows gathered at each
+    path's code into ``out[rows]``, whose last axis holds the paths, in home
+    order.
     """
     c = out.shape[-1]
     out.fill(0.0)
     loc = span.loc[:, :c]
     cells = span.grid.cells
     views = {}  # the gather buffer as a (lead..., c) array, reshaped once per lead shape
-    for combo, parts in tables:
+    for combo, rows, table in homes:
         if len(combo) == 1:
             code = loc[combo[0]]
         else:
@@ -427,19 +418,18 @@ def _gather_sum(tables: _GatherTables, span: _SpanBuffers, out: np.ndarray) -> N
                 for b in combo[2:]:
                     code *= cells
                     code += loc[b]
-        for rows, table in parts:
-            lead = table.shape[:-1]
-            buf = views.get(lead)
-            if buf is None:
-                buf = views[lead] = span.buf[:c * math.prod(lead)].reshape(lead + (c,))
-            target = out[rows]
-            # the codes are in range by construction; "wrap" writes straight
-            # into its out, where the default "raise" fills a temporary first
-            target += table.take(code, axis=-1, out=buf, mode="wrap")
+        lead = table.shape[:-1]
+        buf = views.get(lead)
+        if buf is None:
+            buf = views[lead] = span.buf[:c * math.prod(lead)].reshape(lead + (c,))
+        target = out[rows]
+        # the codes are in range by construction; "wrap" writes straight
+        # into its out, where the default "raise" fills a temporary first
+        target += table.take(code, axis=-1, out=buf, mode="wrap")
 
 
-def _integral_tables(kernels, grid: GridSpec) -> _GatherTables:
-    """Gather tables whose gathered sum is the sum of the kernels' integrals.
+def _integral_tables(kernels, grid: GridSpec) -> _Homes:
+    """Homes whose gathered sum is the sum of the kernels' integrals.
 
     The integrals add up to the sum over r of r! times the distinct-block-set
     sum of A_r, where A_r adds (-1)^{n-r} 2^{r-n} C(n, r) times the
@@ -454,30 +444,29 @@ def _integral_tables(kernels, grid: GridSpec) -> _GatherTables:
         for r in range(n + 1):
             term = (-1.0) ** (n - r) / 2.0 ** (n - r) * math.comb(n, r) * kern.marginal(r)
             arrays[r] = arrays[r] + term if r in arrays else term
-    scaled = [(combo, [(None, math.factorial(r) * table) for _, table in parts])
+    scaled = [(combo, None, math.factorial(r) * table)
               for r in sorted(arrays, reverse=True)
-              for combo, parts in _block_tables(arrays[r], r, grid)]
-    return _fold(scaled, grid.cells)
+              for combo, _, table in _block_tables(arrays[r], r, grid)]
+    return [(combo, (), table) for combo, table in _fold(scaled, grid.cells).get(None, [])]
 
 
-def _eval_block_sums(grid: GridSpec, tables: _GatherTables, u, lead: tuple = ()) -> np.ndarray:
-    """The gathered table sum along each path (row of u), as a (lead..., paths) array.
+def _eval_block_sums(grid: GridSpec, homes: _Homes, u, lead: tuple = ()) -> np.ndarray:
+    """The gathered sum of the homes along each path (row of u), as a (lead..., paths) array.
 
-    Runs over chunks of _chunk_paths paths, one entry per cell of a path when
-    there is a lead, else one per block, cut into spans that each hold one
+    Runs over chunks of _chunk_paths paths, cut into spans that each hold one
     set of buffers, possibly threaded; each chunk writes only its own paths,
     so the result does not depend on the thread count.
     """
     u = _path_matrix(grid, u)
     out = np.empty(lead + (u.shape[0],))
-    chunk = _chunk_paths(grid, bool(lead))
+    chunk = _chunk_paths(grid)
 
     def work(lo: int, hi: int) -> None:
-        span = _SpanBuffers(grid, min(chunk, hi - lo), tables)
+        span = _SpanBuffers(grid, min(chunk, hi - lo), homes)
         for a in range(lo, hi, chunk):
             b = min(a + chunk, hi)
             span.locate(u[a:b])
-            _gather_sum(tables, span, out[..., a:b])
+            _gather_sum(homes, span, out[..., a:b])
 
     rng.map_spans(u.shape[0], chunk, work)
     return out
@@ -496,8 +485,9 @@ def integral_eval_many(kernel: Kernel, u: np.ndarray) -> np.ndarray:
 def ustat_eval_many(kernel: Kernel, u: np.ndarray) -> np.ndarray:
     """Plain U-statistic: kernel summed at path points over distinct block tuples."""
     r = kernel.order
-    tables = _fold(_block_tables(kernel.values, r, kernel.grid), kernel.grid.cells)
-    return math.factorial(r) * _eval_block_sums(kernel.grid, tables, u)
+    folded = _fold(_block_tables(kernel.values, r, kernel.grid), kernel.grid.cells)
+    homes = [(combo, (), table) for combo, table in folded.get(None, [])]
+    return math.factorial(r) * _eval_block_sums(kernel.grid, homes, u)
 
 
 def _to_paths(u: np.ndarray) -> np.ndarray:
@@ -598,8 +588,8 @@ def slice_kernel(kernel: Kernel, cell: int) -> Kernel:
     return Kernel(kernel.grid, kernel.order - 1, kernel.values[cell], validate=False)
 
 
-def _derivative_tables(family: KernelFamily) -> _GatherTables:
-    """Gather tables of the derivative and the negated inverse-OU derivative.
+def _derivative_tables(family: KernelFamily) -> dict:
+    """Each column block's homes of the derivative and the negated inverse-OU derivative.
 
     Order j adds (j-1)! K_j, with K_j the block tables of kernel_j over its
     first j - 1 axes, into the negated inverse-OU derivative d_inv, and j
@@ -615,9 +605,8 @@ def _derivative_tables(family: KernelFamily) -> _GatherTables:
             continue
         j = kern.order
         f = math.factorial(j - 1)
-        stacked += [(combo, [(b, np.stack([j * f * table, f * table], axis=1))
-                             for b, table in parts])
-                    for combo, parts in _block_tables(kern.values, j - 1, grid)]
+        stacked += [(combo, b, np.stack([j * f * table, f * table], axis=1))
+                    for combo, b, table in _block_tables(kern.values, j - 1, grid)]
     return _fold(stacked, grid.cells)
 
 
@@ -635,7 +624,10 @@ def derivative_values_many(family: KernelFamily, u: np.ndarray) -> tuple[np.ndar
     if not family.is_block_centered:
         raise ChaosError("derivative needs a block-centered family; apply block_center first")
     grid = family.grid
-    acc = _eval_block_sums(grid, _derivative_tables(family), u, (grid.size, 2))
+    m = grid.cells
+    homes = [(combo, slice(b * m, (b + 1) * m), table)
+             for b, held in sorted(_derivative_tables(family).items()) for combo, table in held]
+    acc = _eval_block_sums(grid, homes, u, (grid.size, 2))
     return acc[:, 0].T, acc[:, 1].T
 
 
@@ -696,29 +688,25 @@ def _cell_sums(stack: np.ndarray, half_w: float) -> np.ndarray:
     return sums[..., ::-1, :]
 
 
-def _stein_tables(family: KernelFamily) -> tuple[_GatherTables, _GatherTables]:
-    """The bound's (reduced, gathered) tables, split from the derivative's.
+def _stein_tables(family: KernelFamily) -> tuple[_Homes, list[_Homes]]:
+    """The bound's reduced shares and gathered targets, from the derivative's homes.
 
     A target with one home, (M, 2, codes) over its combination, is reduced by
     _cell_sums to a (2, codes) table of its share of [inner, fourth] at each
-    code; these add into a (2, paths) output in target order.  Every other
-    target keeps its homes in the derivative's order, for the (cells, 2,
-    paths) accumulator.
+    code; these add into a (2, paths) output in target order.  Each target
+    with several homes keeps them in opening order, for an (M, 2, paths)
+    accumulator of its own; these targets come in target order too.
     """
     half_w = family.grid.cell_width / 2.0
-    tables = _derivative_tables(family)
-    homes = Counter(rows.start for _, parts in tables for rows, _ in parts)
-    single, gathered = [], []
-    for combo, parts in tables:
-        for rows, table in parts:
-            if homes[rows.start] == 1:
-                sums = np.ascontiguousarray(_cell_sums(table.copy(), half_w))
-                single.append((rows.start, combo, sums))
-        several = [part for part in parts if homes[part[0].start] > 1]
-        if several:
-            gathered.append((combo, several))
-    single.sort(key=lambda item: item[0])
-    reduced = [(combo, [((), sums)]) for _, combo, sums in single]
+    reduced, gathered = [], []
+    for _, homes in sorted(_derivative_tables(family).items()):
+        if len(homes) == 1:
+            (combo, table), = homes
+            # on a copy: reducing the home in place left the heap, and the
+            # Stein job's peak RSS, 1 MB higher
+            reduced.append((combo, (), np.ascontiguousarray(_cell_sums(table.copy(), half_w))))
+        else:
+            gathered.append([(combo, (), table) for combo, table in homes])
     return reduced, gathered
 
 
@@ -735,8 +723,8 @@ def stein_bound_terms(family: KernelFamily, n_paths: int, seed: int) -> SteinBou
     target with one home depends only on that home's code, so it is read
     from a (2, codes) table reduced once (see _stein_tables), and the
     derivative itself is never formed for it.  A target with several homes
-    (one over UNION_TABLE_BYTES) is gathered per path into the derivative's
-    (cells, 2, paths) accumulator and reduced there by the same formula.
+    (one over UNION_TABLE_BYTES) is gathered per path into an (M, 2, paths)
+    accumulator of its own and reduced there by the same formula.
     """
     if n_paths < 1:
         raise ChaosError(f"bound needs at least one path, got {n_paths}")
@@ -749,27 +737,24 @@ def stein_bound_terms(family: KernelFamily, n_paths: int, seed: int) -> SteinBou
     ex2 = family.second_moment()
     term1 = abs(1.0 - ex2)
     reduced, gathered = _stein_tables(family)
-    targets = sorted({rows.start // grid.cells for _, parts in gathered for rows, _ in parts})
-    chunk = _chunk_paths(grid, bool(gathered))
+    chunk = _chunk_paths(grid)
 
     moments = np.empty((2, n_paths))  # per path, [inner, cell sum of derivative^4]
 
     def work(lo: int, hi: int) -> None:
         rows = min(chunk, hi - lo)
-        span = _SpanBuffers(grid, rows, reduced + gathered)
+        span = _SpanBuffers(grid, rows, reduced + [home for homes in gathered for home in homes])
         # only when used: an untouched one still raised the peak RSS
-        acc = np.empty((grid.size, 2, rows)) if gathered else None
+        acc = np.empty((grid.cells, 2, rows)) if gathered else None
         # the rows of random_paths(seed, n_paths, grid.blocks), a chunk at a time
         for a, u in rng.uniform_chunks(seed, grid.blocks, lo, hi, chunk):
             c = u.shape[0]
             total = moments[:, a:a + c]
             span.locate(_to_paths(u))
             _gather_sum(reduced, span, total)
-            if gathered:
-                _gather_sum(gathered, span, acc[..., :c])
-                sums = _cell_sums(acc[..., :c].reshape(grid.blocks, grid.cells, 2, c), half_w)
-                for b in targets:
-                    total += sums[b]
+            for homes in gathered:
+                _gather_sum(homes, span, acc[..., :c])
+                total += _cell_sums(acc[..., :c], half_w)
 
     rng.map_spans(n_paths, chunk, work)
 

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -43,10 +44,27 @@ EXIT_DEGENERATE = 3
 EXIT_RESOURCE = 4
 
 
-def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wclt-tmp-")
+def _write_output(path: str, data: str) -> None:
+    """Write an artifact to path.  An existing file that is not regular (a FIFO,
+    a device) is written in place; any other path is replaced atomically at
+    the file it resolves to, through symlinks, keeping that file's mode (a new
+    one gets 0666 less the umask)."""
     try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", newline="") as handle:
+            handle.write(data)
+        return
+    if mode is None:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".wclt-tmp-")
+    try:
+        os.fchmod(fd, stat.S_IMODE(mode))
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(data)
         os.replace(tmp, path)
@@ -78,7 +96,7 @@ def _check_outputs(args) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _atomic_write(out, text)
+        _write_output(out, text)
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -194,7 +212,7 @@ def _cmd_simulate(args) -> int:
         census = intersection_pair_census(pattern, args.n)
         layout = sampler_layout(pattern, args.n)
         sampler = {**layout._asdict(), "count_dtype": layout.count_dtype.name}
-        _atomic_write(args.meta, _json(config, exact_mean=batch.exact_mean,
+        _write_output(args.meta, _json(config, exact_mean=batch.exact_mean,
                                        exact_variance=batch.exact_variance,
                                        census={str(h): c for h, c in census.items()},
                                        sampler=sampler))

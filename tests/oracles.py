@@ -349,32 +349,25 @@ def stein_terms_by_gather(family, n_paths: int, seed: int) -> dict:
 
 
 def _homes(tables, cells: int) -> list:
-    """The homes the combination gather adds, in the library's order.
+    """The homes the combination gather adds, in opening order.
 
-    ``tables`` list (combination, [(target, table)]) widest combination
-    first.  Taken in input order, each table joins the first home of its
-    target whose blocks hold its combination, or whose blocks together with
-    it take a table of at most ``chaos.UNION_TABLE_BYTES``; else it opens a
-    home.  The homes are listed by their final block sets, each set at the
-    first place it takes among the homes in opening order.  A home is
-    (target, [(combination, table)]), its first table first.
+    ``tables`` list (combination, target, table) widest combination first.
+    Taken in input order, each table joins the first home of its target
+    whose blocks hold its combination, or whose blocks together with it take
+    a table of at most ``chaos.UNION_TABLE_BYTES``; else it opens a home.  A
+    home is (target, [(combination, table)]), its first table first.
     """
     opened = []  # (blocks, target, [(combination, table)]) in opening order
-    for combo, parts in tables:
-        for target, table in parts:
-            lead = math.prod(table.shape[:-1])
-            home = next((h for h in opened if h[1] == target and (
-                set(combo) <= h[0]
-                or lead * cells ** len(h[0] | set(combo)) * 8 <= chaos.UNION_TABLE_BYTES)), None)
-            if home is None:
-                home = (set(), target, [])
-                opened.append(home)
-            home[0].update(combo)
-            home[2].append((combo, table))
-    place = {}
-    for blocks, _, _ in opened:
-        place.setdefault(frozenset(blocks), len(place))
-    opened.sort(key=lambda home: place[frozenset(home[0])])
+    for combo, target, table in tables:
+        lead = math.prod(table.shape[:-1])
+        home = next((h for h in opened if h[1] == target and (
+            set(combo) <= h[0]
+            or lead * cells ** len(h[0] | set(combo)) * 8 <= chaos.UNION_TABLE_BYTES)), None)
+        if home is None:
+            home = (set(), target, [])
+            opened.append(home)
+        home[0].update(combo)
+        home[2].append((combo, table))
     return [(target, group) for _, target, group in opened]
 
 
@@ -406,9 +399,9 @@ def combination_integral_tables(kernels, grid):
         for r in range(n + 1):
             term = (-1.0) ** (n - r) / 2.0 ** (n - r) * math.comb(n, r) * kern.marginal(r)
             arrays[r] = arrays[r] + term if r in arrays else term
-    scaled = [(combo, [(None, math.factorial(r) * table) for _, table in parts])
+    scaled = [(combo, None, math.factorial(r) * table)
               for r in sorted(arrays, reverse=True)
-              for combo, parts in chaos._block_tables(arrays[r], r, grid)]
+              for combo, _, table in chaos._block_tables(arrays[r], r, grid)]
     return _homes(scaled, grid.cells)
 
 
@@ -422,8 +415,8 @@ def combination_derivative_tables(family):
             continue
         j = kern.order
         f = math.factorial(j - 1)
-        stacked += [(combo, [(b, np.stack([j * f * table, f * table])) for b, table in parts])
-                    for combo, parts in chaos._block_tables(kern.values, j - 1, family.grid)]
+        stacked += [(combo, b, np.stack([j * f * table, f * table]))
+                    for combo, b, table in chaos._block_tables(kern.values, j - 1, family.grid)]
     return _homes(stacked, family.grid.cells)
 
 

@@ -653,11 +653,6 @@ FOLD_FAMILIES = {
 }
 
 
-def stein_chunk_rows(fam: KernelFamily) -> int:
-    """Paths per chunk of ``stein_bound_terms`` on the family."""
-    return _chunk_paths(fam.grid, bool(_stein_tables(fam)[1]))
-
-
 class TestBlockTableGather:
     @pytest.mark.parametrize("blocks,cells", GATHER_GRIDS)
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -735,9 +730,11 @@ class TestBlockTableGather:
         derivative = _block_tables(top, 2, fam.grid)
         assert len(integral) == 10
         assert len(derivative) == 30
-        assert all(len(parts) == 1 for _, parts in derivative)
-        for _, parts in integral + derivative:
-            assert all(table.any() for _, table in parts)
+        # one nonzero column block per combination, in combinations order
+        assert len({combo for combo, _, _ in derivative}) == 30
+        assert [combo for combo, _, _ in derivative] == sorted(combo for combo, _, _ in derivative)
+        assert all(target is None for _, target, _ in integral)
+        assert all(table.any() for _, _, table in integral + derivative)
         assert _block_tables(np.zeros_like(top), 2, fam.grid) == []
 
     @pytest.mark.parametrize("derivative", [False, True])
@@ -751,7 +748,7 @@ class TestBlockTableGather:
         fam = SPARSE_FAMILIES["triangle-n5"]()
         cells = fam.grid.cells
         inputs = []
-        monkeypatch.setattr(chaos, "_fold", lambda tables, cells: inputs.append(tables) or [])
+        monkeypatch.setattr(chaos, "_fold", lambda tables, cells: inputs.append(tables) or {})
         if derivative:
             _derivative_tables(fam)
         else:
@@ -761,18 +758,15 @@ class TestBlockTableGather:
         # (8 bytes an entry, as for float64), so a sum of them says exactly
         # which tables it holds
         marked, own, row_bytes = [], {}, {}  # own[target][i] = blocks of table i
-        for combo, parts in inputs[0]:
-            marked.append((combo, []))
-            for target, table in parts:
-                mark = np.full(table.shape, 1 << len(own.setdefault(target, [])), dtype=object)
-                marked[-1][1].append((target, mark))
-                own[target].append(set(combo))
-                row_bytes[target] = table.nbytes // table.shape[-1]
+        for combo, target, table in inputs[0]:
+            mark = np.full(table.shape, 1 << len(own.setdefault(target, [])), dtype=object)
+            marked.append((combo, target, mark))
+            own[target].append(set(combo))
+            row_bytes[target] = table.nbytes // table.shape[-1]
         seen = dict.fromkeys(own, 0)
         writes = []
-        for combo, gathered in _fold(marked, cells):
-            for rows, table in gathered:
-                target = None if rows == () else rows.start // cells
+        for target, homes in _fold(marked, cells).items():
+            for combo, table in homes:
                 mark = table.flat[0]
                 assert np.all(table == mark)
                 writes.append(target)
@@ -787,7 +781,7 @@ class TestBlockTableGather:
             assert sorted(writes) == list(range(fam.grid.blocks))
         else:
             assert writes == [None] * 3
-        assert sum(len(parts) for _, parts in _derivative_tables(fam)) == 10
+        assert [len(homes) for homes in _derivative_tables(fam).values()] == [1] * 10
         assert len(_integral_tables(fam.kernels, fam.grid)) == 3
 
     @pytest.mark.parametrize("name", sorted(FOLD_FAMILIES))
@@ -801,7 +795,7 @@ class TestBlockTableGather:
         fam = FOLD_FAMILIES[name]()
         cells = fam.grid.cells
         inputs = []  # what the integral and the derivative pass to _fold
-        monkeypatch.setattr(chaos, "_fold", lambda tables, cells: inputs.append(tables) or [])
+        monkeypatch.setattr(chaos, "_fold", lambda tables, cells: inputs.append(tables) or {})
         _integral_tables(fam.kernels, fam.grid)
         _derivative_tables(fam)
         monkeypatch.undo()
@@ -811,22 +805,21 @@ class TestBlockTableGather:
 
         for tables in inputs:
             own, row_bytes, marked = {}, {}, []  # own[target][i] = blocks of its table i
-            for combo, parts in tables:
-                marked.append((combo, []))
-                for target, table in parts:
-                    mark = np.full(table.shape, 1 << len(own.setdefault(target, [])), dtype=object)
-                    marked[-1][1].append((target, mark))
-                    own[target].append(set(combo))
-                    row_bytes[target] = table.nbytes // table.shape[-1]  # one lead per target
-            homes = {target: [] for target in own}  # per target, its homes' table indices
-            for combo, parts in _fold(marked, cells):
-                for rows, table in parts:
-                    target = None if rows == () else rows.start // cells
-                    assert target is None or rows == slice(target * cells, (target + 1) * cells)
+            for combo, target, table in tables:
+                mark = np.full(table.shape, 1 << len(own.setdefault(target, [])), dtype=object)
+                marked.append((combo, target, mark))
+                own[target].append(set(combo))
+                row_bytes[target] = table.nbytes // table.shape[-1]  # one lead per target
+            folded = _fold(marked, cells)
+            assert folded.keys() == own.keys()
+            homes = {}  # per target, its homes' table indices
+            for target, gathered in folded.items():
+                homes[target] = []
+                for combo, table in gathered:
                     mark = table.flat[0]
                     assert np.all(table == mark)
                     held = [i for i in range(len(own[target])) if mark >> i & 1]
-                    assert set(combo) == set().union(*(own[target][i] for i in held))
+                    assert combo == tuple(sorted(set().union(*(own[target][i] for i in held))))
                     homes[target].append(held)
             for target, blocks in own.items():
                 row = row_bytes[target]
@@ -838,10 +831,12 @@ class TestBlockTableGather:
                     if len(held) > 1:  # packed within the budget, or into its first table
                         union = set().union(*(blocks[i] for i in held))
                         assert fits(row, union) or union == blocks[held[0]]
-                # replay the tables in input order: each joins the first home,
-                # in opening order, that takes it, or opens the next one
-                home_of = {i: k for k, held in enumerate(sorted(homes[target], key=min))
-                           for i in held}
+                # the homes come in opening order, each opened by its first
+                # table; replay the tables in input order: each joins the
+                # first home that takes it, or opens the next one
+                openers = [held[0] for held in homes[target]]
+                assert openers == sorted(openers)
+                home_of = {i: k for k, held in enumerate(homes[target]) for i in held}
                 now = []  # the blocks of each home opened so far
                 for i, combo in enumerate(blocks):
                     k = home_of[i]
@@ -867,12 +862,12 @@ class TestBlockTableGather:
         # budget, and over it as many as the budget packs its tables into (2
         # rows of 2 cells over at most 2**13 codes)
         homes = Counter(b for b, _ in combination_derivative_tables(fam))
-        assert sum(len(p) for _, p in _derivative_tables(fam)) == sum(homes.values())
+        assert {b: len(h) for b, h in _derivative_tables(fam).items()} == homes
         if name == "mixed-homes":
             assert homes == {15: 1, **dict.fromkeys(range(15), 2)}
-        n_paths = 2 * stein_chunk_rows(fam) + 7
+        n_paths = 2 * _chunk_paths(grid) + 7
         u = random_paths(2500, n_paths, grid.blocks)
-        u_eval = random_paths(2501, 2 * _chunk_paths(grid, False) + 7, grid.blocks)
+        u_eval = random_paths(2501, n_paths, grid.blocks)
         expected_d = combination_derivative(fam, u)
         centered = KernelFamily(grid, 0.0, fam.kernels)  # the bound needs a zero constant
         expected_terms = combination_stein_terms(centered, n_paths, seed=2502)
@@ -889,7 +884,7 @@ class TestBlockTableGather:
         # path3-n9 gathers every target per path, mixed-homes 15 of its 16
         family = BITWISE_FAMILIES[name]()
         fam = KernelFamily(family.grid, 0.0, family.kernels)
-        n_paths = 2 * stein_chunk_rows(fam) + 7  # three chunks
+        n_paths = 2 * _chunk_paths(fam.grid) + 7  # three chunks
         terms = stein_bound_terms(fam, n_paths, seed=2300).to_dict()
         oracle = stein_terms_by_gather(fam, n_paths, seed=2300)
         for key, value in oracle.items():
@@ -929,24 +924,22 @@ class TestBlockTableGather:
         assert graph.grid == grid
         families = [family_from_kernels([random_kernel(grid, j, seed=1950 + j) for j in (1, 2, 3)]),
                     KernelFamily(grid, 0.0, graph.kernels)]
-        eval_chunk = _chunk_paths(grid, False)
-        eval_counts = (1, eval_chunk - 1, eval_chunk + 1, 3 * eval_chunk + 1)
-        derivative_count = _chunk_paths(grid, True) + 1
-        u = random_paths(1960, eval_counts[-1], grid.blocks)
+        chunk = _chunk_paths(grid)
+        counts = (1, chunk - 1, chunk + 1, 3 * chunk + 1)
+        derivative_count = chunk + 1
+        u = random_paths(1960, counts[-1], grid.blocks)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for fam in families:
                 # the dense family gathers its targets per path, the graph
-                # family reads tabulated shares, in chunks of other sizes
-                stein_chunk = stein_chunk_rows(fam)
-                stein_counts = (1, stein_chunk - 1, stein_chunk + 1, 3 * stein_chunk + 1)
+                # family reads tabulated shares
                 results = {}
                 for threads in ("1", "2", "4", "8"):
                     monkeypatch.setenv("WCLT_THREADS", threads)
                     results[threads] = (
-                        [stein_bound_terms(fam, n, seed=1961).to_dict() for n in stein_counts],
-                        [fam.eval_many(u[:n]) for n in eval_counts],
+                        [stein_bound_terms(fam, n, seed=1961).to_dict() for n in counts],
+                        [fam.eval_many(u[:n]) for n in counts],
                         derivative_values_many(fam, u[:derivative_count]),
                     )
                 for threads in ("2", "4", "8"):
@@ -958,9 +951,8 @@ class TestBlockTableGather:
             sys.setswitchinterval(interval)
 
     def test_results_independent_of_chunk_size(self, monkeypatch):
-        # 97 entries cut the 301 paths into chunks of 9 where a span holds
-        # one entry per block and of 2 where it holds one per cell, against
-        # one chunk at the default; every output is bit for bit the same
+        # 97 entries cut the 301 paths into chunks of 9, against one chunk at
+        # the default; every output is bit for bit the same
         grid = GridSpec(10, 4)
         graph = SPARSE_FAMILIES["triangle-n5"]()
         dense = family_from_kernels([random_kernel(grid, j, seed=1970 + j) for j in (1, 2, 3)])

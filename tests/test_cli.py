@@ -786,3 +786,50 @@ def test_bound_value_overflow_usage_error(tmp_path, capsys, form):
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: bound value at n = 3, p = 1e-203 overflows a float\n"
     assert not out.exists()
+
+
+BOUND_ARGS = ["bound", "--pattern", "triangle", "--n", "10", "--p", "0.5", "--weights", "unif:1"]
+
+
+def test_out_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert cli.main(BOUND_ARGS + ["--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert strict_json(target.read_text())["config"]["subcommand"] == "bound"
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".wclt-tmp-")] == []
+
+
+def test_out_keeps_the_file_mode(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        new = tmp_path / "new.json"
+        assert cli.main(BOUND_ARGS + ["--out", str(new)]) == 0
+        assert new.stat().st_mode & 0o777 == 0o666 & ~0o027
+    finally:
+        os.umask(umask)
+    old = tmp_path / "old.json"
+    old.write_text("old")
+    old.chmod(0o640)
+    assert cli.main(BOUND_ARGS + ["--out", str(old)]) == 0
+    assert old.stat().st_mode & 0o777 == 0o640
+    assert strict_json(old.read_text())["config"]["subcommand"] == "bound"
+
+
+def test_out_writes_into_a_fifo(tmp_path):
+    fifo = tmp_path / "pipe.json"
+    os.mkfifo(fifo)
+    # the read end opens first and never blocks, so a writer that replaced
+    # the FIFO leaves it with nothing to read, in place of a hang
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert cli.main(BOUND_ARGS + ["--out", str(fifo)]) == 0
+        chunks = []
+        while chunk := os.read(reader, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(reader)
+    assert fifo.is_fifo()
+    assert strict_json(b"".join(chunks).decode())["config"]["subcommand"] == "bound"
